@@ -472,10 +472,11 @@ func BenchmarkSweepWarmStore(b *testing.B) {
 // dominated by controller work), the practical limit on experiment scale.
 func BenchmarkSimulatorThroughput(b *testing.B) {
 	sc := benchScale()
+	eng := NewEngine(DDR5())
 	for i := 0; i < b.N; i++ {
 		cfg := baseSimConfig(6250, sc)
 		cfg.Workload = MixHigh(4, 1).Fresh()
-		res, err := Run(cfg)
+		res, err := eng.Run(context.Background(), cfg)
 		if err != nil {
 			b.Fatal(err)
 		}

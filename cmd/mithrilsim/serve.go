@@ -14,8 +14,8 @@ import (
 )
 
 // serveCmd runs the HTTP service: the /v1 API (POST /v1/run streaming
-// NDJSON rows, GET /v1/healthz, GET /v1/catalog) plus the deprecated
-// bare aliases of the original surface. By default the server is a
+// NDJSON rows, GET /v1/healthz, GET /v1/catalog); every other path
+// answers 404 with the not_found envelope. By default the server is a
 // worker: /v1/run also accepts coordinator shard requests. With
 // -coordinator (over a -workers fleet, or -spawn N / 2 freshly spawned
 // local workers) it becomes a fleet coordinator instead, fanning every

@@ -43,7 +43,7 @@ func TestServeRunStreamsNDJSON(t *testing.T) {
 	defer testutil.CheckGoroutines(t)()
 	ts := httptest.NewServer(newServeHandler(env{jobs: 2}))
 	defer ts.Close()
-	resp, err := http.Post(ts.URL+"/run", "application/json", strings.NewReader(testSpec))
+	resp, err := http.Post(ts.URL+"/v1/run", "application/json", strings.NewReader(testSpec))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,7 +103,7 @@ func TestServeRunStreamsNDJSON(t *testing.T) {
 // the terminal summary, failing the test on any stream error.
 func streamRun(t *testing.T, url, spec string) (rows map[float64]map[string]any, summary map[string]any, trailer http.Header) {
 	t.Helper()
-	resp, err := http.Post(url+"/run", "application/json", strings.NewReader(spec))
+	resp, err := http.Post(url+"/v1/run", "application/json", strings.NewReader(spec))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,121 +169,57 @@ func TestServeWarmStore(t *testing.T) {
 	}
 }
 
+// errorCode decodes a response's error envelope and returns its code and
+// message.
+func errorCode(t *testing.T, resp *http.Response) (code, msg string) {
+	t.Helper()
+	defer resp.Body.Close()
+	var env struct {
+		Error struct {
+			Code    string `json:"code"`
+			Message string `json:"message"`
+		} `json:"error"`
+	}
+	if err := json.NewDecoder(resp.Body).Decode(&env); err != nil {
+		t.Fatalf("response is not the error envelope: %v", err)
+	}
+	return env.Error.Code, env.Error.Message
+}
+
 func TestServeRunRejectsBadRequests(t *testing.T) {
 	ts := httptest.NewServer(newServeHandler(env{}))
 	defer ts.Close()
-	resp, err := http.Get(ts.URL + "/run")
+	resp, err := http.Get(ts.URL + "/v1/run")
 	if err != nil {
 		t.Fatal(err)
 	}
-	resp.Body.Close()
 	if resp.StatusCode != http.StatusMethodNotAllowed {
-		t.Fatalf("GET /run status = %d, want 405", resp.StatusCode)
+		t.Fatalf("GET /v1/run status = %d, want 405", resp.StatusCode)
 	}
-	resp, err = http.Post(ts.URL+"/run", "application/json", strings.NewReader(`{"name":`))
-	if err != nil {
-		t.Fatal(err)
+	if code, _ := errorCode(t, resp); code != "bad_method" {
+		t.Fatalf("GET /v1/run code = %q, want bad_method", code)
 	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("malformed spec status = %d, want 400", resp.StatusCode)
-	}
-	resp, err = http.Post(ts.URL+"/run", "application/json",
-		strings.NewReader(`{"name":"x","kind":"comparison","scale":{"preset":"quick"},"axes":{"schemes":["bogus"],"workloads":["mix-high"]}}`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("unknown-scheme spec status = %d, want 400", resp.StatusCode)
-	}
-	// trace:<path> names a server-local file; accepting it over HTTP
-	// would hand clients a filesystem probe, so it must 400 before any
-	// file is opened.
-	resp, err = http.Post(ts.URL+"/run", "application/json",
-		strings.NewReader(`{"name":"x","kind":"comparison","scale":{"preset":"quick"},"axes":{"schemes":["mithril"],"workloads":["trace:/etc/passwd"]}}`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	body := make([]byte, 256)
-	n, _ := resp.Body.Read(body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("trace-workload spec status = %d, want 400", resp.StatusCode)
-	}
-	if !strings.Contains(string(body[:n]), "not accepted over HTTP") {
-		t.Fatalf("trace-workload rejection body = %q", body[:n])
-	}
-}
-
-func TestServeHealthAndSchemes(t *testing.T) {
-	ts := httptest.NewServer(newServeHandler(env{}))
-	defer ts.Close()
-	resp, err := http.Get(ts.URL + "/healthz")
-	if err != nil || resp.StatusCode != http.StatusOK {
-		t.Fatalf("healthz: %v %v", resp, err)
-	}
-	var health struct {
-		Status string `json:"status"`
-		Stamp  string `json:"stamp"`
-		Store  bool   `json:"store"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&health); err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if health.Status != "ok" || health.Stamp != mithril.ResultStoreStamp() || health.Store {
-		t.Fatalf("healthz = %+v, want ok + current stamp + store=false", health)
-	}
-	resp, err = http.Get(ts.URL + "/schemes")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var names []string
-	if err := json.NewDecoder(resp.Body).Decode(&names); err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if len(names) == 0 || names[0] != "blockhammer" {
-		t.Fatalf("schemes = %v, want the sorted registry", names)
-	}
-}
-
-// The /workloads and /attacks endpoints expose the open registries as
-// sorted {name, desc} catalogs.
-func TestServeWorkloadAndAttackCatalogs(t *testing.T) {
-	ts := httptest.NewServer(newServeHandler(env{}))
-	defer ts.Close()
-	cases := []struct {
-		path  string
-		first string
-	}{
-		{"/workloads", "fft"},
-		{"/attacks", "blockhammer-adversarial"},
-	}
-	for _, c := range cases {
-		resp, err := http.Get(ts.URL + c.path)
+	for name, spec := range map[string]string{
+		"malformed spec": `{"name":`,
+		"unknown scheme": `{"name":"x","kind":"comparison","scale":{"preset":"quick"},"axes":{"schemes":["bogus"],"workloads":["mix-high"]}}`,
+		// trace:<path> names a server-local file; accepting it over HTTP
+		// would hand clients a filesystem probe, so it must 400 before
+		// any file is opened.
+		"trace workload": `{"name":"x","kind":"comparison","scale":{"preset":"quick"},"axes":{"schemes":["mithril"],"workloads":["trace:/etc/passwd"]}}`,
+	} {
+		resp, err := http.Post(ts.URL+"/v1/run", "application/json", strings.NewReader(spec))
 		if err != nil {
 			t.Fatal(err)
 		}
-		if ct := resp.Header.Get("Content-Type"); ct != "application/json" {
-			t.Errorf("%s content type = %q", c.path, ct)
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("%s status = %d, want 400", name, resp.StatusCode)
 		}
-		var catalog []struct {
-			Name string `json:"name"`
-			Desc string `json:"desc"`
+		code, msg := errorCode(t, resp)
+		if code != "bad_request" {
+			t.Fatalf("%s code = %q, want bad_request", name, code)
 		}
-		if err := json.NewDecoder(resp.Body).Decode(&catalog); err != nil {
-			t.Fatal(err)
-		}
-		resp.Body.Close()
-		if len(catalog) == 0 || catalog[0].Name != c.first {
-			t.Fatalf("%s = %v, want the sorted registry starting at %q", c.path, catalog, c.first)
-		}
-		for _, entry := range catalog {
-			if entry.Desc == "" {
-				t.Errorf("%s entry %q has no description", c.path, entry.Name)
-			}
+		if name == "trace workload" && !strings.Contains(msg, "not accepted over HTTP") {
+			t.Fatalf("trace-workload rejection message = %q", msg)
 		}
 	}
 }
@@ -301,7 +237,7 @@ func TestServeClientDisconnectCancelsSweep(t *testing.T) {
 	defer ts.Close()
 
 	ctx, cancel := context.WithCancel(context.Background())
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, ts.URL+"/run", strings.NewReader(slowSpec))
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, ts.URL+"/v1/run", strings.NewReader(slowSpec))
 	if err != nil {
 		t.Fatal(err)
 	}

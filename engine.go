@@ -34,9 +34,7 @@ type ExperimentResultRow = expspec.Row
 //	)
 //	res, err := eng.RunSpec(ctx, spec)
 //
-// An Engine is immutable after construction and safe for concurrent use;
-// a zero-cost default instance backs the deprecated package-level
-// functions (Run, Compare) for compatibility.
+// An Engine is immutable after construction and safe for concurrent use.
 type Engine struct {
 	params    TimingParams
 	jobs      int // 0: leave the scale's worker count alone
@@ -191,21 +189,32 @@ func (e *Engine) RunSpecAt(ctx context.Context, sp *ExperimentSpec, sc Scale) (*
 func (e *Engine) Stream(ctx context.Context, sp *ExperimentSpec) iter.Seq2[ExperimentResultRow, error] {
 	sc, err := e.scaleFor(sp)
 	if err != nil {
-		return func(yield func(ExperimentResultRow, error) bool) { yield(ExperimentResultRow{}, err) }
+		return errSeq(err)
 	}
 	return e.StreamAt(ctx, sp, sc)
 }
 
 // StreamAt is Stream at an explicit scale.
 func (e *Engine) StreamAt(ctx context.Context, sp *ExperimentSpec, sc Scale) iter.Seq2[ExperimentResultRow, error] {
-	if e.coordErr != nil {
-		err := e.coordErr
-		return func(yield func(ExperimentResultRow, error) bool) { yield(ExperimentResultRow{}, err) }
+	var seq iter.Seq2[ExperimentResultRow, error]
+	err := e.coordErr
+	switch {
+	case err != nil:
+	case e.coord != nil:
+		seq, err = e.coord.Stream(ctx, sp, e.applyJobs(sc), e.execOptions())
+	default:
+		seq, err = sp.StreamRowsAt(ctx, e.applyJobs(sc), nil, e.execOptions())
 	}
-	if e.coord != nil {
-		return e.coord.StreamAt(ctx, sp, e.applyJobs(sc), e.execOptions())
+	if err != nil {
+		return errSeq(err)
 	}
-	return sp.StreamAt(ctx, e.applyJobs(sc), e.execOptions())
+	return seq
+}
+
+// errSeq is a row sequence that yields err once: how Stream reports a
+// failure to start.
+func errSeq(err error) iter.Seq2[ExperimentResultRow, error] {
+	return func(yield func(ExperimentResultRow, error) bool) { yield(ExperimentResultRow{}, err) }
 }
 
 // RunParallelContext executes fn(ctx, 0..n-1) on up to jobs workers (0 =
@@ -217,6 +226,3 @@ func (e *Engine) StreamAt(ctx context.Context, sp *ExperimentSpec, sc Scale) ite
 func RunParallelContext[T any](ctx context.Context, jobs, n int, fn func(ctx context.Context, i int) (T, error)) ([]T, error) {
 	return sweep.RunContext(ctx, jobs, n, fn)
 }
-
-// defaultEngine backs the deprecated package-level entry points.
-var defaultEngine = NewEngine(DDR5())

@@ -32,10 +32,14 @@ func parseTinySpec(t *testing.T) *ExperimentSpec {
 
 // TestEngineRunSpecMatchesSpecRun pins that the Engine path is a pure
 // re-plumbing: the same spec produces identical rows through the Engine
-// and through the spec's own Run.
+// and through the spec's own executor.
 func TestEngineRunSpecMatchesSpecRun(t *testing.T) {
 	sp := parseTinySpec(t)
-	direct, err := sp.Run()
+	sc, err := sp.Scale.Resolve()
+	if err != nil {
+		t.Fatal(err)
+	}
+	direct, err := sp.RunAtContext(context.Background(), sc, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,34 +93,6 @@ func TestEngineRunDefaultsParams(t *testing.T) {
 	}
 	if res.AggregateIPC <= 0 {
 		t.Fatalf("aggregate IPC = %v", res.AggregateIPC)
-	}
-}
-
-func TestEngineCompareMatchesDeprecatedShim(t *testing.T) {
-	build := func() (SimConfig, Scheme) {
-		s, err := NewScheme("mithril", SchemeOptions{Timing: DDR5(), FlipTH: 6250})
-		if err != nil {
-			t.Fatal(err)
-		}
-		sc := tinyScale()
-		cfg := baseSimConfig(6250, sc)
-		cfg.InstrPerCore = 1000
-		return cfg, s
-	}
-	cfg, s := build()
-	eng := NewEngine(DDR5())
-	a, err := eng.Compare(context.Background(), cfg, MixHigh(4, 1), s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg2, s2 := build()
-	// Deprecated shim, exercised deliberately: it must stay equivalent.
-	b, err := Compare(cfg2, MixHigh(4, 1), s2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a.RelativePerformance != b.RelativePerformance {
-		t.Errorf("shim diverges: %v vs %v", a.RelativePerformance, b.RelativePerformance)
 	}
 }
 

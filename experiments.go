@@ -1,6 +1,7 @@
 package mithril
 
 import (
+	"context"
 	"embed"
 	"fmt"
 	"io/fs"
@@ -9,7 +10,6 @@ import (
 	"mithril/internal/expspec"
 	"mithril/internal/mc"
 	"mithril/internal/sim"
-	"mithril/internal/timing"
 	"mithril/internal/trace"
 )
 
@@ -58,7 +58,15 @@ func runSpec(name string, sc Scale) (*expspec.Result, error) {
 	if err != nil {
 		return nil, fmt.Errorf("shipped spec %s: %w", name, err)
 	}
-	return sp.RunAt(sc)
+	return runToCompletion(sp, sc)
+}
+
+// runToCompletion executes a spec for the figure wrappers, whose
+// signatures carry no context: they run uncancellable, with a private
+// baseline cache and no store. Engine.RunSpecAt is the cancellable path.
+func runToCompletion(sp *ExperimentSpec, sc Scale) (*expspec.Result, error) {
+	//mithril:allow ctxflow figure wrappers keep ctx-less signatures; Engine.RunSpecAt is the ctx path
+	return sp.RunAtContext(context.Background(), sc, nil)
 }
 
 // ---------------------------------------------------------------- Figure 2
@@ -207,7 +215,7 @@ func SafetySweep(sc Scale, flipTH int) ([]SafetyResult, error) {
 		return nil, err
 	}
 	sp.Axes.FlipTHs = []int{flipTH}
-	res, err := sp.RunAt(sc)
+	res, err := runToCompletion(sp, sc)
 	if err != nil {
 		return nil, err
 	}
@@ -225,5 +233,3 @@ func PARFMFailure(flipTH, rfmTH int) (bank, system float64) {
 func PARFMRequiredRFMTH(flipTH int) (int, bool) {
 	return analysis.ParfmRequiredRFMTH(DDR5(), flipTH, analysis.DefaultAttackableBanks, 1e-15, nil)
 }
-
-var _ = timing.DDR5 // keep the import stable for the type aliases above

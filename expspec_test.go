@@ -8,6 +8,7 @@ package mithril
 // a unit-test-sized scale).
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -83,7 +84,7 @@ func TestScenarioSpecRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	sc := roundTripScale()
-	res, err := sp.RunAt(sc)
+	res, err := sp.RunAtContext(context.Background(), sc, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,7 +123,7 @@ func TestSpecDrivenFigure10RoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := sp.RunAt(sc)
+	res, err := sp.RunAtContext(context.Background(), sc, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

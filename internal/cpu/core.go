@@ -85,6 +85,11 @@ type Core struct {
 	llcMisses   uint64
 }
 
+// MaxCores bounds a system's core count: request IDs carry the core index
+// in their top 16 bits (consumers recover the owning core as reqID>>48),
+// so every id must fit.
+const MaxCores = 1 << 16
+
 // NewCore builds a core that executes target instructions from src,
 // submitting misses through enqueue (which reports acceptance).
 func NewCore(id int, cfg CoreConfig, src Source, llc *LLC, target int64, enqueue func(*mc.Request) bool) *Core {
@@ -94,10 +99,8 @@ func NewCore(id int, cfg CoreConfig, src Source, llc *LLC, target int64, enqueue
 	if target <= 0 {
 		panic(fmt.Sprintf("cpu: target instructions must be positive, got %d", target))
 	}
-	// Request IDs carry the core index in their top 16 bits (consumers
-	// recover the owning core as reqID>>48), so the id must fit.
-	if id < 0 || id >= 1<<16 {
-		panic(fmt.Sprintf("cpu: core id %d outside [0, 65536)", id))
+	if id < 0 || id >= MaxCores {
+		panic(fmt.Sprintf("cpu: core id %d outside [0, %d)", id, MaxCores))
 	}
 	c := &Core{id: id, cfg: cfg, src: src, llc: llc, enqueue: enqueue, target: target,
 		nextReqID:  uint64(id) << 48,

@@ -372,7 +372,11 @@ func TestStreamConsumerBreak(t *testing.T) {
 	ts := httptest.NewServer(serveapi.NewHandler(serveapi.Config{Jobs: 2}))
 	defer ts.Close()
 	coord := newCoordinator(t, []string{ts.URL})
-	for _, err := range coord.StreamAt(context.Background(), sp, sc, nil) {
+	seq, err := coord.Stream(context.Background(), sp, sc, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, err := range seq {
 		if err != nil {
 			t.Fatal(err)
 		}

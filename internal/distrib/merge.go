@@ -23,8 +23,12 @@ import (
 // the assembled Result in deterministic Expand order — the distributed
 // twin of Spec.RunAtContext, byte-identical to it.
 func (c *Coordinator) RunAt(ctx context.Context, sp *expspec.Spec, sc expspec.Scale, opts *expspec.ExecOptions) (*expspec.Result, error) {
+	seq, err := c.Stream(ctx, sp, sc, opts)
+	if err != nil {
+		return nil, err
+	}
 	rows := make([]expspec.Row, 0, 64)
-	for row, err := range c.StreamAt(ctx, sp, sc, opts) {
+	for row, err := range seq {
 		if err != nil {
 			return nil, err
 		}
@@ -34,22 +38,13 @@ func (c *Coordinator) RunAt(ctx context.Context, sp *expspec.Spec, sc expspec.Sc
 	return sp.NewResult(sc, rows)
 }
 
-// StreamAt executes the spec's full grid across the worker pool, yielding
-// rows in completion order exactly like Spec.StreamAt: the sequence
-// terminates with a single non-nil error on failure, breaking out cancels
-// everything in flight, and no goroutine survives the range ending.
-func (c *Coordinator) StreamAt(ctx context.Context, sp *expspec.Spec, sc expspec.Scale, opts *expspec.ExecOptions) iter.Seq2[expspec.Row, error] {
-	seq, err := c.Stream(ctx, sp, sc, opts)
-	if err != nil {
-		return func(yield func(expspec.Row, error) bool) { yield(expspec.Row{}, err) }
-	}
-	return seq
-}
-
-// Stream is StreamAt with construction errors — invalid spec, unkeyable
-// cells — returned before the first yield, mirroring Spec.StreamRowsAt:
-// a streaming server can reject the request before committing to a
-// response header.
+// Stream executes the spec's full grid across the worker pool, yielding
+// rows in completion order exactly like Spec.StreamRowsAt: construction
+// errors — invalid spec or scale, unkeyable cells — are returned before
+// the first yield, so a streaming server can reject the request before
+// committing to a response header; the sequence terminates with a single
+// non-nil error on failure, breaking out cancels everything in flight,
+// and no goroutine survives the range ending.
 func (c *Coordinator) Stream(ctx context.Context, sp *expspec.Spec, sc expspec.Scale, opts *expspec.ExecOptions) (iter.Seq2[expspec.Row, error], error) {
 	st, err := c.prepare(sp, sc, opts)
 	if err != nil {
@@ -83,6 +78,9 @@ type execState struct {
 
 func (c *Coordinator) prepare(sp *expspec.Spec, sc expspec.Scale, opts *expspec.ExecOptions) (*execState, error) {
 	if err := sp.Validate(); err != nil {
+		return nil, err
+	}
+	if err := sc.Validate(); err != nil {
 		return nil, err
 	}
 	specJSON, err := json.Marshal(sp)
@@ -348,7 +346,7 @@ func (st *execState) stream(ctx context.Context) iter.Seq2[expspec.Row, error] {
 					}()
 				case evLocalDone:
 					// Local failures are deterministic executor errors
-					// (the same spec would fail under StreamAt) — no retry.
+					// (the same spec would fail under StreamRowsAt) — no retry.
 					if ev.err != nil {
 						yield(expspec.Row{}, ev.err)
 						return

@@ -497,37 +497,15 @@ func schemeTableKB(name string, flipTH int) float64 {
 
 // ---------------------------------------------------------------- executors
 
-// Run resolves the spec's own scale and executes the grid.
-//
-// Deprecated: use Engine.RunSpec (or RunAtContext), which threads a
-// context for cancellation. The ctx-less signature is pinned by
-// internal/apicompat.
-func (s *Spec) Run() (*Result, error) {
-	sc, err := s.Scale.Resolve()
-	if err != nil {
-		return nil, err
-	}
-	return s.RunAt(sc)
-}
-
-// RunAt validates the spec and executes its grid at an explicit scale
-// (the library's figure wrappers pass their caller's Scale; the CLI passes
-// the spec's resolved scale with the -jobs override applied). Rows come
-// back in the deterministic Expand order regardless of worker count.
-//
-// Deprecated: use Engine.RunSpecAt (or RunAtContext), which threads a
-// context for cancellation. The ctx-less signature is pinned by
-// internal/apicompat.
-func (s *Spec) RunAt(sc Scale) (*Result, error) {
-	//mithril:allow ctxflow deprecated ctx-less shim pinned by apicompat; RunAtContext is the ctx path
-	return s.RunAtContext(context.Background(), sc, nil)
-}
-
-// RunAtContext is RunAt with cooperative cancellation and execution
-// options: the sweep stops claiming cells when ctx is cancelled and
-// in-flight simulations abort mid-run, opts.Progress observes per-row
-// completion, and opts.Baselines shares unprotected runs across
-// executions. A nil opts behaves like RunAt.
+// RunAtContext validates the spec and executes its grid at an explicit
+// scale (the library's figure wrappers pass their caller's Scale; the CLI
+// passes the spec's resolved scale with the -jobs override applied). Rows
+// come back in the deterministic Expand order regardless of worker count.
+// Cancellation is cooperative: the sweep stops claiming cells when ctx is
+// cancelled and in-flight simulations abort mid-run. opts.Progress
+// observes per-row completion, opts.Baselines shares unprotected runs
+// across executions, and opts.Store serves and records rows; nil opts
+// means no hook, no store, and a private baseline cache.
 func (s *Spec) RunAtContext(ctx context.Context, sc Scale, opts *ExecOptions) (*Result, error) {
 	rr, err := s.newRowRunner(sc, opts, nil)
 	if err != nil {
@@ -595,28 +573,18 @@ func (s *Spec) NewResult(sc Scale, rows []Row) (*Result, error) {
 	return res, nil
 }
 
-// StreamAt validates the spec and executes its grid, yielding each output
-// row as workers finish it — completion order, not grid order (Row.Index
-// recovers grid order). The sequence terminates with a single non-nil
-// error when a cell fails or ctx is cancelled; breaking out of the range
-// cancels the remaining grid. All workers have exited when the range ends.
-func (s *Spec) StreamAt(ctx context.Context, sc Scale, opts *ExecOptions) iter.Seq2[Row, error] {
-	seq, err := s.StreamRowsAt(ctx, sc, nil, opts)
-	if err != nil {
-		return func(yield func(Row, error) bool) { yield(Row{}, err) }
-	}
-	return seq
-}
-
 // StreamRowsAt executes an explicit row-index subset of the expanded grid
-// — the shard a distributed worker is handed — yielding rows in
-// completion order with Row.Index holding the grid index. A nil subset
-// runs the full grid (StreamAt is exactly that). Unlike StreamAt, every
-// construction failure — invalid spec, out-of-range or duplicated subset
+// — the shard a distributed worker is handed; nil runs the full grid —
+// yielding each row as workers finish it: completion order, not grid
+// order, with Row.Index holding the grid index. Every construction
+// failure — invalid spec or scale, out-of-range or duplicated subset
 // index, a workload that will not build — is returned before the first
 // yield, so a caller speaking a streaming wire protocol can reject the
 // request cleanly instead of discovering the error after committing to a
-// 200 and an NDJSON header.
+// 200 and an NDJSON header. The sequence terminates with a single non-nil
+// error when a cell fails or ctx is cancelled; breaking out of the range
+// cancels the remaining rows, and all workers have exited when the range
+// ends.
 func (s *Spec) StreamRowsAt(ctx context.Context, sc Scale, rows []int, opts *ExecOptions) (iter.Seq2[Row, error], error) {
 	rr, err := s.newRowRunner(sc, opts, rows)
 	if err != nil {
@@ -698,9 +666,9 @@ func (n *needSet) attack(seed uint64, name string) bool   { return n.attacks[see
 func (n *needSet) anyAttack(name string) bool             { return n.attackAny[name] }
 
 // rowRunner executes one spec at one scale, one output row at a time: the
-// shared unit behind RunAtContext (batch, grid order), StreamAt
-// (completion order), and StreamRowsAt (an explicit row-index subset —
-// the shard a distributed worker executes). Precomputed per-seed state
+// shared unit behind RunAtContext (batch, grid order) and StreamRowsAt
+// (completion order, optionally over an explicit row-index subset — the
+// shard a distributed worker executes). Precomputed per-seed state
 // keeps row jobs pure.
 type rowRunner struct {
 	spec  *Spec
@@ -735,12 +703,15 @@ type rowRunner struct {
 	baseline func(ctx context.Context, seed uint64, name string, w trace.Workload) (sim.Result, error) // adth
 }
 
-// newRowRunner validates the spec and binds the per-kind state for the
-// named grid rows (nil: every expanded cell). Subset indices must be
-// in-range and free of duplicates — a duplicated row would double-count
+// newRowRunner validates the spec and scale and binds the per-kind state
+// for the named grid rows (nil: every expanded cell). Subset indices must
+// be in-range and free of duplicates — a duplicated row would double-count
 // in every consumer and a wild index has no cell to realize.
 func (s *Spec) newRowRunner(sc Scale, opts *ExecOptions, rows []int) (*rowRunner, error) {
 	if err := s.Validate(); err != nil {
+		return nil, err
+	}
+	if err := sc.Validate(); err != nil {
 		return nil, err
 	}
 	rr := &rowRunner{

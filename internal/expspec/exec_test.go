@@ -2,6 +2,7 @@ package expspec
 
 import (
 	"bytes"
+	"context"
 	"encoding/csv"
 	"encoding/json"
 	"reflect"
@@ -26,11 +27,22 @@ func tiny() *Spec {
 	}
 }
 
-func TestRunComparisonRows(t *testing.T) {
-	res, err := tiny().Run()
+// run executes s at its own resolved scale, failing the test on error.
+func run(t *testing.T, s *Spec) *Result {
+	t.Helper()
+	sc, err := s.Scale.Resolve()
 	if err != nil {
 		t.Fatal(err)
 	}
+	res, err := s.RunAtContext(context.Background(), sc, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
+func TestRunComparisonRows(t *testing.T) {
+	res := run(t, tiny())
 	if len(res.Perf) != 2 {
 		t.Fatalf("rows = %d, want 2", len(res.Perf))
 	}
@@ -56,14 +68,14 @@ func TestRunDeterministicAcrossJobs(t *testing.T) {
 	serial := tiny()
 	serialSc, _ := serial.Scale.Resolve()
 	serialSc.Jobs = 1
-	a, err := serial.RunAt(serialSc)
+	a, err := serial.RunAtContext(context.Background(), serialSc, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	parallel := tiny()
 	parallelSc, _ := parallel.Scale.Resolve()
 	parallelSc.Jobs = 4
-	b, err := parallel.RunAt(parallelSc)
+	b, err := parallel.RunAtContext(context.Background(), parallelSc, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,10 +90,7 @@ func TestRunDeterministicAcrossJobs(t *testing.T) {
 func TestRunSeedsAxis(t *testing.T) {
 	s := tiny()
 	s.Axes.Seeds = []uint64{1, 2}
-	res, err := s.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := run(t, s)
 	if len(res.Perf) != 4 {
 		t.Fatalf("rows = %d, want 4", len(res.Perf))
 	}
@@ -91,10 +100,7 @@ func TestRunSeedsAxis(t *testing.T) {
 }
 
 func TestTableRendering(t *testing.T) {
-	res, err := tiny().Run()
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := run(t, tiny())
 	table, err := res.Table()
 	if err != nil {
 		t.Fatal(err)
@@ -115,10 +121,7 @@ func TestTableRendering(t *testing.T) {
 func TestColumnSelection(t *testing.T) {
 	s := tiny()
 	s.Columns = []string{"scheme", "perf", "seed"}
-	res, err := s.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := run(t, s)
 	table, err := res.Table()
 	if err != nil {
 		t.Fatal(err)
@@ -132,10 +135,7 @@ func TestColumnSelection(t *testing.T) {
 // CSV output must parse back with encoding/csv and preserve full float
 // precision (strconv round-trip).
 func TestCSVRoundTrip(t *testing.T) {
-	res, err := tiny().Run()
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := run(t, tiny())
 	var buf bytes.Buffer
 	if err := res.WriteCSV(&buf); err != nil {
 		t.Fatal(err)
@@ -166,10 +166,7 @@ func TestCSVRoundTrip(t *testing.T) {
 // JSON output must parse back and carry the spec identity, resolved scale,
 // and one object per row.
 func TestJSONRoundTrip(t *testing.T) {
-	res, err := tiny().Run()
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := run(t, tiny())
 	var buf bytes.Buffer
 	if err := res.WriteJSON(&buf); err != nil {
 		t.Fatal(err)

@@ -10,9 +10,10 @@
 // validation rejects unknown names before anything simulates. Every
 // execution is context-aware (cancellation stops the sweep within one grid
 // point and aborts in-flight simulations) and row-oriented: RunAtContext
-// collects rows in deterministic grid order, StreamAt yields the same rows
-// in completion order as workers finish them, and ExecOptions adds a
-// per-row progress hook plus a baseline cache shareable across executions.
+// collects rows in deterministic grid order, StreamRowsAt yields the same
+// rows (or a subset) in completion order as workers finish them, and
+// ExecOptions adds a per-row progress hook, a baseline cache shareable
+// across executions, and a result store.
 // Results render as the CLI's aligned text tables or as machine-readable
 // JSON/CSV rows, and as the raw full-precision "golden" line format the
 // repository's regression goldens (testdata/golden_*.txt) are pinned in.
@@ -24,7 +25,11 @@
 package expspec
 
 import (
+	"errors"
+	"fmt"
+
 	"mithril/internal/analysis"
+	"mithril/internal/cpu"
 	"mithril/internal/timing"
 )
 
@@ -63,6 +68,28 @@ func (sc Scale) Params() timing.Params {
 	p.TREFW /= timing.PicoSeconds(f)
 	p.RefreshGroups /= f
 	return p
+}
+
+// ErrInvalidScale is wrapped by every Scale.Validate failure; match with
+// errors.Is.
+var ErrInvalidScale = errors.New("invalid scale")
+
+// Validate rejects a scale the simulator cannot run — a core count outside
+// [1, cpu.MaxCores), a non-positive instruction budget, or a time scale
+// that compresses the refresh window past a valid timing set — so every
+// execution path fails before its first row instead of panicking or
+// failing mid-stream.
+func (sc Scale) Validate() error {
+	if sc.Cores < 1 || sc.Cores >= cpu.MaxCores {
+		return fmt.Errorf("%w: cores %d outside [1, %d)", ErrInvalidScale, sc.Cores, cpu.MaxCores)
+	}
+	if sc.InstrPerCore <= 0 {
+		return fmt.Errorf("%w: instr_per_core must be positive, got %d", ErrInvalidScale, sc.InstrPerCore)
+	}
+	if err := sc.Params().Validate(); err != nil {
+		return fmt.Errorf("%w: time_scale %d: %w", ErrInvalidScale, sc.TimeScale, err)
+	}
+	return nil
 }
 
 // attackCores sizes attack workloads: the paper's 15+1 arrangement at full

@@ -1,6 +1,8 @@
 package expspec
 
 import (
+	"context"
+	"errors"
 	"reflect"
 	"strings"
 	"testing"
@@ -139,9 +141,9 @@ func TestSafetyAttackCoordinatesFailBeforeSweep(t *testing.T) {
 	if err := s.Validate(); err != nil {
 		t.Fatalf("multi:40000 is syntactically valid, got %v", err)
 	}
-	_, err := s.RunAt(QuickScale())
+	_, err := s.RunAtContext(context.Background(), QuickScale(), nil)
 	if err == nil || !strings.Contains(err.Error(), "outside bank") {
-		t.Errorf("RunAt = %v, want an outside-bank error before any simulation", err)
+		t.Errorf("RunAtContext = %v, want an outside-bank error before any simulation", err)
 	}
 }
 
@@ -284,5 +286,51 @@ func TestDefaultColumnsPerKind(t *testing.T) {
 	}
 	if cols := minimal().defaultColumns(); cols[0] != "scheme" || len(cols) != 7 {
 		t.Errorf("comparison defaults = %v", cols)
+	}
+}
+
+// TestScaleValidate pins the scale guard: an out-of-range core count, a
+// non-positive instruction budget, or a time scale that breaks the timing
+// set is rejected with ErrInvalidScale by Validate and by both executor
+// entry points before any row runs — never a panic inside the simulator
+// or a mid-stream failure.
+func TestScaleValidate(t *testing.T) {
+	with := func(edit func(*Scale)) Scale {
+		sc := QuickScale()
+		edit(&sc)
+		return sc
+	}
+	cases := []struct {
+		name string
+		sc   Scale
+		ok   bool
+	}{
+		{"quick", QuickScale(), true},
+		{"max cores", with(func(sc *Scale) { sc.Cores = 1<<16 - 1 }), true},
+		{"zero cores", with(func(sc *Scale) { sc.Cores = 0 }), false},
+		{"too many cores", with(func(sc *Scale) { sc.Cores = 70000 }), false},
+		{"zero instructions", with(func(sc *Scale) { sc.InstrPerCore = 0 }), false},
+		{"negative instructions", with(func(sc *Scale) { sc.InstrPerCore = -5 }), false},
+		{"huge time scale", with(func(sc *Scale) { sc.TimeScale = 100000 }), false},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			err := c.sc.Validate()
+			if c.ok {
+				if err != nil {
+					t.Fatalf("Validate = %v, want nil", err)
+				}
+				return
+			}
+			if !errors.Is(err, ErrInvalidScale) {
+				t.Fatalf("Validate = %v, want ErrInvalidScale", err)
+			}
+			if _, err := tiny().StreamRowsAt(context.Background(), c.sc, nil, nil); !errors.Is(err, ErrInvalidScale) {
+				t.Errorf("StreamRowsAt = %v, want ErrInvalidScale before the first row", err)
+			}
+			if _, err := tiny().RunAtContext(context.Background(), c.sc, nil); !errors.Is(err, ErrInvalidScale) {
+				t.Errorf("RunAtContext = %v, want ErrInvalidScale", err)
+			}
+		})
 	}
 }

@@ -3,6 +3,7 @@ package expspec
 import (
 	"context"
 	"errors"
+	"iter"
 	"reflect"
 	"runtime"
 	"testing"
@@ -20,6 +21,17 @@ func streamScale(t *testing.T, jobs int) Scale {
 	return sc
 }
 
+// stream starts s over its full grid at sc, failing the test on a
+// construction error.
+func stream(ctx context.Context, t *testing.T, s *Spec, sc Scale) iter.Seq2[Row, error] {
+	t.Helper()
+	seq, err := s.StreamRowsAt(ctx, sc, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return seq
+}
+
 // TestStreamMatchesBatch pins the core streaming guarantee: reassembling a
 // stream's rows by Index reproduces the batch result exactly.
 func TestStreamMatchesBatch(t *testing.T) {
@@ -31,7 +43,7 @@ func TestStreamMatchesBatch(t *testing.T) {
 	}
 	got := make([]PerfPoint, len(batch.Perf))
 	seen := 0
-	for row, err := range s.StreamAt(context.Background(), sc, nil) {
+	for row, err := range stream(context.Background(), t, s, sc) {
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -49,21 +61,13 @@ func TestStreamMatchesBatch(t *testing.T) {
 	}
 }
 
+// An invalid spec fails at construction, before any row could be yielded.
 func TestStreamInvalidSpecYieldsError(t *testing.T) {
 	s := tiny()
 	s.Axes.Schemes = []string{"bogus"}
-	sc := streamScale(t, 1)
-	var sawErr error
-	rows := 0
-	for _, err := range s.StreamAt(context.Background(), sc, nil) {
-		if err != nil {
-			sawErr = err
-			continue
-		}
-		rows++
-	}
-	if sawErr == nil || rows != 0 {
-		t.Fatalf("err=%v rows=%d, want validation error and no rows", sawErr, rows)
+	seq, err := s.StreamRowsAt(context.Background(), streamScale(t, 1), nil, nil)
+	if err == nil || seq != nil {
+		t.Fatalf("err=%v seq=%v, want a validation error and no sequence", err, seq != nil)
 	}
 }
 
@@ -76,7 +80,7 @@ func TestStreamCancelMidSweep(t *testing.T) {
 	defer cancel()
 	rows := 0
 	var sawErr error
-	for _, err := range s.StreamAt(ctx, sc, nil) {
+	for _, err := range stream(ctx, t, s, sc) {
 		if err != nil {
 			sawErr = err
 			continue
@@ -164,7 +168,7 @@ func TestSharedBaselineCache(t *testing.T) {
 func TestRowValues(t *testing.T) {
 	s := tiny()
 	sc := streamScale(t, 1)
-	for row, err := range s.StreamAt(context.Background(), sc, nil) {
+	for row, err := range stream(context.Background(), t, s, sc) {
 		if err != nil {
 			t.Fatal(err)
 		}

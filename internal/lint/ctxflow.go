@@ -11,9 +11,9 @@ import (
 // disconnect actually stops the work.
 //
 //  1. context.Background() and context.TODO() are banned outside package
-//     main, tests, and //mithril:allow ctxflow sites. The allowed sites
-//     are the documented deprecated ctx-less shims (mithril.Run,
-//     sweep.Run, sim.Run, Spec.RunAt) — each carries an explained allow.
+//     main, tests, and //mithril:allow ctxflow sites. The library has one
+//     allowed site, the figure wrappers' run-to-completion helper, and it
+//     carries an explained allow.
 //  2. Everywhere, package main included: a function that receives a
 //     context.Context (directly or captured from an enclosing function)
 //     must thread it — minting a fresh Background/TODO root there severs

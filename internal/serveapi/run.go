@@ -21,13 +21,6 @@ const (
 	trailerSimulated = "X-Mithril-Rows-Simulated"
 )
 
-// ndjsonError is the legacy terminal error line: a bare message string
-// under the "error" key. /v1 streams use the envelope form (errorEnvelope)
-// so mid-stream failures carry the same code slugs as pre-header ones.
-type ndjsonError struct {
-	Error string `json:"error"`
-}
-
 // ndjsonSummary is the terminal line of a completed stream: the row
 // count and its cached/simulated split. Consumers distinguish it from
 // data rows by the "summary" key, mirroring the "error" convention; the
@@ -53,12 +46,11 @@ func (s *rowSplit) count(cached bool) {
 	}
 }
 
-// handleRun serves POST /v1/run and its legacy /run alias. The body is
-// either a bare spec document (a sweep: validate fully, then stream
-// display rows) or — distinguished by the "spec" key — a
-// distrib.ShardRequest (a coordinator dispatching an explicit row
-// subset: stream wire rows).
-func (s *server) handleRun(w http.ResponseWriter, r *http.Request, legacy bool) {
+// handleRun serves POST /v1/run. The body is either a bare spec document
+// (a sweep: validate fully, then stream display rows) or — distinguished
+// by the "spec" key — a distrib.ShardRequest (a coordinator dispatching
+// an explicit row subset: stream wire rows).
+func (s *server) handleRun(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		writeError(w, http.StatusMethodNotAllowed, distrib.CodeMethod, "POST a spec document (or a shard request) to this endpoint")
 		return
@@ -78,7 +70,7 @@ func (s *server) handleRun(w http.ResponseWriter, r *http.Request, legacy bool) 
 		s.handleShard(w, r, body)
 		return
 	}
-	s.handleSweep(w, r, body, legacy)
+	s.handleSweep(w, r, body)
 }
 
 // handleSweep executes a bare spec document and streams its display rows
@@ -88,7 +80,7 @@ func (s *server) handleRun(w http.ResponseWriter, r *http.Request, legacy bool) 
 // rejectable request gets a real HTTP status and an error envelope, not
 // a 200 that turns out to be an error record. Only failures of the
 // simulation itself arrive mid-stream, as the terminal error line.
-func (s *server) handleSweep(w http.ResponseWriter, r *http.Request, body []byte, legacy bool) {
+func (s *server) handleSweep(w http.ResponseWriter, r *http.Request, body []byte) {
 	sp, err := expspec.Parse(body)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, distrib.CodeBadRequest, err.Error())
@@ -133,13 +125,13 @@ func (s *server) handleSweep(w http.ResponseWriter, r *http.Request, body []byte
 			// Emit the terminal error line unless the client is the reason
 			// we are stopping (its connection is gone anyway).
 			if r.Context().Err() == nil {
-				st.fail(legacy, distrib.CodeRunFailed, err.Error())
+				st.fail(distrib.CodeRunFailed, err.Error())
 			}
 			return
 		}
 		vals, err := sp.RowValues(sc, row)
 		if err != nil {
-			st.fail(legacy, distrib.CodeRunFailed, err.Error())
+			st.fail(distrib.CodeRunFailed, err.Error())
 			return
 		}
 		// Echo the grid position so streaming consumers can reassemble
@@ -269,13 +261,9 @@ func (st *stream) emit(v any) error {
 	return nil
 }
 
-// fail writes the terminal error record of a sweep stream: the frozen
-// bare-string form on legacy /run, the coded envelope on /v1.
-func (st *stream) fail(legacy bool, code, msg string) {
-	if legacy {
-		_ = st.enc.Encode(ndjsonError{Error: msg})
-		return
-	}
+// fail writes the terminal error record of a sweep stream: the coded
+// envelope, so mid-stream failures carry the same slugs as pre-header ones.
+func (st *stream) fail(code, msg string) {
 	_ = st.enc.Encode(errorEnvelope{Error: &distrib.APIError{Code: code, Message: msg}})
 }
 

@@ -1,16 +1,14 @@
 // Package serveapi is the mithrilsim HTTP surface: the versioned /v1
-// API (run streaming, health, the merged registry catalog) plus the
-// original bare paths kept as deprecated aliases. The same handler
-// serves three roles — a plain sweep server, a distributed worker
-// (shard requests on /v1/run), and a coordinator front-end that fans
-// bare sweeps out across a worker fleet — selected by Config.
+// API (run streaming, health, the merged registry catalog) and nothing
+// else — every other path answers 404. The same handler serves three
+// roles — a plain sweep server, a distributed worker (shard requests on
+// /v1/run), and a coordinator front-end that fans bare sweeps out across
+// a worker fleet — selected by Config.
 //
-// Every non-200 response and every terminal /v1 stream error carries
-// the uniform JSON envelope {"error":{"code","message"}}; codes are the
+// Every non-200 response and every terminal stream error carries the
+// uniform JSON envelope {"error":{"code","message"}}; codes are the
 // stable distrib.Code* slugs coordinators use to classify failures as
-// permanent or retryable. Legacy alias responses keep their original
-// shapes byte-for-byte (the cmd/mithrilsim compat tests pin them) and
-// advertise their successors with Deprecation/Link headers.
+// permanent or retryable.
 package serveapi
 
 import (
@@ -40,7 +38,7 @@ type Config struct {
 	// fresh rows back.
 	Store resultstore.Store
 	// Coordinator, when set, turns the server into a fleet front-end:
-	// bare sweeps on /v1/run and /run fan out across its workers, and
+	// bare sweeps on /v1/run fan out across its workers, and
 	// shard requests are rejected (a coordinator accepting shards from
 	// another coordinator could recurse through its own fleet).
 	Coordinator *distrib.Coordinator
@@ -50,32 +48,9 @@ type Config struct {
 func NewHandler(cfg Config) http.Handler {
 	s := &server{cfg: cfg}
 	mux := http.NewServeMux()
-	mux.HandleFunc("/v1/healthz", func(w http.ResponseWriter, r *http.Request) { s.handleHealth(w, r, false) })
+	mux.HandleFunc("/v1/healthz", s.handleHealth)
 	mux.HandleFunc("/v1/catalog", s.handleCatalog)
-	mux.HandleFunc("/v1/run", func(w http.ResponseWriter, r *http.Request) { s.handleRun(w, r, false) })
-	// Deprecated aliases: the pre-/v1 surface, frozen. Responses keep
-	// their original shapes; Deprecation/Link headers point clients at
-	// the successor endpoint.
-	mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
-		deprecated(w, "/v1/healthz")
-		s.handleHealth(w, r, true)
-	})
-	mux.HandleFunc("/schemes", func(w http.ResponseWriter, r *http.Request) {
-		deprecated(w, "/v1/catalog")
-		writeJSON(w, mitigation.Names())
-	})
-	mux.HandleFunc("/workloads", func(w http.ResponseWriter, r *http.Request) {
-		deprecated(w, "/v1/catalog")
-		writeJSON(w, trace.Workloads())
-	})
-	mux.HandleFunc("/attacks", func(w http.ResponseWriter, r *http.Request) {
-		deprecated(w, "/v1/catalog")
-		writeJSON(w, attack.Patterns())
-	})
-	mux.HandleFunc("/run", func(w http.ResponseWriter, r *http.Request) {
-		deprecated(w, "/v1/run")
-		s.handleRun(w, r, true)
-	})
+	mux.HandleFunc("/v1/run", s.handleRun)
 	mux.HandleFunc("/", func(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, distrib.CodeNotFound, "unknown path "+r.URL.Path+" (the API lives under /v1/)")
 	})
@@ -107,11 +82,10 @@ func (s *server) execOptions() *expspec.ExecOptions {
 	return &expspec.ExecOptions{Store: s.cfg.Store}
 }
 
-// handleHealth reports readiness. The legacy shape is frozen at
-// {status, stamp, store}; /v1 adds the API version, the server's fleet
+// handleHealth reports readiness, the API version, the server's fleet
 // role, and (for coordinators) the worker list, so an operator can tell
 // from one probe what a port is.
-func (s *server) handleHealth(w http.ResponseWriter, r *http.Request, legacy bool) {
+func (s *server) handleHealth(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
 		writeError(w, http.StatusMethodNotAllowed, distrib.CodeMethod, "GET this endpoint")
 		return
@@ -119,14 +93,6 @@ func (s *server) handleHealth(w http.ResponseWriter, r *http.Request, legacy boo
 	// The stamp lets a client predict cache behaviour: rows stored
 	// under another stamp (schema bump, different scheme registry)
 	// will re-simulate rather than hit.
-	if legacy {
-		writeJSON(w, map[string]any{
-			"status": "ok",
-			"stamp":  expspec.StoreStamp(),
-			"store":  s.cfg.Store != nil,
-		})
-		return
-	}
 	health := map[string]any{
 		"status": "ok",
 		"api":    "v1",
@@ -157,12 +123,6 @@ func (s *server) handleCatalog(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// deprecated marks a legacy alias response with its successor.
-func deprecated(w http.ResponseWriter, successor string) {
-	w.Header().Set("Deprecation", "true")
-	w.Header().Set("Link", "<"+successor+`>; rel="successor-version"`)
-}
-
 // writeJSON emits a 200 JSON document.
 func writeJSON(w http.ResponseWriter, v any) {
 	w.Header().Set("Content-Type", "application/json")
@@ -178,8 +138,8 @@ func writeError(w http.ResponseWriter, status int, code, msg string) {
 	_ = json.NewEncoder(w).Encode(errorEnvelope{Error: &distrib.APIError{Code: code, Message: msg}})
 }
 
-// errorEnvelope is the uniform /v1 error body, and the terminal NDJSON
-// error record of an aborted /v1 stream.
+// errorEnvelope is the uniform error body, and the terminal NDJSON error
+// record of an aborted sweep stream.
 type errorEnvelope struct {
 	Error *distrib.APIError `json:"error"`
 }

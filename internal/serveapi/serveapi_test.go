@@ -119,57 +119,53 @@ func TestV1Catalog(t *testing.T) {
 		} `json:"attacks"`
 		Stamp string `json:"stamp"`
 	}
+	if ct := resp.Header.Get("Content-Type"); ct != "application/json" {
+		t.Errorf("catalog content type = %q", ct)
+	}
 	if err := json.NewDecoder(resp.Body).Decode(&cat); err != nil {
 		t.Fatal(err)
 	}
 	if len(cat.Schemes) == 0 || cat.Schemes[0] != "blockhammer" {
 		t.Errorf("catalog schemes = %v, want the sorted registry", cat.Schemes)
 	}
-	if len(cat.Workloads) == 0 || cat.Workloads[0].Name != "fft" || cat.Workloads[0].Desc == "" {
-		t.Errorf("catalog workloads = %v, want described registry entries", cat.Workloads)
+	if len(cat.Workloads) == 0 || cat.Workloads[0].Name != "fft" {
+		t.Errorf("catalog workloads = %v, want the sorted registry", cat.Workloads)
 	}
 	if len(cat.Attacks) == 0 || cat.Attacks[0].Name != "blockhammer-adversarial" {
 		t.Errorf("catalog attacks = %v, want the sorted registry", cat.Attacks)
+	}
+	for _, e := range append(cat.Workloads, cat.Attacks...) {
+		if e.Desc == "" {
+			t.Errorf("catalog entry %q has no description", e.Name)
+		}
 	}
 	if cat.Stamp != expspec.StoreStamp() {
 		t.Errorf("catalog stamp = %q, want the current registry stamp", cat.Stamp)
 	}
 }
 
-// TestLegacyAliasesDeprecated pins the migration contract: every bare
-// legacy path still answers with its original shape, carrying the
-// Deprecation marker and a successor link.
-func TestLegacyAliasesDeprecated(t *testing.T) {
+// TestRemovedBarePathsNotFound pins that the pre-/v1 surface is gone:
+// each bare path answers 404 with the not_found envelope, whatever the
+// method.
+func TestRemovedBarePathsNotFound(t *testing.T) {
 	ts := newServer(t, serveapi.Config{})
-	for path, successor := range map[string]string{
-		"/healthz":   "/v1/healthz",
-		"/schemes":   "/v1/catalog",
-		"/workloads": "/v1/catalog",
-		"/attacks":   "/v1/catalog",
-	} {
-		resp, err := http.Get(ts.URL + path)
-		if err != nil {
-			t.Fatal(err)
+	for _, path := range []string{"/run", "/healthz", "/schemes", "/workloads", "/attacks"} {
+		for _, method := range []string{http.MethodGet, http.MethodPost} {
+			req, err := http.NewRequest(method, ts.URL+path, strings.NewReader(testSpec))
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp, err := http.DefaultClient.Do(req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if resp.StatusCode != http.StatusNotFound {
+				t.Errorf("%s %s status = %d, want 404", method, path, resp.StatusCode)
+			}
+			if code, _ := decodeEnvelope(t, resp); code != "not_found" {
+				t.Errorf("%s %s code = %q, want not_found", method, path, code)
+			}
 		}
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			t.Errorf("%s status = %d", path, resp.StatusCode)
-		}
-		if d := resp.Header.Get("Deprecation"); d != "true" {
-			t.Errorf("%s Deprecation header = %q, want true", path, d)
-		}
-		if l := resp.Header.Get("Link"); !strings.Contains(l, successor) || !strings.Contains(l, "successor-version") {
-			t.Errorf("%s Link header = %q, want successor %s", path, l, successor)
-		}
-	}
-	// The versioned paths are not deprecated.
-	resp, err := http.Get(ts.URL + "/v1/healthz")
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.Header.Get("Deprecation") != "" {
-		t.Error("/v1/healthz carries a Deprecation header")
 	}
 }
 
@@ -203,23 +199,33 @@ func TestErrorEnvelope(t *testing.T) {
 		t.Errorf("unknown path code = %q, want not_found", code)
 	}
 
+	// Every rejection holds on a plain server and on a coordinator front,
+	// whose fan-out plan is built before the header too. A scale the
+	// simulator cannot run (cores beyond the request-ID space, a time
+	// scale that breaks the timing set) is rejected like a bad spec, not
+	// by a panicked handler or a mid-stream run_failed record.
+	coord := newServer(t, serveapi.Config{Coordinator: mustCoordinator(t)})
 	for name, body := range map[string]string{
-		"malformed json": `{"name":`,
-		"unknown scheme": `{"name":"x","kind":"comparison","scale":{"preset":"quick"},"axes":{"schemes":["bogus"],"workloads":["mix-high"]}}`,
-		"trace workload": `{"name":"x","kind":"comparison","scale":{"preset":"quick"},"axes":{"schemes":["mithril"],"workloads":["trace:/etc/passwd"]}}`,
+		"malformed json":    `{"name":`,
+		"unknown scheme":    `{"name":"x","kind":"comparison","scale":{"preset":"quick"},"axes":{"schemes":["bogus"],"workloads":["mix-high"]}}`,
+		"trace workload":    `{"name":"x","kind":"comparison","scale":{"preset":"quick"},"axes":{"schemes":["mithril"],"workloads":["trace:/etc/passwd"]}}`,
+		"cores 70000":       `{"name":"x","kind":"comparison","scale":{"preset":"quick","cores":70000},"axes":{"schemes":["none"],"workloads":["mix-high"]}}`,
+		"time_scale 100000": `{"name":"x","kind":"comparison","scale":{"preset":"quick","time_scale":100000},"axes":{"schemes":["none"],"workloads":["mix-high"]}}`,
 	} {
-		resp, err := http.Post(ts.URL+"/v1/run", "application/json", strings.NewReader(body))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if resp.StatusCode != http.StatusBadRequest {
-			t.Fatalf("%s status = %d, want 400 before the stream header", name, resp.StatusCode)
-		}
-		if ct := resp.Header.Get("Content-Type"); ct != "application/json" {
-			t.Errorf("%s content type = %q, want the JSON envelope (not a committed NDJSON stream)", name, ct)
-		}
-		if code, _ := decodeEnvelope(t, resp); code != "bad_request" {
-			t.Errorf("%s code = %q, want bad_request", name, code)
+		for _, srv := range []*httptest.Server{ts, coord} {
+			resp, err := http.Post(srv.URL+"/v1/run", "application/json", strings.NewReader(body))
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			if resp.StatusCode != http.StatusBadRequest {
+				t.Fatalf("%s status = %d, want 400 before the stream header", name, resp.StatusCode)
+			}
+			if ct := resp.Header.Get("Content-Type"); ct != "application/json" {
+				t.Errorf("%s content type = %q, want the JSON envelope (not a committed NDJSON stream)", name, ct)
+			}
+			if code, _ := decodeEnvelope(t, resp); code != "bad_request" {
+				t.Errorf("%s code = %q, want bad_request", name, code)
+			}
 		}
 	}
 }
@@ -337,8 +343,8 @@ func TestShardStream(t *testing.T) {
 }
 
 // TestShardRejections pins the worker's pre-header guards: version
-// drift conflicts, malformed subsets, and shards aimed at a coordinator
-// all fail with real statuses and envelope codes.
+// drift conflicts, malformed subsets, invalid scales, and shards aimed
+// at a coordinator all fail with real statuses and envelope codes.
 func TestShardRejections(t *testing.T) {
 	ts := newServer(t, serveapi.Config{})
 
@@ -380,6 +386,15 @@ func TestShardRejections(t *testing.T) {
 		t.Errorf("out-of-range subset status = %d, want 400", resp.StatusCode)
 	} else {
 		resp.Body.Close()
+	}
+
+	noCores := req
+	noCores.Scale.Cores = 0
+	b, _ = json.Marshal(noCores)
+	if resp := post(b); resp.StatusCode != http.StatusBadRequest {
+		t.Errorf("zero-core shard status = %d, want 400 before the stream header", resp.StatusCode)
+	} else if code, _ := decodeEnvelope(t, resp); code != "bad_request" {
+		t.Errorf("zero-core shard code = %q, want bad_request", code)
 	}
 
 	coordTS := newServer(t, serveapi.Config{Coordinator: mustCoordinator(t)})

@@ -188,22 +188,14 @@ func (s genSource) Next() cpu.Op {
 	return cpu.Op{Gap: a.Gap, Addr: a.Addr & s.mask, Write: a.Write, Serialize: a.Serialize, Uncached: a.Uncached}
 }
 
-// Run executes one simulation to completion (or MaxTime) and returns the
-// results.
-//
-// Deprecated: use RunContext, which takes a context for cancellation.
-func Run(cfg Config) (Result, error) {
-	//mithril:allow ctxflow deprecated ctx-less shim; RunContext is the ctx path
-	return RunContext(context.Background(), cfg)
-}
-
 // cancelCheckInterval is how many main-loop iterations pass between
 // cooperative ctx polls: frequent enough that cancellation lands within
 // microseconds of simulated progress, rare enough that the poll is
 // invisible on the tick hot path.
 const cancelCheckInterval = 1 << 12
 
-// RunContext is Run with cooperative cancellation: the simulation polls
+// RunContext executes one simulation to completion (or MaxTime) and
+// returns the results. Cancellation is cooperative: the simulation polls
 // ctx every few thousand loop iterations and aborts with ctx's error when
 // it is done, so a cancelled sweep stops mid-run instead of finishing a
 // multi-second grid point it will discard. A context that can never be
@@ -306,19 +298,9 @@ type Comparison struct {
 	EnergyOverheadPercent float64
 }
 
-// RunComparison executes the workload twice — unprotected baseline and with
-// the scheme — using identical generator state, and reports normalized
-// metrics.
-//
-// Deprecated: use RunComparisonContext, which takes a context for
-// cancellation.
-func RunComparison(cfg Config, workload trace.Workload, scheme mc.Scheme) (Comparison, error) {
-	//mithril:allow ctxflow deprecated ctx-less shim; RunComparisonContext is the ctx path
-	return RunComparisonContext(context.Background(), cfg, workload, scheme)
-}
-
-// RunComparisonContext is RunComparison with cooperative cancellation
-// threaded through both runs.
+// RunComparisonContext executes the workload twice — unprotected baseline
+// and with the scheme — using identical generator state, and reports
+// normalized metrics. ctx is threaded through both runs.
 func RunComparisonContext(ctx context.Context, cfg Config, workload trace.Workload, scheme mc.Scheme) (Comparison, error) {
 	base := cfg
 	base.Scheme = nil

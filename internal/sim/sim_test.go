@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"context"
 	"testing"
 
 	"mithril/internal/attack"
@@ -41,7 +42,7 @@ func smallWorkload(cores int) trace.Workload {
 func TestRunCompletesAndProducesIPC(t *testing.T) {
 	cfg := smallConfig()
 	cfg.Workload = smallWorkload(4).Fresh()
-	res, err := Run(cfg)
+	res, err := RunContext(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,12 +70,12 @@ func TestRunCompletesAndProducesIPC(t *testing.T) {
 
 func TestRunRejectsBadConfig(t *testing.T) {
 	cfg := smallConfig()
-	if _, err := Run(cfg); err == nil {
+	if _, err := RunContext(context.Background(), cfg); err == nil {
 		t.Fatal("empty workload should error")
 	}
 	cfg.Workload = smallWorkload(1).Fresh()
 	cfg.FlipTH = 0
-	if _, err := Run(cfg); err == nil {
+	if _, err := RunContext(context.Background(), cfg); err == nil {
 		t.Fatal("FlipTH=0 should error")
 	}
 }
@@ -84,7 +85,7 @@ func TestComparisonBaselineVsMithril(t *testing.T) {
 	scheme := mitigation.NewMithril(mitigation.Options{
 		Timing: cfg.Params, FlipTH: 6250, Seed: 3,
 	})
-	cmp, err := RunComparison(cfg, smallWorkload(4), scheme)
+	cmp, err := RunComparisonContext(context.Background(), cfg, smallWorkload(4), scheme)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,7 +121,7 @@ func TestAttackFlipsWithoutProtectionAndNotWithMithril(t *testing.T) {
 	// Unprotected: must flip.
 	base := cfg
 	base.Workload = attackWorkload.Fresh()
-	res, err := Run(base)
+	res, err := RunContext(context.Background(), base)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,7 +133,7 @@ func TestAttackFlipsWithoutProtectionAndNotWithMithril(t *testing.T) {
 	prot := cfg
 	prot.Scheme = mitigation.NewMithril(mitigation.Options{Timing: cfg.Params, FlipTH: cfg.FlipTH, RFMTH: 32, Seed: 3})
 	prot.Workload = attackWorkload.Fresh()
-	pres, err := Run(prot)
+	pres, err := RunContext(context.Background(), prot)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,7 +150,7 @@ func TestMithrilPlusSkipsRFMsOnBenignWorkload(t *testing.T) {
 	plus := mitigation.NewMithrilPlus(mitigation.Options{Timing: cfg.Params, FlipTH: 6250, Seed: 3})
 	cfg.Scheme = plus
 	cfg.Workload = smallWorkload(4).Fresh()
-	res, err := Run(cfg)
+	res, err := RunContext(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,13 +166,13 @@ func TestMithrilPlusSkipsRFMsOnBenignWorkload(t *testing.T) {
 func TestDeterministicRunsAreReproducible(t *testing.T) {
 	cfg := smallConfig()
 	cfg.Workload = smallWorkload(2).Fresh()
-	a, err := Run(cfg)
+	a, err := RunContext(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg2 := smallConfig()
 	cfg2.Workload = smallWorkload(2).Fresh()
-	b, err := Run(cfg2)
+	b, err := RunContext(context.Background(), cfg2)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -227,17 +227,3 @@ func TestStreamContextPanicReachesConsumer(t *testing.T) {
 		}()
 	}
 }
-
-func TestRunContextMatchesRun(t *testing.T) {
-	fn := func(i int) (int, error) { return i + 1, nil }
-	a, errA := Run(3, 20, fn)
-	b, errB := RunContext(context.Background(), 3, 20, func(_ context.Context, i int) (int, error) { return fn(i) })
-	if errA != nil || errB != nil {
-		t.Fatal(errA, errB)
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("out[%d]: %d != %d", i, a[i], b[i])
-		}
-	}
-}

@@ -26,28 +26,22 @@ func isCancellation(err error) bool {
 // jobs <= 0: one worker per available core.
 func DefaultJobs() int { return runtime.GOMAXPROCS(0) }
 
-// Run executes fn(i) for every i in [0, n) on up to jobs workers and
-// returns the results in index order, so a parallel sweep emits byte-
-// identical output to the serial path. jobs <= 0 means DefaultJobs();
-// jobs == 1 runs the plain serial loop. On failure, the error from the
-// lowest-index failing cell that ran is returned (a lower-index cell
-// skipped by cancellation may itself have failed), cells that have not
-// started are cancelled, and in-flight cells finish (their results are
-// discarded).
-func Run[T any](jobs, n int, fn func(i int) (T, error)) ([]T, error) {
-	//mithril:allow ctxflow deprecated ctx-less shim; RunContext is the ctx path
-	return RunContext(context.Background(), jobs, n,
-		func(_ context.Context, i int) (T, error) { return fn(i) })
-}
-
-// RunContext is Run with cooperative cancellation: the sweep stops claiming
-// new cells as soon as ctx is done (in-flight cells finish — or abort
-// themselves, if fn threads its ctx into cancellable work) and returns
-// ctx's error. fn receives a context derived from ctx that is additionally
-// cancelled when any cell fails, so a long-running cell can abandon work
-// the sweep will discard anyway. A cell error still wins over the derived
-// cancellation it causes; a parent cancellation wins over errors that cells
-// report because of it.
+// RunContext executes fn(ctx, i) for every i in [0, n) on up to jobs
+// workers and returns the results in index order, so a parallel sweep
+// emits byte-identical output to the serial path. jobs <= 0 means
+// DefaultJobs(); jobs == 1 runs the plain serial loop. On failure, the
+// error from the lowest-index failing cell that ran is returned (a
+// lower-index cell skipped by cancellation may itself have failed), cells
+// that have not started are cancelled, and in-flight cells finish or
+// abort (their results are discarded).
+//
+// Cancellation is cooperative: the sweep stops claiming new cells as soon
+// as ctx is done and returns ctx's error. fn receives a context derived
+// from ctx that is additionally cancelled when any cell fails, so a
+// long-running cell can abandon work the sweep will discard anyway. A cell
+// error still wins over the derived cancellation it causes; a parent
+// cancellation wins over errors that cells report because of it. A panic
+// in fn is re-raised on the calling goroutine.
 func RunContext[T any](ctx context.Context, jobs, n int, fn func(ctx context.Context, i int) (T, error)) ([]T, error) {
 	if jobs <= 0 {
 		jobs = DefaultJobs()
@@ -86,7 +80,7 @@ func RunContext[T any](ctx context.Context, jobs, n int, fn func(ctx context.Con
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			// A panic in fn must stay recoverable by Run's caller, as it
+			// A panic in fn must stay recoverable by the caller, as it
 			// is on the serial path: capture it, cancel the sweep, and
 			// re-raise on the calling goroutine after Wait.
 			defer func() {

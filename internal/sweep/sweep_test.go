@@ -1,21 +1,27 @@
 package sweep
 
 import (
+	"context"
 	"errors"
 	"sync"
 	"sync/atomic"
 	"testing"
 )
 
+// run is RunContext over a ctx-free cell function.
+func run[T any](jobs, n int, fn func(i int) (T, error)) ([]T, error) {
+	return RunContext(context.Background(), jobs, n, func(_ context.Context, i int) (T, error) { return fn(i) })
+}
+
 func TestRunOrderingMatchesSerial(t *testing.T) {
 	const n = 100
 	fn := func(i int) (int, error) { return i * i, nil }
-	serial, err := Run(1, n, fn)
+	serial, err := run(1, n, fn)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, jobs := range []int{0, 2, 7, n + 5} {
-		parallel, err := Run(jobs, n, fn)
+		parallel, err := run(jobs, n, fn)
 		if err != nil {
 			t.Fatalf("jobs=%d: %v", jobs, err)
 		}
@@ -31,7 +37,7 @@ func TestRunOrderingMatchesSerial(t *testing.T) {
 }
 
 func TestRunEmpty(t *testing.T) {
-	out, err := Run(4, 0, func(i int) (int, error) { return 0, nil })
+	out, err := run(4, 0, func(i int) (int, error) { return 0, nil })
 	if err != nil || len(out) != 0 {
 		t.Fatalf("empty sweep: out=%v err=%v", out, err)
 	}
@@ -50,14 +56,14 @@ func TestRunReturnsLowestIndexError(t *testing.T) {
 		return i, nil
 	}
 	// Serial: the first failing cell's error, later cells never run.
-	if _, err := Run(1, 10, fn); !errors.Is(err, errA) {
+	if _, err := run(1, 10, fn); !errors.Is(err, errA) {
 		t.Fatalf("serial error = %v, want cell 3", err)
 	}
 	// Parallel: the lowest-index error among the cells that ran wins.
 	// Cancellation may skip cell 3 entirely (a worker can observe the
 	// cell-7 failure between claiming 3 and running it), so either
 	// failing cell's error is valid — but never a fabricated one.
-	if _, err := Run(2, 10, fn); !errors.Is(err, errA) && !errors.Is(err, errB) {
+	if _, err := run(2, 10, fn); !errors.Is(err, errA) && !errors.Is(err, errB) {
 		t.Fatalf("parallel error = %v, want cell 3 or cell 7", err)
 	}
 }
@@ -65,7 +71,7 @@ func TestRunReturnsLowestIndexError(t *testing.T) {
 func TestRunErrorCancelsRemainingCells(t *testing.T) {
 	var started atomic.Int64
 	boom := errors.New("boom")
-	_, err := Run(2, 1000, func(i int) (int, error) {
+	_, err := run(2, 1000, func(i int) (int, error) {
 		started.Add(1)
 		return 0, boom
 	})
@@ -80,7 +86,7 @@ func TestRunErrorCancelsRemainingCells(t *testing.T) {
 }
 
 func TestRunPanicReachesCaller(t *testing.T) {
-	// A panic in fn must be recoverable at the Run call site on the
+	// A panic in fn must be recoverable at the RunContext call site on the
 	// parallel path exactly as on the serial one.
 	for _, jobs := range []int{1, 4} {
 		func() {
@@ -89,13 +95,13 @@ func TestRunPanicReachesCaller(t *testing.T) {
 					t.Errorf("jobs=%d: recovered %v, want cell 5 panic", jobs, r)
 				}
 			}()
-			_, _ = Run(jobs, 10, func(i int) (int, error) {
+			_, _ = run(jobs, 10, func(i int) (int, error) {
 				if i == 5 {
 					panic("cell 5 exploded")
 				}
 				return i, nil
 			})
-			t.Errorf("jobs=%d: Run returned instead of panicking", jobs)
+			t.Errorf("jobs=%d: RunContext returned instead of panicking", jobs)
 		}()
 	}
 }

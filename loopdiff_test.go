@@ -10,6 +10,7 @@ package mithril
 // pointing at the first affected cell.
 
 import (
+	"context"
 	"io/fs"
 	"path"
 	"strings"
@@ -42,12 +43,12 @@ func TestLoopEquivalence(t *testing.T) {
 				t.Fatal(err)
 			}
 			prev := sim.SetLegacyTickLoop(true)
-			legacyRes, err := sp.RunAt(sc)
+			legacyRes, err := sp.RunAtContext(context.Background(), sc, nil)
 			sim.SetLegacyTickLoop(prev)
 			if err != nil {
 				t.Fatalf("legacy tick loop: %v", err)
 			}
-			calRes, err := sp.RunAt(sc)
+			calRes, err := sp.RunAtContext(context.Background(), sc, nil)
 			if err != nil {
 				t.Fatalf("calendar loop: %v", err)
 			}

@@ -30,14 +30,12 @@
 // built in, and out-of-tree schemes plug in via mitigation.Register
 // without touching the controller (see NewScheme).
 //
-// The pre-Engine package-level entry points (Run, Compare, RunParallel)
-// remain as thin deprecated shims over a default Engine; see the README's
-// migration table and deprecation policy.
+// Every simulation entry point takes a context: Engine.Run, Engine.Compare,
+// Engine.RunSpec/RunSpecAt, Engine.Stream/StreamAt, and RunParallelContext.
+// The figure wrappers are the one exception: they run to completion.
 package mithril
 
 import (
-	"context"
-
 	"mithril/internal/analysis"
 	"mithril/internal/attack"
 	"mithril/internal/expspec"
@@ -112,38 +110,9 @@ var ErrUnknownScheme = mitigation.ErrUnknownScheme
 // error messages and service responses.
 func SchemeNames() []string { return mitigation.Names() }
 
-// Run executes one simulation.
-//
-// Deprecated: use Engine.Run, which takes a context for cancellation.
-// This shim runs on a default Engine with context.Background().
-func Run(cfg SimConfig) (SimResult, error) {
-	//mithril:allow ctxflow deprecated ctx-less shim pinned by apicompat; Engine.Run is the ctx path
-	return defaultEngine.Run(context.Background(), cfg)
-}
-
 // DefaultJobs returns the sweep engine's default worker count: one per
 // available core. Scale.Jobs = 0 resolves to this.
 func DefaultJobs() int { return sweep.DefaultJobs() }
-
-// RunParallel executes fn(0..n-1) on up to jobs workers (0 = all cores)
-// and returns the results in index order; the first error cancels cells
-// that have not started.
-//
-// Deprecated: use RunParallelContext, which threads a context into every
-// cell so a cancelled grid stops mid-cell instead of draining.
-func RunParallel[T any](jobs, n int, fn func(i int) (T, error)) ([]T, error) {
-	return sweep.Run(jobs, n, fn)
-}
-
-// Compare runs a workload unprotected and protected and reports normalized
-// performance and energy.
-//
-// Deprecated: use Engine.Compare, which takes a context for cancellation.
-// This shim runs on a default Engine with context.Background().
-func Compare(cfg SimConfig, w Workload, s Scheme) (Comparison, error) {
-	//mithril:allow ctxflow deprecated ctx-less shim pinned by apicompat; Engine.Compare is the ctx path
-	return defaultEngine.Compare(context.Background(), cfg, w, s)
-}
 
 // Configure computes the minimal Mithril table for a (FlipTH, RFMTH, AdTH)
 // point per Theorem 1/2; ok is false when the point is infeasible.
@@ -184,7 +153,7 @@ const (
 
 // ParseSpec decodes and validates a declarative experiment spec (unknown
 // schemes, workloads, columns, axes, and JSON fields are errors). Execute
-// it with Run (the spec's own scale) or RunAt.
+// it with Engine.RunSpec (the spec's own scale) or Engine.RunSpecAt.
 func ParseSpec(data []byte) (*ExperimentSpec, error) { return expspec.Parse(data) }
 
 // LoadSpec reads and validates a spec file from disk.
@@ -220,7 +189,7 @@ type AttackInfo = attack.PatternInfo
 func WorkloadNames() []string { return trace.WorkloadNames() }
 
 // WorkloadCatalog lists the registered workloads with descriptions,
-// sorted by name (the CLI `workloads` command and the serve /workloads
+// sorted by name (the CLI `workloads` command and the serve /v1/catalog
 // endpoint render it directly).
 func WorkloadCatalog() []WorkloadInfo { return trace.Workloads() }
 

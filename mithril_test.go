@@ -1,6 +1,7 @@
 package mithril
 
 import (
+	"context"
 	"math"
 	"reflect"
 	"testing"
@@ -126,7 +127,7 @@ func TestNewSchemeAndRunEndToEnd(t *testing.T) {
 	}
 	sc := tinyScale()
 	cfg := baseSimConfig(6250, sc)
-	cmp, err := Compare(cfg, MixBlend(sc.Cores, 1), s)
+	cmp, err := NewEngine(DDR5()).Compare(context.Background(), cfg, MixBlend(sc.Cores, 1), s)
 	if err != nil {
 		t.Fatal(err)
 	}
