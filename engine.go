@@ -69,9 +69,10 @@ func WithProgress(fn ProgressFunc) EngineOption {
 // WithBaselineCache gives the Engine a persistent unprotected-baseline
 // cache shared across every RunSpec/Stream call: a service running many
 // overlapping scenarios simulates each distinct baseline once, not once
-// per request. Entries are keyed by everything that determines a baseline
-// run (scale geometry, seed, FlipTH, workload), so sharing is always
-// sound; without this option each execution uses a private cache.
+// per request. Entries are keyed by the machine a baseline run simulates
+// (scale geometry, seed, and the workload's generators), not by FlipTH or
+// scheme, which never change an unprotected run; without this option each
+// execution uses a private cache.
 func WithBaselineCache() EngineOption {
 	return func(e *Engine) { e.baselines = expspec.NewBaselineCache() }
 }

@@ -48,7 +48,7 @@ func baseSimConfig(flipTH int, sc Scale) SimConfig {
 
 // benignIPC sums per-core IPCs excluding trailing attacker cores.
 func benignIPC(res sim.Result, attackers int) float64 {
-	return expspec.BenignIPC(res, attackers)
+	return expspec.BenignIPC(res.IPCs, attackers)
 }
 
 // runSpec executes the named shipped spec's axes at the caller's scale

@@ -100,11 +100,16 @@ func newRowAttack(name string, mapper *mc.AddressMapper, channel, bank int, rows
 // paper's exhaustive trackers the decoys are just extra traffic.
 func NewDecoy(mapper *mc.AddressMapper, channel, bank, victim, decoys int) (trace.Generator, error) {
 	rows := mapper.Params().Rows
-	if victim-1 < 0 || victim+1 >= rows {
+	if victim < 1 || victim > rows-2 {
 		return nil, fmt.Errorf("attack: decoy victim %d has no neighbours in a bank of %d rows", victim, rows)
 	}
 	if decoys < 1 {
 		return nil, fmt.Errorf("attack: decoy needs at least one decoy row, got %d", decoys)
+	}
+	// The decoys sit 8 rows apart from victim+96; past this count the walk
+	// would wrap around the bank onto the victim's neighbourhood.
+	if limit := (rows - 96) / 8; decoys > limit {
+		return nil, fmt.Errorf("attack: %d decoy rows do not fit a bank of %d rows (at most %d)", decoys, rows, limit)
 	}
 	// The access cycle hits every decoy twice per aggressor visit, so the
 	// decoys dominate any activation sample while the pair still hammers.

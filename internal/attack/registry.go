@@ -315,6 +315,10 @@ func init() {
 		Check:   checkCount("victim count"),
 		Build: func(arg string, p Params) (trace.Generator, error) {
 			n, _ := strconv.Atoi(arg) // Check canonicalized arg
+			if rows := p.Mapper.Params().Rows; n >= rows {
+				// Also keeps first+2*n below from overflowing.
+				return nil, fmt.Errorf("%d victims need more rows than a bank of %d", n, rows)
+			}
 			first := rowOr(p, defaultMultiRow)
 			if err := checkRows(p, first, first+2*n); err != nil {
 				return nil, err

@@ -192,6 +192,9 @@ func TestBuildErrors(t *testing.T) {
 	}{
 		{"single", Params{Mapper: m, Row: 1 << 30}, "outside bank"},
 		{"multi:40000", Params{Mapper: m}, "outside bank"},
+		{"multi:9223372036854775807", Params{Mapper: m}, "more rows than"},
+		{"decoy:1000000000", Params{Mapper: m}, "do not fit"},
+		{"decoy", Params{Mapper: m, Row: 1<<63 - 1}, "no neighbours"},
 		{"rowlist", Params{Mapper: m}, "non-empty"},
 		{"rowlist", Params{Mapper: m, Rows: []int{-2}}, "outside bank"},
 		{"single", Params{}, "Mapper is required"},

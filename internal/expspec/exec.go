@@ -185,8 +185,10 @@ type ExecOptions struct {
 	Progress func(done, total int)
 	// Baselines, when non-nil, shares unprotected-baseline simulations
 	// across executions (the Engine's WithBaselineCache installs one).
-	// Entries are keyed by everything that determines a baseline run —
-	// scale geometry, seed, FlipTH, workload — so sharing is always sound.
+	// Entries are keyed by the machine a baseline run simulates — scale
+	// geometry, seed, and the workload's generator identity — not by
+	// FlipTH or scheme, which never change the unprotected run, so sharing
+	// is sound across thresholds, schemes and spec kinds.
 	Baselines *BaselineCache
 	// Store, when non-nil, is the content-addressed result store: every
 	// cacheable row is looked up before it simulates (a hit is served
@@ -223,7 +225,7 @@ func (o *ExecOptions) store() resultstore.Store {
 // include the scale geometry, so one cache can serve specs at different
 // scales without ever conflating their baselines.
 type BaselineCache struct {
-	c sweep.Cache[baselineKey, sim.Result]
+	c sweep.Cache[baselineKey, baseline]
 }
 
 // NewBaselineCache returns an empty cache.
@@ -239,7 +241,7 @@ func (b *BaselineCache) Len() int { return b.c.Len() }
 // eviction), and that cancellation is not a fact about the key. The loop
 // terminates: each retry either joins a fill that completes, or runs the
 // caller's own fill under the caller's live ctx.
-func (b *BaselineCache) get(ctx context.Context, k baselineKey, fill func() (sim.Result, error)) (sim.Result, error) {
+func (b *BaselineCache) get(ctx context.Context, k baselineKey, fill func() (baseline, error)) (baseline, error) {
 	for {
 		res, err := b.c.Get(k, fill)
 		if err == nil || (!errors.Is(err, context.Canceled) && !errors.Is(err, context.DeadlineExceeded)) {
@@ -252,37 +254,45 @@ func (b *BaselineCache) get(ctx context.Context, k baselineKey, fill func() (sim
 	}
 }
 
-// baselineKey identifies one unprotected run configuration, including the
+// baseline is what normalization reads of an unprotected run: per-core
+// IPCs and the energy breakdown. Nothing FlipTH shapes (the fault
+// checker's Safety report) is kept, so an entry filled at one threshold
+// cannot leak into a row at another.
+type baseline struct {
+	ipcs   []float64
+	energy energy.Breakdown
+}
+
+// baselineKey identifies the machine an unprotected run simulates: the
 // scale fields that shape it (core count, instruction budget, time
-// compression), so shared caches never serve a baseline from a different
-// system configuration.
+// compression), the seed, and the identity of the generators its cores
+// replay. FlipTH is not part of it — it parameterizes only the rh fault
+// checker, never the run (TestUnprotectedRunIndependentOfFlipTH) — and
+// neither is the scheme under test.
 type baselineKey struct {
 	cores     int
 	instr     int64
 	timeScale int
 	seed      uint64
-	flipTH    int
-	workload  string
+	workload  string // generator identity: the workload name, or adversaryID for adversarial cells
 }
 
-func (sc Scale) baselineKey(seed uint64, flipTH int, workload string) baselineKey {
+func (sc Scale) baselineKey(seed uint64, workload string) baselineKey {
 	return baselineKey{
 		cores: sc.Cores, instr: sc.InstrPerCore, timeScale: sc.TimeScale,
-		seed: seed, flipTH: flipTH, workload: workload,
+		seed: seed, workload: workload,
 	}
 }
 
 // ---------------------------------------------------------------- runner
 
 // runner caches baselines so every scheme is normalized against an
-// identical unprotected run. The cache is keyed by (seed, FlipTH,
-// workload) on top of the scale geometry, not workload name alone: a
-// workload's generators can vary with the seed and with FlipTH under an
-// unchanged name (bh-adversarial aims at the deployed filter's collision
-// set), so cross-threshold sharing would normalize against a stale run.
-// Sharing FlipTH-independent baselines is forgone — a few extra
-// unprotected runs per sweep buys the correctness guarantee. The cache is
-// single-flight, so concurrent cells share one simulation.
+// identical unprotected run. The cache is keyed by what the run simulates
+// (see baselineKey), so every row that reaches the same cache with a
+// workload replaying the same generators at the same scale and seed — at
+// any FlipTH, under any scheme, from any spec kind — shares one
+// simulation. The cache is single-flight, so concurrent cells share one
+// fill.
 type runner struct {
 	sc        Scale
 	baselines *BaselineCache
@@ -304,32 +314,39 @@ func (r *runner) cfgFor(flipTH int, w trace.Workload) sim.Config {
 	return cfg
 }
 
-func (r *runner) baseline(ctx context.Context, seed uint64, flipTH int, w trace.Workload) (sim.Result, error) {
-	return r.baselines.get(ctx, r.sc.baselineKey(seed, flipTH, w.Name), func() (sim.Result, error) {
-		return sim.RunContext(ctx, r.cfgFor(flipTH, w))
+// baseline returns the unprotected run of w, whose generator identity is
+// id. A fill runs at the FlipTH of the first cell that asks: the threshold
+// shapes only the fault checker, which a baseline does not keep, and that
+// threshold's device pool is already warm.
+func (r *runner) baseline(ctx context.Context, seed uint64, flipTH int, w trace.Workload, id string) (baseline, error) {
+	return r.baselines.get(ctx, r.sc.baselineKey(seed, id), func() (baseline, error) {
+		res, err := sim.RunContext(ctx, r.cfgFor(flipTH, w))
+		return baseline{ipcs: res.IPCs, energy: res.Energy}, err
 	})
 }
 
 // BenignIPC sums per-core IPCs excluding trailing attacker cores (a
 // non-positive count means none; a count beyond the core total sums
 // nothing rather than walking off the slice).
-func BenignIPC(res sim.Result, attackers int) float64 {
-	n := len(res.IPCs) - attackers
-	if n > len(res.IPCs) {
-		n = len(res.IPCs)
+func BenignIPC(ipcs []float64, attackers int) float64 {
+	n := len(ipcs) - attackers
+	if n > len(ipcs) {
+		n = len(ipcs)
 	}
 	total := 0.0
 	for i := 0; i < n; i++ {
-		total += res.IPCs[i]
+		total += ipcs[i]
 	}
 	return total
 }
 
 // measure runs scheme on workload and produces the normalized point;
 // trailing attacker cores (w.Attackers) are excluded from IPC aggregation.
-func (r *runner) measure(ctx context.Context, scheme mc.Scheme, seed uint64, flipTH int, w trace.Workload) (PerfPoint, error) {
+// id is the workload's generator identity, which keys its baseline: w.Name
+// for every workload but the adversarial cell's.
+func (r *runner) measure(ctx context.Context, scheme mc.Scheme, seed uint64, flipTH int, w trace.Workload, id string) (PerfPoint, error) {
 	attackers := w.Attackers
-	base, err := r.baseline(ctx, seed, flipTH, w)
+	base, err := r.baseline(ctx, seed, flipTH, w, id)
 	if err != nil {
 		return PerfPoint{}, err
 	}
@@ -346,10 +363,10 @@ func (r *runner) measure(ctx context.Context, scheme mc.Scheme, seed uint64, fli
 		Seed:     seed,
 		Safe:     res.Safety.Safe(),
 	}
-	if b := BenignIPC(base, attackers); b > 0 {
-		pt.RelativePerformance = 100 * BenignIPC(res, attackers) / b
+	if b := BenignIPC(base.ipcs, attackers); b > 0 {
+		pt.RelativePerformance = 100 * BenignIPC(res.IPCs, attackers) / b
 	}
-	pt.EnergyOverheadPct = energy.OverheadPercent(res.Energy, base.Energy)
+	pt.EnergyOverheadPct = energy.OverheadPercent(res.Energy, base.energy)
 	return pt, nil
 }
 
@@ -421,8 +438,12 @@ func attackWorkload(sc Scale, seed uint64, name string) (trace.Workload, error) 
 // adversarialWorkload builds the Figure 10(c) workload: benign cores with
 // one hot-row service core, plus a BlockHammer-collision adversary aimed at
 // the service core's rows. Against non-throttling schemes the adversary's
-// walk is harmless background traffic.
-func adversarialWorkload(sc Scale, seed uint64, scheme mc.Scheme) trace.Workload {
+// walk is harmless background traffic. The adversary's rows are searched
+// once per cell and every Fresh builds its generator from them. The second
+// result is the workload's generator identity: the name carries the
+// scheme, but the rows are all that vary with it, so schemes that yield
+// the same rows share one baseline.
+func adversarialWorkload(sc Scale, seed uint64, scheme mc.Scheme) (trace.Workload, string) {
 	p := sc.Params()
 	mapper := mc.NewAddressMapper(p)
 	n := sc.attackCores()
@@ -433,9 +454,8 @@ func adversarialWorkload(sc Scale, seed uint64, scheme mc.Scheme) trace.Workload
 	}
 	base := uint64(victimCore) << 28
 	loc := mapper.Map(base)
+	rows := adversaryRows(mapper, loc, scheme)
 	return trace.Workload{
-		// The workload embeds the deployed scheme's collision oracle, so
-		// baselines must not be shared across schemes.
 		Name:      "bh-adversarial/" + scheme.Name(),
 		Attackers: 1,
 		Fresh: func() []trace.Generator {
@@ -446,15 +466,21 @@ func adversarialWorkload(sc Scale, seed uint64, scheme mc.Scheme) trace.Workload
 			gens[victimCore] = trace.NewStrided("service", base, 8<<20, 257, 6)
 			// The adversary hammers rows that collide with the service
 			// core's hot rows in the deployed scheme's filters.
-			gens[len(gens)-1] = adversaryFor(mapper, loc, scheme)
+			gens[len(gens)-1] = attack.NewRowList("bh-adversarial", mapper, loc.Channel, loc.Bank, rows)
 			return gens
 		},
-	}
+	}, adversaryID(rows)
 }
 
-// adversaryFor builds a combined collision attack over the service core's
-// first four hot rows in its first bank.
-func adversaryFor(mapper *mc.AddressMapper, loc mc.Location, scheme mc.Scheme) trace.Generator {
+// adversaryID is an adversarial workload's generator identity. Like the
+// workload names that key every other baseline it must name one set of
+// generators; the bracketed row list keeps it apart from those names.
+func adversaryID(rows []int) string { return fmt.Sprint("bh-adversarial", rows) }
+
+// adversaryRows picks the adversary's rows: those colliding with the
+// service core's first two hot rows in its first bank, or a fixed walk
+// when the scheme exposes no collision oracle.
+func adversaryRows(mapper *mc.AddressMapper, loc mc.Location, scheme mc.Scheme) []int {
 	var rows []int
 	if th, ok := scheme.(attack.Throttler); ok {
 		for i := 0; i < 2; i++ {
@@ -468,7 +494,7 @@ func adversaryFor(mapper *mc.AddressMapper, loc mc.Location, scheme mc.Scheme) t
 			rows = append(rows, (loc.Row+64+8*i)%mapper.Params().Rows)
 		}
 	}
-	return attack.NewRowList("bh-adversarial", mapper, loc.Channel, loc.Bank, rows)
+	return rows
 }
 
 // schemeTableKB reports the per-bank counter table area for the scheme at
@@ -677,7 +703,7 @@ type rowRunner struct {
 	cells []Cell
 	// rows maps job index to grid index: the row-index subset a shard
 	// executes, or the identity over every cell for a full run. Per-kind
-	// state (workloads, attacks, baselines) is prebuilt only for the cells
+	// state (workloads, attacks) is prebuilt only for the cells
 	// these rows name, so a shard never touches inputs it will not
 	// simulate — in particular, a worker handed a shard of a spec that
 	// also names trace-file workloads never opens those files unless the
@@ -696,11 +722,10 @@ type rowRunner struct {
 	keys      []resultstore.Key
 	cacheable []bool
 
-	done     int
-	total    int
-	mu       sync.Mutex
-	onRow    func(done, total int)
-	baseline func(ctx context.Context, seed uint64, name string, w trace.Workload) (sim.Result, error) // adth
+	done  int
+	total int
+	mu    sync.Mutex
+	onRow func(done, total int)
 }
 
 // newRowRunner validates the spec and scale and binds the per-kind state
@@ -835,19 +860,6 @@ func (s *Spec) newRowRunner(sc Scale, opts *ExecOptions, rows []int) (*rowRunner
 			}
 			rr.workloads[seed] = w
 		}
-	case AdTHSweep:
-		// One baseline per (seed, workload): the unprotected run is
-		// scheme-independent and single-flight, so concurrent rows share
-		// it. The baseline's FlipTH slot (it only parameterizes the fault
-		// checker, not the machine) uses the first config's threshold.
-		baseFlipTH := s.Axes.Configs[0].FlipTH
-		rr.baseline = func(ctx context.Context, seed uint64, name string, w trace.Workload) (sim.Result, error) {
-			return rr.r.baselines.get(ctx, sc.baselineKey(seed, baseFlipTH, name), func() (sim.Result, error) {
-				cfg := BaseSimConfig(baseFlipTH, sc)
-				cfg.Workload = w.Fresh()
-				return sim.RunContext(ctx, cfg)
-			})
-		}
 	}
 	return rr, nil
 }
@@ -956,7 +968,8 @@ func (rr *rowRunner) comparisonRow(ctx context.Context, c Cell) (*PerfPoint, err
 		if err != nil {
 			return nil, err
 		}
-		pt, err := rr.r.measure(ctx, scheme, c.Seed, c.FlipTH, adversarialWorkload(rr.sc, c.Seed, scheme))
+		w, id := adversarialWorkload(rr.sc, c.Seed, scheme)
+		pt, err := rr.r.measure(ctx, scheme, c.Seed, c.FlipTH, w, id)
 		if err != nil {
 			return nil, err
 		}
@@ -969,7 +982,8 @@ func (rr *rowRunner) comparisonRow(ctx context.Context, c Cell) (*PerfPoint, err
 		if err != nil {
 			return nil, err
 		}
-		pt, err := rr.r.measure(ctx, scheme, c.Seed, c.FlipTH, set.attacks[c.Attack])
+		w := set.attacks[c.Attack]
+		pt, err := rr.r.measure(ctx, scheme, c.Seed, c.FlipTH, w, w.Name)
 		if err != nil {
 			return nil, err
 		}
@@ -985,7 +999,7 @@ func (rr *rowRunner) comparisonRow(ctx context.Context, c Cell) (*PerfPoint, err
 			if err != nil {
 				return nil, err
 			}
-			pt, err := rr.r.measure(ctx, scheme, c.Seed, c.FlipTH, w)
+			pt, err := rr.r.measure(ctx, scheme, c.Seed, c.FlipTH, w, w.Name)
 			if err != nil {
 				return nil, err
 			}
@@ -1009,7 +1023,7 @@ func (rr *rowRunner) comparisonRow(ctx context.Context, c Cell) (*PerfPoint, err
 	if err != nil {
 		return nil, err
 	}
-	pt, err := rr.r.measure(ctx, scheme, c.Seed, c.FlipTH, w)
+	pt, err := rr.r.measure(ctx, scheme, c.Seed, c.FlipTH, w, w.Name)
 	if err != nil {
 		return nil, err
 	}
@@ -1055,11 +1069,11 @@ func (rr *rowRunner) safetyRow(ctx context.Context, c Cell) (*SafetyResult, erro
 func (rr *rowRunner) configGridRow(ctx context.Context, c Cell) (*Figure9Point, error) {
 	w := rr.workloads[c.Seed]
 	opt := mitigation.Options{Timing: rr.sc.Params(), FlipTH: c.FlipTH, RFMTH: c.RFMTH, Seed: c.Seed}
-	m, err := rr.r.measure(ctx, mitigation.NewMithril(opt), c.Seed, c.FlipTH, w)
+	m, err := rr.r.measure(ctx, mitigation.NewMithril(opt), c.Seed, c.FlipTH, w, w.Name)
 	if err != nil {
 		return nil, err
 	}
-	plus, err := rr.r.measure(ctx, mitigation.NewMithrilPlus(opt), c.Seed, c.FlipTH, w)
+	plus, err := rr.r.measure(ctx, mitigation.NewMithrilPlus(opt), c.Seed, c.FlipTH, w, w.Name)
 	if err != nil {
 		return nil, err
 	}
@@ -1091,21 +1105,14 @@ func (rr *rowRunner) adthRow(ctx context.Context, c Cell) (*Figure7Point, error)
 	}
 	for _, wName := range rr.spec.Axes.Workloads {
 		w := adthWorkloads[wName].build(rr.sc.Cores, c.Seed)
-		base, err := rr.baseline(ctx, c.Seed, wName, w)
-		if err != nil {
-			return nil, err
-		}
 		scheme := mitigation.NewMithril(mitigation.Options{
 			Timing: p, FlipTH: c.FlipTH, RFMTH: c.RFMTH, AdTH: adOrDisabled(c.AdTH), Seed: c.Seed,
 		})
-		cfg := BaseSimConfig(c.FlipTH, rr.sc)
-		cfg.Scheme = scheme
-		cfg.Workload = w.Fresh()
-		res, err := sim.RunContext(ctx, cfg)
+		m, err := rr.r.measure(ctx, scheme, c.Seed, c.FlipTH, w, w.Name)
 		if err != nil {
 			return nil, err
 		}
-		pt.EnergyOverheadPct[wName] = energy.OverheadPercent(res.Energy, base.Energy)
+		pt.EnergyOverheadPct[wName] = m.EnergyOverheadPct
 	}
 	return pt, nil
 }

@@ -179,19 +179,18 @@ func (s *BlockHammer) NextDeadline(timing.PicoSeconds) timing.PicoSeconds { retu
 // CollidingRows implements the attack.Throttler oracle: for each of the
 // target row's hash slots, find another row of the bank hashing to the same
 // slot in that filter row. Activating the returned rows NBL times inflates
-// every slot of the target, blacklisting it without touching it.
-func (s *BlockHammer) CollidingRows(bank int, target uint32, max int) []uint32 {
-	f := s.filter(bank)
-	_ = f
+// every slot of the target, blacklisting it without touching it. Every
+// bank's filters hash alike, so the answer is the same for every bank.
+func (s *BlockHammer) CollidingRows(_ int, target uint32, max int) []uint32 {
 	rows := make([]uint32, 0, max)
 	// Reconstruct slot indices with the same hashing the sketch uses.
-	targetSlots := s.slots(target)
 	for h := 0; h < s.cbfHashes && len(rows) < max; h++ {
+		slot := streaming.SlotIndex(target, h, s.cbfCounters)
 		for candidate := uint32(0); candidate < uint32(s.opt.Timing.Rows); candidate++ {
 			if candidate == target || absDiff(candidate, target) <= uint32(s.opt.BlastRadius) {
 				continue // don't hand the attacker rows that hammer the target directly
 			}
-			if s.slots(candidate)[h] == targetSlots[h] {
+			if streaming.SlotIndex(candidate, h, s.cbfCounters) == slot {
 				rows = append(rows, candidate)
 				break
 			}
@@ -205,13 +204,4 @@ func absDiff(a, b uint32) uint32 {
 		return a - b
 	}
 	return b - a
-}
-
-// slots mirrors streaming.CountMinSketch's hash layout (same seeds).
-func (s *BlockHammer) slots(row uint32) []uint64 {
-	out := make([]uint64, s.cbfHashes)
-	for i := 0; i < s.cbfHashes; i++ {
-		out[i] = streaming.SlotIndex(row, i, s.cbfCounters)
-	}
-	return out
 }

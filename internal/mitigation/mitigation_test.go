@@ -508,6 +508,35 @@ func TestBlockHammerCollisionOracle(t *testing.T) {
 	}
 }
 
+// TestBlockHammerCollidingRowsPinned pins the oracle's answers: the
+// Figure 10(c) adversary aims at exactly these rows, so a change here moves
+// every adversarial row. The query is pure — it builds no filter state.
+func TestBlockHammerCollidingRowsPinned(t *testing.T) {
+	cases := []struct {
+		flipTH, bank int
+		target       uint32
+		max          int
+		want         []uint32
+	}{
+		{6250, 0, 512, 8, []uint32{83, 1200, 652, 462}},
+		{1500, 0, 512, 8, []uint32{6819, 2635, 8928, 3157}},
+		{6250, 3, 513, 4, []uint32{34, 2374, 3871, 7818}},
+		{1500, 3, 513, 4, []uint32{34, 11133, 3871, 7818}},
+		{6250, 0, 512, 2, []uint32{83, 1200}},
+	}
+	for _, c := range cases {
+		s := NewBlockHammer(opts(c.flipTH))
+		if got := s.CollidingRows(c.bank, c.target, c.max); !reflect.DeepEqual(got, c.want) {
+			t.Errorf("FlipTH %d: CollidingRows(%d, %d, %d) = %v, want %v", c.flipTH, c.bank, c.target, c.max, got, c.want)
+		}
+		for bank, f := range s.filters {
+			if f != nil {
+				t.Errorf("FlipTH %d: CollidingRows built bank %d's filters", c.flipTH, bank)
+			}
+		}
+	}
+}
+
 func TestMithrilSchemeConfiguration(t *testing.T) {
 	s := NewMithril(opts(6250))
 	cfg := s.ModuleConfig()

@@ -281,8 +281,8 @@ func StreamContext[T any](ctx context.Context, jobs, n int, fn func(ctx context.
 }
 
 // Cache is a concurrency-safe single-flight memo: concurrent Get calls
-// with the same key share one fill, so a baseline keyed by (FlipTH,
-// workload) is simulated exactly once per sweep. The zero value is ready
+// with the same key share one fill, so a baseline keyed by the machine it
+// simulates is run exactly once per sweep. The zero value is ready
 // to use.
 type Cache[K comparable, V any] struct {
 	mu sync.Mutex
