@@ -95,12 +95,14 @@ func WithResultStore(st ResultStore) EngineOption {
 // partitioned into shards, shards stream back over POST /v1/run, failed
 // or disconnected shards are re-dispatched against surviving workers,
 // and rows merge back in deterministic grid order — RunSpec output is
-// byte-identical to a local run. Composes with WithResultStore (the
-// coordinator consults the store before dispatching and writes worker
-// rows back, so a retried row is never simulated twice) and WithJobs
-// (applied to rows the coordinator must run locally, i.e. trace-file
-// workloads that cannot travel). An empty or malformed worker list
-// surfaces as an error from the first RunSpec/Stream call.
+// byte-identical to a local run. The other options apply exactly as they
+// do locally, through the same execution: WithResultStore serves stored
+// rows before any dispatch and writes delivered rows back (so a retried
+// row is never simulated twice), WithProgress observes every delivered
+// row, and WithJobs and WithBaselineCache apply to rows the coordinator
+// must run itself, i.e. trace-file workloads that cannot travel. An empty
+// or malformed worker list surfaces as an error from the first
+// RunSpec/Stream call.
 func WithWorkers(workers []string) EngineOption {
 	return func(e *Engine) {
 		e.coord, e.coordErr = distrib.New(workers, distrib.Options{})
@@ -169,15 +171,21 @@ func (e *Engine) RunSpec(ctx context.Context, sp *ExperimentSpec) (*ExperimentRe
 }
 
 // RunSpecAt is RunSpec at an explicit scale (the CLI's figure commands
-// pass their quick/full scale over the spec's own).
+// pass their quick/full scale over the spec's own): StreamAt's rows
+// collected into a Result. A local run collects through RunAtContext,
+// which sizes the row slice from the expanded grid up front.
 func (e *Engine) RunSpecAt(ctx context.Context, sp *ExperimentSpec, sc Scale) (*ExperimentResult, error) {
-	if e.coordErr != nil {
-		return nil, e.coordErr
+	if e.coord == nil && e.coordErr == nil {
+		return sp.RunAtContext(ctx, e.applyJobs(sc), e.execOptions())
 	}
-	if e.coord != nil {
-		return e.coord.RunAt(ctx, sp, e.applyJobs(sc), e.execOptions())
+	var rows []ExperimentResultRow
+	for row, err := range e.StreamAt(ctx, sp, sc) {
+		if err != nil {
+			return nil, err
+		}
+		rows = append(rows, row)
 	}
-	return sp.RunAtContext(ctx, e.applyJobs(sc), e.execOptions())
+	return sp.NewResult(e.applyJobs(sc), rows)
 }
 
 // Stream executes a spec at its own scale and yields each output row as

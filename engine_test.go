@@ -3,9 +3,11 @@ package mithril
 import (
 	"context"
 	"errors"
+	"net/http/httptest"
 	"reflect"
 	"testing"
 
+	"mithril/internal/serveapi"
 	"mithril/internal/testutil"
 )
 
@@ -139,6 +141,72 @@ func TestEngineProgressAndBaselineCache(t *testing.T) {
 	}
 	if !reflect.DeepEqual(a.Perf, b.Perf) {
 		t.Errorf("warm engine run diverges: %v vs %v", a.Perf, b.Perf)
+	}
+}
+
+// TestEngineWithWorkers drives the fleet entry points end to end: an
+// Engine fanning out to two workers, with a result store and a progress
+// hook, matches the local Engine byte for byte through both RunSpecAt and
+// StreamAt, reports progress once per row, and serves every row from the
+// store the second time.
+func TestEngineWithWorkers(t *testing.T) {
+	defer testutil.CheckGoroutines(t)()
+	ctx := context.Background()
+	sp := parseTinySpec(t)
+	sp.Axes.Seeds = []uint64{1, 2}
+	sc, err := sp.Scale.Resolve()
+	if err != nil {
+		t.Fatal(err)
+	}
+	local, err := NewEngine(DDR5(), WithJobs(2)).RunSpecAt(ctx, sp, sc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, n := local.Golden(), len(local.Perf)
+	if n != 4 {
+		t.Fatalf("local run has %d rows, want 4", n)
+	}
+
+	var workers []string
+	for i := 0; i < 2; i++ {
+		ts := httptest.NewServer(serveapi.NewHandler(serveapi.Config{Jobs: 1}))
+		defer ts.Close()
+		workers = append(workers, ts.URL)
+	}
+	var calls, total int
+	fleet := NewEngine(DDR5(), WithJobs(2), WithWorkers(workers), WithResultStore(NewMemResultStore()),
+		WithProgress(func(done, n int) { calls, total = calls+1, n }))
+
+	cold, err := fleet.RunSpecAt(ctx, sp, sc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := cold.Golden(); got != want {
+		t.Errorf("fleet RunSpecAt diverges from local:\nlocal:\n%s\nfleet:\n%s", want, got)
+	}
+	if calls != n || total != n || cold.RowsCached != 0 || cold.RowsSimulated != n {
+		t.Errorf("cold run: %d progress calls of total %d, cached=%d simulated=%d; want %d calls, all simulated",
+			calls, total, cold.RowsCached, cold.RowsSimulated, n)
+	}
+
+	calls = 0
+	var rows []ExperimentResultRow
+	for row, err := range fleet.StreamAt(ctx, sp, sc) {
+		if err != nil {
+			t.Fatal(err)
+		}
+		rows = append(rows, row)
+	}
+	warm, err := sp.NewResult(sc, rows)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := warm.Golden(); got != want {
+		t.Errorf("fleet StreamAt diverges from local:\nlocal:\n%s\nfleet:\n%s", want, got)
+	}
+	if calls != n || warm.RowsCached != n || warm.RowsSimulated != 0 {
+		t.Errorf("warm run: %d progress calls, cached=%d simulated=%d; want %d calls, all cached",
+			calls, warm.RowsCached, warm.RowsSimulated, n)
 	}
 }
 

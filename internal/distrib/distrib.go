@@ -1,26 +1,29 @@
 // Package distrib fans one spec execution out across mithrilsim serve
-// worker peers over HTTP: the coordinator partitions the expanded grid
-// into shards (explicit row-index subsets), streams each shard's rows
-// back over the /v1/run NDJSON wire format, merges the streams in
-// completion order, and re-dispatches the unserved remainder of a failed
-// or disconnected shard against surviving workers with bounded backoff.
-// A shared content-addressed result store (internal/resultstore) is the
-// dedup layer: rows the store already holds are served without dispatch,
-// rows workers complete are written back, and re-dispatched rows probe
-// the store again first — so a row is simulated at most once even when
-// the worker that computed it died before delivering it.
+// worker peers over HTTP. It owns only dispatch and retry: the coordinator
+// partitions the expanded grid into shards (explicit row-index subsets),
+// streams each shard's rows back over the /v1/run NDJSON wire format,
+// merges the streams in completion order, and re-dispatches the unserved
+// remainder of a failed or disconnected shard against surviving workers
+// with bounded backoff.
+//
+// How a row meets the result store and the progress hook is decided in
+// one place, expspec.Execution, which local runs drive too. The merge
+// loop asks it for stored rows before every (re)dispatch and hands it
+// every row it delivers, which writes fresh rows back unless they are
+// already stored — so with a store a row is simulated at most once, even
+// when the worker that computed it died before delivering it.
 //
 // Rows that cannot leave the coordinator — trace-replay workloads, whose
 // files live on the coordinator's filesystem and are deliberately
-// rejected by workers — execute locally through the same subset executor
-// (expspec.StreamRowsAt) and merge into the identical stream, so a spec
-// mixing trace and synthetic rows still fans out everything it can.
+// rejected by workers — run through the execution's local row source and
+// merge into the identical stream, so a spec mixing trace and synthetic
+// rows still fans out everything it can.
 //
 // The merge is byte-exact: shard rows travel as store payload encodings
-// (float64 round-trips exactly), collection is completion-order, and
-// assembly sorts by Row.Index into Spec.Expand order, so a distributed
-// run's output is byte-identical to a local one — the same invariant the
-// parallel sweep engine keeps over goroutines, kept over machines.
+// (float64 round-trips exactly) and Spec.NewResult orders collected rows
+// by Row.Index into Spec.Expand order, so a distributed run's output is
+// byte-identical to a local one — the same invariant the parallel sweep
+// engine keeps over goroutines, kept over machines.
 package distrib
 
 import (

@@ -71,6 +71,23 @@ func localGolden(t *testing.T, sp *expspec.Spec, sc expspec.Scale) string {
 	return res.Golden()
 }
 
+// runFleet collects a coordinator stream into a Result, as Engine.RunSpecAt
+// does with WithWorkers.
+func runFleet(c *distrib.Coordinator, sp *expspec.Spec, sc expspec.Scale, opts *expspec.ExecOptions) (*expspec.Result, error) {
+	seq, err := c.Stream(context.Background(), sp, sc, opts)
+	if err != nil {
+		return nil, err
+	}
+	var rows []expspec.Row
+	for row, err := range seq {
+		if err != nil {
+			return nil, err
+		}
+		rows = append(rows, row)
+	}
+	return sp.NewResult(sc, rows)
+}
+
 func newCoordinator(t *testing.T, workers []string) *distrib.Coordinator {
 	t.Helper()
 	c, err := distrib.New(workers, distrib.Options{MaxFailures: 3, Backoff: time.Millisecond})
@@ -133,7 +150,7 @@ func TestFleetEquivalenceShippedQuickSpecs(t *testing.T) {
 		quick++
 		t.Run(sp.Name, func(t *testing.T) {
 			want := localGolden(t, sp, sc)
-			res, err := coord.RunAt(context.Background(), sp, sc, nil)
+			res, err := runFleet(coord, sp, sc, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -253,7 +270,7 @@ func TestShardRetryRedispatch(t *testing.T) {
 	defer ts.Close()
 
 	coord := newCoordinator(t, []string{ts.URL})
-	res, err := coord.RunAt(context.Background(), sp, sc, &expspec.ExecOptions{Store: store})
+	res, err := runFleet(coord, sp, sc, &expspec.ExecOptions{Store: store})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -285,7 +302,7 @@ func TestWorkerKilledMidRun(t *testing.T) {
 	defer healthy.Close()
 
 	coord := newCoordinator(t, []string{dying.URL, healthy.URL})
-	res, err := coord.RunAt(context.Background(), sp, sc, nil)
+	res, err := runFleet(coord, sp, sc, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -312,7 +329,7 @@ func TestAllWorkersDropped(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = c.RunAt(context.Background(), sp, sc, nil)
+	_, err = runFleet(c, sp, sc, nil)
 	if err == nil || !strings.Contains(err.Error(), "workers dropped") {
 		t.Fatalf("error = %v, want the all-workers-dropped failure", err)
 	}
@@ -335,7 +352,7 @@ func TestPermanentErrorStopsImmediately(t *testing.T) {
 	defer ts.Close()
 
 	coord := newCoordinator(t, []string{ts.URL})
-	_, err := coord.RunAt(context.Background(), sp, sc, nil)
+	_, err := runFleet(coord, sp, sc, nil)
 	if err == nil || !strings.Contains(err.Error(), "shard rejected for the test") {
 		t.Fatalf("error = %v, want the worker's permanent rejection", err)
 	}
@@ -355,7 +372,7 @@ func TestMixedLocalRemoteRows(t *testing.T) {
 	ts := httptest.NewServer(serveapi.NewHandler(serveapi.Config{Jobs: 2}))
 	defer ts.Close()
 	coord := newCoordinator(t, []string{ts.URL})
-	res, err := coord.RunAt(context.Background(), sp, sc, nil)
+	res, err := runFleet(coord, sp, sc, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

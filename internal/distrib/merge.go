@@ -9,34 +9,13 @@ import (
 	"io"
 	"iter"
 	"net/http"
-	"sort"
 	"strings"
 	"sync"
 	"time"
 
 	"mithril/internal/expspec"
-	"mithril/internal/resultstore"
 	"mithril/internal/trace"
 )
-
-// RunAt executes the spec's full grid across the worker pool and returns
-// the assembled Result in deterministic Expand order — the distributed
-// twin of Spec.RunAtContext, byte-identical to it.
-func (c *Coordinator) RunAt(ctx context.Context, sp *expspec.Spec, sc expspec.Scale, opts *expspec.ExecOptions) (*expspec.Result, error) {
-	seq, err := c.Stream(ctx, sp, sc, opts)
-	if err != nil {
-		return nil, err
-	}
-	rows := make([]expspec.Row, 0, 64)
-	for row, err := range seq {
-		if err != nil {
-			return nil, err
-		}
-		rows = append(rows, row)
-	}
-	sort.Slice(rows, func(i, j int) bool { return rows[i].Index < rows[j].Index })
-	return sp.NewResult(sc, rows)
-}
 
 // Stream executes the spec's full grid across the worker pool, yielding
 // rows in completion order exactly like Spec.StreamRowsAt: construction
@@ -44,7 +23,9 @@ func (c *Coordinator) RunAt(ctx context.Context, sp *expspec.Spec, sc expspec.Sc
 // the first yield, so a streaming server can reject the request before
 // committing to a response header; the sequence terminates with a single
 // non-nil error on failure, breaking out cancels everything in flight,
-// and no goroutine survives the range ending.
+// and no goroutine survives the range ending. opts binds through one
+// expspec.Execution, as for a local run: it probes the store, writes
+// delivered rows back, and reports progress.
 func (c *Coordinator) Stream(ctx context.Context, sp *expspec.Spec, sc expspec.Scale, opts *expspec.ExecOptions) (iter.Seq2[expspec.Row, error], error) {
 	st, err := c.prepare(sp, sc, opts)
 	if err != nil {
@@ -53,21 +34,16 @@ func (c *Coordinator) Stream(ctx context.Context, sp *expspec.Spec, sc expspec.S
 	return st.stream(ctx), nil
 }
 
-// execState is one distributed execution's precomputed view: the spec on
-// the wire, the expanded grid, the store binding, and the local/remote
-// row partition.
+// execState is one distributed execution: the execution that owns the
+// store and progress, the spec on the wire, and the local/remote row
+// partition.
 type execState struct {
 	c        *Coordinator
+	x        *expspec.Execution
 	sp       *expspec.Spec
 	sc       expspec.Scale
-	opts     *expspec.ExecOptions
 	specJSON json.RawMessage
 	cells    []expspec.Cell
-	stamp    string
-
-	store     resultstore.Store
-	keys      []resultstore.Key
-	cacheable []bool
 
 	// local rows execute on the coordinator (trace-replay workloads read
 	// coordinator-side files workers deliberately refuse); remote rows
@@ -77,30 +53,15 @@ type execState struct {
 }
 
 func (c *Coordinator) prepare(sp *expspec.Spec, sc expspec.Scale, opts *expspec.ExecOptions) (*execState, error) {
-	if err := sp.Validate(); err != nil {
-		return nil, err
-	}
-	if err := sc.Validate(); err != nil {
+	x, err := sp.NewExecution(sc, nil, opts)
+	if err != nil {
 		return nil, err
 	}
 	specJSON, err := json.Marshal(sp)
 	if err != nil {
 		return nil, err
 	}
-	st := &execState{
-		c: c, sp: sp, sc: sc, opts: opts,
-		specJSON: specJSON,
-		cells:    sp.Expand(sc),
-		stamp:    expspec.StoreStamp(),
-	}
-	if opts != nil && opts.Store != nil {
-		st.store = opts.Store
-		_, keys, cacheable, err := sp.StoreKeys(sc)
-		if err != nil {
-			return nil, err
-		}
-		st.keys, st.cacheable = keys, cacheable
-	}
+	st := &execState{c: c, x: x, sp: sp, sc: sc, specJSON: specJSON, cells: x.Cells()}
 	for i, cell := range st.cells {
 		if strings.HasPrefix(cell.Workload, trace.TracePrefix) {
 			st.local = append(st.local, i)
@@ -142,9 +103,6 @@ const (
 func (st *execState) stream(ctx context.Context) iter.Seq2[expspec.Row, error] {
 	return func(yield func(expspec.Row, error) bool) {
 		total := len(st.cells)
-		if total == 0 {
-			return
-		}
 		cctx, cancel := context.WithCancel(ctx)
 		defer cancel()
 		events := make(chan event)
@@ -179,20 +137,23 @@ func (st *execState) stream(ctx context.Context) iter.Seq2[expspec.Row, error] {
 		completed := 0
 		var lastErr error
 
+		// deliver hands a row to the consumer once, through the execution
+		// (write-back and progress).
 		deliver := func(row expspec.Row) bool {
 			if done[row.Index] {
 				return true
 			}
 			done[row.Index] = true
 			completed++
-			if st.opts != nil && st.opts.Progress != nil {
-				st.opts.Progress(completed, total)
+			if err := st.x.Deliver(row); err != nil {
+				yield(expspec.Row{}, err)
+				return false
 			}
 			return yield(row, nil)
 		}
 
 		if len(st.local) > 0 {
-			seq, err := st.sp.StreamRowsAt(cctx, st.sc, st.local, st.localOpts())
+			seq, err := st.x.Local(cctx, st.local)
 			if err != nil {
 				yield(expspec.Row{}, err)
 				return
@@ -242,12 +203,12 @@ func (st *execState) stream(ctx context.Context) iter.Seq2[expspec.Row, error] {
 		// is the dedup that keeps a re-dispatched row from re-simulating
 		// when the failed worker managed to write it before dying.
 		serveFromStore := func() bool {
-			if st.store == nil || len(pool) == 0 {
+			if len(pool) == 0 {
 				return true
 			}
 			rest := pool[:0]
 			for _, i := range pool {
-				if row, ok := st.storeHit(i); ok {
+				if row, ok := st.x.Cached(i); ok {
 					if !deliver(row) {
 						return false
 					}
@@ -279,12 +240,15 @@ func (st *execState) stream(ctx context.Context) iter.Seq2[expspec.Row, error] {
 			}
 		}
 
-		for completed < total {
+		for {
 			if err := ctx.Err(); err != nil {
 				yield(expspec.Row{}, err)
 				return
 			}
-			if !serveFromStore() {
+			// Checked after the store probe: when the store serves the last
+			// rows nothing is in flight, and waiting for an event would
+			// block forever.
+			if !serveFromStore() || completed == total {
 				return
 			}
 			if len(pool) > 0 && allDropped() {
@@ -300,10 +264,6 @@ func (st *execState) stream(ctx context.Context) iter.Seq2[expspec.Row, error] {
 			case ev := <-events:
 				switch ev.kind {
 				case evRow:
-					if err := st.writeBack(ev.row); err != nil {
-						yield(expspec.Row{}, err)
-						return
-					}
 					if !deliver(ev.row) {
 						return
 					}
@@ -362,55 +322,6 @@ func (st *execState) stream(ctx context.Context) iter.Seq2[expspec.Row, error] {
 	}
 }
 
-// localOpts strips the Progress hook from the caller's options: the
-// coordinator reports progress over the merged stream itself, so the
-// local sub-execution must not double-report against subset-local totals.
-func (st *execState) localOpts() *expspec.ExecOptions {
-	if st.opts == nil {
-		return nil
-	}
-	return &expspec.ExecOptions{Baselines: st.opts.Baselines, Store: st.opts.Store}
-}
-
-// storeHit serves grid row i from the coordinator's store. Any defect —
-// missing record, stale stamp, undecodable payload — is a miss, never an
-// error, exactly as in the local executor.
-func (st *execState) storeHit(i int) (expspec.Row, bool) {
-	if st.store == nil || !st.cacheable[i] {
-		return expspec.Row{}, false
-	}
-	rec, ok := st.store.Get(st.keys[i])
-	if !ok || rec.Stamp != st.stamp {
-		return expspec.Row{}, false
-	}
-	row := expspec.Row{Index: i, Cell: st.cells[i]}
-	if !expspec.DecodeRowPayload(st.sp.Kind, rec.Payload, &row) {
-		return expspec.Row{}, false
-	}
-	row.Cached = true
-	return row, true
-}
-
-// writeBack persists a worker-delivered row. A write failure is loud, as
-// in the local executor: rows the operator asked to persist are being
-// lost, and the next failover would silently re-simulate them.
-func (st *execState) writeBack(row expspec.Row) error {
-	if st.store == nil || row.Index >= len(st.cacheable) || !st.cacheable[row.Index] {
-		return nil
-	}
-	// Already persisted under the current stamp — by a worker sharing the
-	// store, or by the execution this one resumed — so don't rewrite it;
-	// a store sees each row Put exactly once.
-	if rec, ok := st.store.Get(st.keys[row.Index]); ok && rec.Stamp == st.stamp {
-		return nil
-	}
-	payload, err := expspec.EncodeRowPayload(row)
-	if err != nil {
-		return err
-	}
-	return st.store.Put(resultstore.Record{Key: st.keys[row.Index], Stamp: st.stamp, Payload: payload})
-}
-
 // runShard executes one shard POST against worker w, forwarding each
 // decoded row as an event, then terminates with an evShardDone carrying
 // every row it never received — the exact retry pool.
@@ -439,7 +350,7 @@ func (st *execState) runShard(cctx context.Context, wg *sync.WaitGroup, events c
 // failure is deterministic (every worker would fail identically).
 func (st *execState) postShard(cctx context.Context, events chan<- event, w int, rows []int, received map[int]bool) (permanent bool, err error) {
 	reqBody, err := json.Marshal(ShardRequest{
-		Spec: st.specJSON, Scale: ToWire(st.sc), Rows: rows, Stamp: st.stamp, Grid: len(st.cells),
+		Spec: st.specJSON, Scale: ToWire(st.sc), Rows: rows, Stamp: expspec.StoreStamp(), Grid: len(st.cells),
 	})
 	if err != nil {
 		return true, err

@@ -25,7 +25,6 @@ func TestUnprotectedRunIndependentOfFlipTH(t *testing.T) {
 		t.Fatal(err)
 	}
 	adversarial, _ := adversarialWorkload(sc, seed, mc.NoProtection{})
-	r := newRunner(sc, nil)
 	for _, w := range []trace.Workload{
 		trace.MixHigh(sc.Cores, seed),
 		trace.FFT(sc.Cores, seed),
@@ -34,11 +33,11 @@ func TestUnprotectedRunIndependentOfFlipTH(t *testing.T) {
 		multi8,
 	} {
 		t.Run(w.Name, func(t *testing.T) {
-			a, err := sim.RunContext(context.Background(), r.cfgFor(6250, w))
+			a, err := sim.RunContext(context.Background(), sc.cfgFor(6250, w))
 			if err != nil {
 				t.Fatal(err)
 			}
-			b, err := sim.RunContext(context.Background(), r.cfgFor(1500, w))
+			b, err := sim.RunContext(context.Background(), sc.cfgFor(1500, w))
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -385,28 +385,9 @@ func (r *Result) Golden() string {
 // consumer can switch between batch and streaming output without
 // reparsing.
 func (s *Spec) RowValues(sc Scale, row Row) (map[string]any, error) {
-	res := &Result{Spec: s, Scale: sc}
-	switch s.Kind {
-	case Comparison:
-		if row.Perf == nil {
-			return nil, fmt.Errorf("spec %q: row %d has no comparison point", s.Name, row.Index)
-		}
-		res.Perf = []PerfPoint{*row.Perf}
-	case SafetyKind:
-		if row.Safety == nil {
-			return nil, fmt.Errorf("spec %q: row %d has no safety point", s.Name, row.Index)
-		}
-		res.Safety = []SafetyResult{*row.Safety}
-	case ConfigGrid:
-		if row.Grid == nil {
-			return nil, fmt.Errorf("spec %q: row %d has no configgrid point", s.Name, row.Index)
-		}
-		res.Grid = []Figure9Point{*row.Grid}
-	case AdTHSweep:
-		if row.AdTH == nil {
-			return nil, fmt.Errorf("spec %q: row %d has no adth point", s.Name, row.Index)
-		}
-		res.AdTH = []Figure7Point{*row.AdTH}
+	res, err := s.NewResult(sc, []Row{row})
+	if err != nil {
+		return nil, err
 	}
 	cols, err := res.selectedColumns()
 	if err != nil {

@@ -1,13 +1,14 @@
 package expspec
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
 	"iter"
+	"slices"
 	"sort"
 	"strings"
-	"sync"
 
 	"mithril/internal/analysis"
 	"mithril/internal/attack"
@@ -175,13 +176,15 @@ type Row struct {
 // ---------------------------------------------------------- exec options
 
 // ExecOptions tunes a spec execution beyond what Scale carries. The zero
-// value (and a nil pointer) mean no progress reporting and a private
-// baseline cache per execution.
+// value (and a nil pointer) mean no progress reporting, no store, and a
+// private baseline cache per execution. Local and distributed executions
+// honour the same options: both bind them through one Execution.
 type ExecOptions struct {
-	// Progress, when non-nil, is invoked after each output row completes
-	// with the number of completed rows and the total row count. Calls are
-	// serialized by the executor, so the hook needs no locking of its own;
-	// it must not block for long — it runs on the sweep's critical path.
+	// Progress, when non-nil, is invoked as each output row is handed to
+	// the consumer, with the number of rows delivered and the total row
+	// count. It runs on the stream's consumer loop, so calls never overlap
+	// and the hook needs no locking; it must not block for long — the next
+	// row waits on it.
 	Progress func(done, total int)
 	// Baselines, when non-nil, shares unprotected-baseline simulations
 	// across executions (the Engine's WithBaselineCache installs one).
@@ -192,32 +195,11 @@ type ExecOptions struct {
 	Baselines *BaselineCache
 	// Store, when non-nil, is the content-addressed result store: every
 	// cacheable row is looked up before it simulates (a hit is served
-	// as-is, marked Row.Cached) and written back when a worker completes
-	// it. Keys cover everything that determines a row (see storekey.go),
-	// so a shared store never conflates scales, seeds, or schema
-	// generations; rows stream in the same deterministic order either way.
+	// as-is, marked Row.Cached) and written back when it is delivered,
+	// unless it is already stored. Keys cover everything that determines
+	// a row (see storekey.go), so a shared store never conflates scales,
+	// seeds, or schema generations; output is byte-identical either way.
 	Store resultstore.Store
-}
-
-func (o *ExecOptions) progress() func(done, total int) {
-	if o == nil {
-		return nil
-	}
-	return o.Progress
-}
-
-func (o *ExecOptions) baselines() *BaselineCache {
-	if o == nil || o.Baselines == nil {
-		return NewBaselineCache()
-	}
-	return o.Baselines
-}
-
-func (o *ExecOptions) store() resultstore.Store {
-	if o == nil {
-		return nil
-	}
-	return o.Store
 }
 
 // BaselineCache is a single-flight cache of unprotected baseline runs,
@@ -284,43 +266,30 @@ func (sc Scale) baselineKey(seed uint64, workload string) baselineKey {
 	}
 }
 
-// ---------------------------------------------------------------- runner
-
-// runner caches baselines so every scheme is normalized against an
-// identical unprotected run. The cache is keyed by what the run simulates
-// (see baselineKey), so every row that reaches the same cache with a
-// workload replaying the same generators at the same scale and seed — at
-// any FlipTH, under any scheme, from any spec kind — shares one
-// simulation. The cache is single-flight, so concurrent cells share one
-// fill.
-type runner struct {
-	sc        Scale
-	baselines *BaselineCache
-}
-
-func newRunner(sc Scale, baselines *BaselineCache) *runner {
-	return &runner{sc: sc, baselines: baselines}
-}
-
-// cfgFor derives the run configuration for a workload: attack workloads
-// get an extended instruction budget and end when the benign cores finish.
-func (r *runner) cfgFor(flipTH int, w trace.Workload) sim.Config {
-	cfg := BaseSimConfig(flipTH, r.sc)
+// cfgFor derives the run configuration for a workload at the scale: attack
+// workloads get an extended instruction budget and end when the benign
+// cores finish.
+func (sc Scale) cfgFor(flipTH int, w trace.Workload) sim.Config {
+	cfg := BaseSimConfig(flipTH, sc)
 	cfg.Workload = w.Fresh()
 	if w.Attackers > 0 {
-		cfg.InstrPerCore = r.sc.InstrPerCore * attackInstrFactor
+		cfg.InstrPerCore = sc.InstrPerCore * attackInstrFactor
 		cfg.RequireCores = len(cfg.Workload) - w.Attackers
 	}
 	return cfg
 }
 
 // baseline returns the unprotected run of w, whose generator identity is
-// id. A fill runs at the FlipTH of the first cell that asks: the threshold
+// id. Every scheme is normalized against it, and the cache is keyed by
+// what the run simulates (see baselineKey), so every row reaching the same
+// cache with the same generators at the same scale and seed — at any
+// FlipTH, under any scheme, from any spec kind — shares one simulation. A
+// fill runs at the FlipTH of the first cell that asks: the threshold
 // shapes only the fault checker, which a baseline does not keep, and that
 // threshold's device pool is already warm.
-func (r *runner) baseline(ctx context.Context, seed uint64, flipTH int, w trace.Workload, id string) (baseline, error) {
-	return r.baselines.get(ctx, r.sc.baselineKey(seed, id), func() (baseline, error) {
-		res, err := sim.RunContext(ctx, r.cfgFor(flipTH, w))
+func (rr *rowRunner) baseline(ctx context.Context, seed uint64, flipTH int, w trace.Workload, id string) (baseline, error) {
+	return rr.baselines.get(ctx, rr.sc.baselineKey(seed, id), func() (baseline, error) {
+		res, err := sim.RunContext(ctx, rr.sc.cfgFor(flipTH, w))
 		return baseline{ipcs: res.IPCs, energy: res.Energy}, err
 	})
 }
@@ -344,13 +313,13 @@ func BenignIPC(ipcs []float64, attackers int) float64 {
 // trailing attacker cores (w.Attackers) are excluded from IPC aggregation.
 // id is the workload's generator identity, which keys its baseline: w.Name
 // for every workload but the adversarial cell's.
-func (r *runner) measure(ctx context.Context, scheme mc.Scheme, seed uint64, flipTH int, w trace.Workload, id string) (PerfPoint, error) {
+func (rr *rowRunner) measure(ctx context.Context, scheme mc.Scheme, seed uint64, flipTH int, w trace.Workload, id string) (PerfPoint, error) {
 	attackers := w.Attackers
-	base, err := r.baseline(ctx, seed, flipTH, w, id)
+	base, err := rr.baseline(ctx, seed, flipTH, w, id)
 	if err != nil {
 		return PerfPoint{}, err
 	}
-	cfg := r.cfgFor(flipTH, w)
+	cfg := rr.sc.cfgFor(flipTH, w)
 	cfg.Scheme = scheme
 	res, err := sim.RunContext(ctx, cfg)
 	if err != nil {
@@ -525,78 +494,90 @@ func schemeTableKB(name string, flipTH int) float64 {
 
 // RunAtContext validates the spec and executes its grid at an explicit
 // scale (the library's figure wrappers pass their caller's Scale; the CLI
-// passes the spec's resolved scale with the -jobs override applied). Rows
-// come back in the deterministic Expand order regardless of worker count.
-// Cancellation is cooperative: the sweep stops claiming cells when ctx is
-// cancelled and in-flight simulations abort mid-run. opts.Progress
-// observes per-row completion, opts.Baselines shares unprotected runs
-// across executions, and opts.Store serves and records rows; nil opts
-// means no hook, no store, and a private baseline cache.
+// passes the spec's resolved scale with the -jobs override applied): it is
+// StreamRowsAt over the full grid, collected into a Result in the
+// deterministic Expand order regardless of worker count. Cancellation is
+// cooperative: the sweep stops claiming cells when ctx is cancelled and
+// in-flight simulations abort mid-run. opts is as for StreamRowsAt.
 func (s *Spec) RunAtContext(ctx context.Context, sc Scale, opts *ExecOptions) (*Result, error) {
-	rr, err := s.newRowRunner(sc, opts, nil)
+	x, err := s.NewExecution(sc, nil, opts)
 	if err != nil {
 		return nil, err
 	}
-	rows, err := sweep.RunContext(ctx, sc.Jobs, len(rr.rows), rr.run)
+	seq, err := x.stream(ctx)
 	if err != nil {
 		return nil, err
+	}
+	rows := make([]Row, 0, len(x.rows))
+	for row, err := range seq {
+		if err != nil {
+			return nil, err
+		}
+		rows = append(rows, row)
 	}
 	return s.NewResult(sc, rows)
 }
 
-// NewResult assembles completed rows into a Result. Rows must arrive in
-// the order the Result should emit them — grid order for a full run (a
-// distributed merge sorts by Row.Index before calling this) — and each
-// must carry the point matching the spec's kind; a row without one means
-// the caller mixed rows from a different spec or dropped a shard, which
-// is an error here rather than a panic at emission time.
+// NewResult assembles completed rows into a Result, ordering them by
+// Row.Index (in place) so a Result emits in grid order whatever order the
+// rows completed in. Each row must carry exactly the point matching the
+// spec's kind; a row without one means the caller mixed rows from a
+// different spec or dropped a shard, which is an error here rather than a
+// panic at emission time.
 func (s *Spec) NewResult(sc Scale, rows []Row) (*Result, error) {
+	slices.SortFunc(rows, func(a, b Row) int { return cmp.Compare(a.Index, b.Index) })
 	res := &Result{Spec: s, Scale: sc}
-	for _, row := range rows {
-		if row.Cached {
+	for i := range rows {
+		if rows[i].pointKind() != s.Kind {
+			return nil, fmt.Errorf("spec %q: row %d has no %s point", s.Name, rows[i].Index, s.Kind)
+		}
+		if rows[i].Cached {
 			res.RowsCached++
 		} else {
 			res.RowsSimulated++
 		}
 	}
-	missing := func(i int) error {
-		return fmt.Errorf("spec %q: row %d (grid index %d) has no %s point", s.Name, i, rows[i].Index, s.Kind)
-	}
-	switch s.Kind {
-	case Comparison:
-		res.Perf = make([]PerfPoint, len(rows))
-		for i, row := range rows {
-			if row.Perf == nil {
-				return nil, missing(i)
-			}
-			res.Perf[i] = *row.Perf
-		}
-	case SafetyKind:
-		res.Safety = make([]SafetyResult, len(rows))
-		for i, row := range rows {
-			if row.Safety == nil {
-				return nil, missing(i)
-			}
-			res.Safety[i] = *row.Safety
-		}
-	case ConfigGrid:
-		res.Grid = make([]Figure9Point, len(rows))
-		for i, row := range rows {
-			if row.Grid == nil {
-				return nil, missing(i)
-			}
-			res.Grid[i] = *row.Grid
-		}
-	case AdTHSweep:
-		res.AdTH = make([]Figure7Point, len(rows))
-		for i, row := range rows {
-			if row.AdTH == nil {
-				return nil, missing(i)
-			}
-			res.AdTH[i] = *row.AdTH
-		}
-	}
+	res.Perf = points(rows, func(r *Row) *PerfPoint { return r.Perf })
+	res.Safety = points(rows, func(r *Row) *SafetyResult { return r.Safety })
+	res.Grid = points(rows, func(r *Row) *Figure9Point { return r.Grid })
+	res.AdTH = points(rows, func(r *Row) *Figure7Point { return r.AdTH })
 	return res, nil
+}
+
+// pointKind reports which kind's point the row carries, or "" when it
+// carries none or more than one: the one owner of which Row field holds
+// which kind's point.
+func (row *Row) pointKind() Kind {
+	n, kind := 0, Kind("")
+	if row.Perf != nil {
+		n, kind = n+1, Comparison
+	}
+	if row.Safety != nil {
+		n, kind = n+1, SafetyKind
+	}
+	if row.Grid != nil {
+		n, kind = n+1, ConfigGrid
+	}
+	if row.AdTH != nil {
+		n, kind = n+1, AdTHSweep
+	}
+	if n != 1 {
+		return ""
+	}
+	return kind
+}
+
+// points copies one Row field's points out of rows, or returns nil when
+// the rows (which all carry the same kind) hold theirs elsewhere.
+func points[T any](rows []Row, field func(*Row) *T) []T {
+	if len(rows) == 0 || field(&rows[0]) == nil {
+		return nil
+	}
+	out := make([]T, len(rows))
+	for i := range rows {
+		out[i] = *field(&rows[i])
+	}
+	return out
 }
 
 // StreamRowsAt executes an explicit row-index subset of the expanded grid
@@ -608,22 +589,222 @@ func (s *Spec) NewResult(sc Scale, rows []Row) (*Result, error) {
 // yield, so a caller speaking a streaming wire protocol can reject the
 // request cleanly instead of discovering the error after committing to a
 // 200 and an NDJSON header. The sequence terminates with a single non-nil
-// error when a cell fails or ctx is cancelled; breaking out of the range
-// cancels the remaining rows, and all workers have exited when the range
-// ends.
+// error when a cell fails, a store write fails, or ctx is cancelled;
+// breaking out of the range cancels the remaining rows, and all workers
+// have exited when the range ends. opts.Progress observes each row as it
+// is yielded, opts.Baselines shares unprotected runs across executions,
+// and opts.Store serves and records rows; nil opts means no hook, no
+// store, and a private baseline cache.
 func (s *Spec) StreamRowsAt(ctx context.Context, sc Scale, rows []int, opts *ExecOptions) (iter.Seq2[Row, error], error) {
-	rr, err := s.newRowRunner(sc, opts, rows)
+	x, err := s.NewExecution(sc, rows, opts)
 	if err != nil {
 		return nil, err
 	}
-	seq := func(yield func(Row, error) bool) {
-		for iv, err := range sweep.StreamContext(ctx, sc.Jobs, len(rr.rows), rr.run) {
+	return x.stream(ctx)
+}
+
+// Execution is one spec execution bound to a scale, a row subset and the
+// caller's ExecOptions: the one owner of how a row meets the result store
+// and the progress hook. Local runs (StreamRowsAt, RunAtContext) and the
+// distributed coordinator both drive one. Rows come from Local or from a
+// remote worker; Cached serves a row from the store; Deliver records every
+// row handed to the consumer, writing fresh rows back and reporting
+// progress.
+type Execution struct {
+	spec      *Spec
+	sc        Scale
+	baselines *BaselineCache
+	cells     []Cell
+	rows      []int // the grid indices the execution covers, subset order
+
+	// Store binding: keys and cacheable are indexed like cells and set for
+	// the covered rows before any row runs, so a bad attack spelling fails
+	// up front and probes stay pure lookups. served and simulated record
+	// where a row came from, which decides its write-back: Cached served
+	// it (stored already), Local simulated it after its own probe missed
+	// (written without a second probe), or it came from elsewhere — a
+	// remote worker that may share the store — and is probed again.
+	store     resultstore.Store
+	stamp     string
+	keys      []resultstore.Key
+	cacheable []bool
+	served    []bool
+	simulated []bool
+
+	progress func(done, total int)
+	done     int
+}
+
+// NewExecution validates the spec and scale, expands the grid, checks the
+// row subset (nil: every expanded cell; otherwise in-range and free of
+// duplicates — a duplicated row would double-count in every consumer and
+// a wild index has no cell to realize), and keys the covered rows for the
+// store.
+func (s *Spec) NewExecution(sc Scale, rows []int, opts *ExecOptions) (*Execution, error) {
+	if err := s.Validate(); err != nil {
+		return nil, err
+	}
+	if err := sc.Validate(); err != nil {
+		return nil, err
+	}
+	x := &Execution{spec: s, sc: sc, cells: s.Expand(sc)}
+	if opts != nil {
+		x.baselines, x.store, x.progress = opts.Baselines, opts.Store, opts.Progress
+	}
+	if x.baselines == nil {
+		x.baselines = NewBaselineCache()
+	}
+	if rows == nil {
+		x.rows = make([]int, len(x.cells))
+		for i := range x.rows {
+			x.rows[i] = i
+		}
+	} else {
+		seen := make(map[int]bool, len(rows))
+		for _, i := range rows {
+			if i < 0 || i >= len(x.cells) {
+				return nil, fmt.Errorf("spec %q: row %d out of range (grid has %d rows)", s.Name, i, len(x.cells))
+			}
+			if seen[i] {
+				return nil, fmt.Errorf("spec %q: duplicate row %d in subset", s.Name, i)
+			}
+			seen[i] = true
+		}
+		x.rows = append([]int(nil), rows...)
+	}
+	if x.store != nil {
+		x.stamp = StoreStamp()
+		x.keys = make([]resultstore.Key, len(x.cells))
+		x.cacheable = make([]bool, len(x.cells))
+		x.served = make([]bool, len(x.cells))
+		x.simulated = make([]bool, len(x.cells))
+		for _, i := range x.rows {
+			key, ok, err := s.cellKey(sc, x.cells[i], x.stamp)
+			if err != nil {
+				return nil, err
+			}
+			x.keys[i], x.cacheable[i] = key, ok
+		}
+	}
+	return x, nil
+}
+
+// Cells returns the expanded grid in Expand order. The slice is the
+// execution's own; callers must not modify it.
+func (x *Execution) Cells() []Cell { return x.cells }
+
+// Cached serves grid row i from the result store, marked Row.Cached. Any
+// defect in a stored record — wrong stamp, undecodable payload, a point of
+// the wrong kind — is a miss (the row re-simulates and overwrites it),
+// never an error: the store is an accelerator, not a dependency. Distinct
+// rows may be probed concurrently.
+func (x *Execution) Cached(i int) (Row, bool) {
+	rec, ok := x.stored(i)
+	if !ok {
+		return Row{}, false
+	}
+	row := Row{Index: i, Cell: x.cells[i], Cached: true}
+	if !decodeRow(x.spec.Kind, rec.Payload, &row) {
+		return Row{}, false
+	}
+	x.served[i] = true
+	return row, true
+}
+
+// stored returns row i's record when the store holds one under the
+// current stamp.
+func (x *Execution) stored(i int) (resultstore.Record, bool) {
+	if x.store == nil || !x.cacheable[i] {
+		return resultstore.Record{}, false
+	}
+	rec, ok := x.store.Get(x.keys[i])
+	return rec, ok && rec.Stamp == x.stamp
+}
+
+// Deliver records a covered row the execution hands to its consumer,
+// once per row and from one goroutine (the stream's consumer loop), so the
+// progress hook needs no locking. A row Cached did not serve is written
+// back; one that did not come from Local is written only if it is not
+// already stored under the current stamp — a worker sharing the store may
+// have put it — so a store sees each row Put once. A write failure is
+// loud: a store that stops accepting writes mid-sweep is losing rows the
+// operator asked to persist, and silently degrading to compute-only would
+// hide that until the re-run.
+func (x *Execution) Deliver(row Row) error {
+	i := row.Index
+	write := x.store != nil && x.cacheable[i] && !x.served[i]
+	if write && !x.simulated[i] {
+		_, stored := x.stored(i)
+		write = !stored
+	}
+	if write {
+		payload, err := encodeRow(row)
+		if err != nil {
+			return err
+		}
+		if err := x.store.Put(resultstore.Record{Key: x.keys[i], Stamp: x.stamp, Payload: payload}); err != nil {
+			return err
+		}
+	}
+	x.done++
+	if x.progress != nil {
+		x.progress(x.done, len(x.rows))
+	}
+	return nil
+}
+
+// Local is the execution's local row source: it runs rows (grid indices
+// the execution covers) on the scale's sweep workers and yields each one
+// undelivered, in completion order. A worker serves its row through Cached
+// when it can — decoding stays on the workers, off the consumer loop — and
+// simulates it otherwise. Failures building the state those rows consume
+// are returned before the first yield; the sequence otherwise behaves as
+// StreamRowsAt's.
+func (x *Execution) Local(ctx context.Context, rows []int) (iter.Seq2[Row, error], error) {
+	rr, err := x.newRowRunner(rows)
+	if err != nil {
+		return nil, err
+	}
+	run := func(ctx context.Context, j int) (Row, error) {
+		i := rows[j]
+		if row, ok := x.Cached(i); ok {
+			return row, nil
+		}
+		if x.simulated != nil {
+			x.simulated[i] = true
+		}
+		return rr.run(ctx, i)
+	}
+	return func(yield func(Row, error) bool) {
+		for iv, err := range sweep.StreamContext(ctx, x.sc.Jobs, len(rows), run) {
 			if !yield(iv.V, err) || err != nil {
 				return
 			}
 		}
+	}, nil
+}
+
+// stream is Local over every covered row, each delivered on its way to
+// the consumer.
+func (x *Execution) stream(ctx context.Context) (iter.Seq2[Row, error], error) {
+	src, err := x.Local(ctx, x.rows)
+	if err != nil {
+		return nil, err
 	}
-	return seq, nil
+	return func(yield func(Row, error) bool) {
+		for row, err := range src {
+			if err == nil {
+				err = x.Deliver(row)
+			}
+			if err != nil {
+				yield(Row{}, err)
+				return
+			}
+			if !yield(row, nil) {
+				return
+			}
+		}
+	}, nil
 }
 
 // seeds resolves the seed axis (empty: the scale's single seed).
@@ -691,96 +872,30 @@ func (n *needSet) workload(seed uint64, name string) bool { return n.workloads[s
 func (n *needSet) attack(seed uint64, name string) bool   { return n.attacks[seedName{seed, name}] }
 func (n *needSet) anyAttack(name string) bool             { return n.attackAny[name] }
 
-// rowRunner executes one spec at one scale, one output row at a time: the
-// shared unit behind RunAtContext (batch, grid order) and StreamRowsAt
-// (completion order, optionally over an explicit row-index subset — the
-// shard a distributed worker executes). Precomputed per-seed state
-// keeps row jobs pure.
+// rowRunner simulates one spec's rows at one scale, one output row at a
+// time: the simulation behind Execution.Local. Precomputed per-seed state
+// keeps row jobs pure. That state is prebuilt only for the rows the runner
+// was built for, so a subset never touches inputs it will not simulate —
+// in particular, a worker handed a shard of a spec that also names
+// trace-file workloads never opens those files unless the shard includes
+// their rows.
 type rowRunner struct {
-	spec  *Spec
-	sc    Scale
-	r     *runner
-	cells []Cell
-	// rows maps job index to grid index: the row-index subset a shard
-	// executes, or the identity over every cell for a full run. Per-kind
-	// state (workloads, attacks) is prebuilt only for the cells
-	// these rows name, so a shard never touches inputs it will not
-	// simulate — in particular, a worker handed a shard of a spec that
-	// also names trace-file workloads never opens those files unless the
-	// shard includes their rows.
-	rows []int
+	spec      *Spec
+	sc        Scale
+	baselines *BaselineCache
+	cells     []Cell
 
 	sets      map[uint64]*seedSet       // comparison
 	workloads map[uint64]trace.Workload // configgrid
 	mapper    *mc.AddressMapper         // safety
-
-	// Result-store binding: keys/cacheable are indexed like cells and
-	// precomputed before the sweep starts, so bad attack spellings fail
-	// loudly up front and row jobs stay pure lookups.
-	store     resultstore.Store
-	stamp     string
-	keys      []resultstore.Key
-	cacheable []bool
-
-	done  int
-	total int
-	mu    sync.Mutex
-	onRow func(done, total int)
 }
 
-// newRowRunner validates the spec and scale and binds the per-kind state
-// for the named grid rows (nil: every expanded cell). Subset indices must
-// be in-range and free of duplicates — a duplicated row would double-count
-// in every consumer and a wild index has no cell to realize.
-func (s *Spec) newRowRunner(sc Scale, opts *ExecOptions, rows []int) (*rowRunner, error) {
-	if err := s.Validate(); err != nil {
-		return nil, err
-	}
-	if err := sc.Validate(); err != nil {
-		return nil, err
-	}
-	rr := &rowRunner{
-		spec:  s,
-		sc:    sc,
-		r:     newRunner(sc, opts.baselines()),
-		cells: s.Expand(sc),
-		onRow: opts.progress(),
-	}
-	if rows == nil {
-		rr.rows = make([]int, len(rr.cells))
-		for i := range rr.rows {
-			rr.rows[i] = i
-		}
-	} else {
-		seen := make(map[int]bool, len(rows))
-		for _, i := range rows {
-			if i < 0 || i >= len(rr.cells) {
-				return nil, fmt.Errorf("spec %q: row %d out of range (grid has %d rows)", s.Name, i, len(rr.cells))
-			}
-			if seen[i] {
-				return nil, fmt.Errorf("spec %q: duplicate row %d in subset", s.Name, i)
-			}
-			seen[i] = true
-		}
-		rr.rows = append([]int(nil), rows...)
-	}
-	rr.total = len(rr.rows)
-	if st := opts.store(); st != nil {
-		rr.store = st
-		rr.stamp = StoreStamp()
-		rr.keys = make([]resultstore.Key, len(rr.cells))
-		rr.cacheable = make([]bool, len(rr.cells))
-		for _, i := range rr.rows {
-			key, ok, err := s.cellKey(sc, rr.cells[i], rr.stamp)
-			if err != nil {
-				return nil, err
-			}
-			rr.keys[i], rr.cacheable[i] = key, ok
-		}
-	}
-	// The per-kind state below is prebuilt only for the subset's cells:
-	// needs records which (seed, workload/attack) pairs the subset touches.
-	needs := newNeedSet(rr.cells, rr.rows)
+// newRowRunner binds the per-kind state for the named grid rows.
+func (x *Execution) newRowRunner(rows []int) (*rowRunner, error) {
+	s, sc := x.spec, x.sc
+	rr := &rowRunner{spec: s, sc: sc, baselines: x.baselines, cells: x.cells}
+	// needs records which (seed, workload/attack) pairs the rows touch.
+	needs := newNeedSet(rr.cells, rows)
 	// buildNamed resolves one workloads-axis name. Trace replays are
 	// seed-independent, so one build (one file parse) serves every seed.
 	traceShared := map[string]trace.Workload{}
@@ -864,17 +979,11 @@ func (s *Spec) newRowRunner(sc Scale, opts *ExecOptions, rows []int) (*rowRunner
 	return rr, nil
 }
 
-// run computes the j-th subset row (grid row rr.rows[j]; the emitted
-// Row.Index is always the grid index). It is safe for concurrent
-// invocation across distinct j; per-row scheme instances are built fresh,
-// exactly as the pre-streaming executor built one per simulation cell.
-func (rr *rowRunner) run(ctx context.Context, j int) (Row, error) {
-	i := rr.rows[j]
+// run computes grid row i. It is safe for concurrent invocation across
+// distinct rows; per-row scheme instances are built fresh, so tracker
+// state never leaks between rows.
+func (rr *rowRunner) run(ctx context.Context, i int) (Row, error) {
 	row := Row{Index: i, Cell: rr.cells[i]}
-	if rr.cachedRow(i, &row) {
-		rr.reportProgress()
-		return row, nil
-	}
 	var err error
 	switch rr.spec.Kind {
 	case Comparison:
@@ -889,61 +998,7 @@ func (rr *rowRunner) run(ctx context.Context, j int) (Row, error) {
 	if err != nil {
 		return Row{}, err
 	}
-	if err := rr.storeRow(i, row); err != nil {
-		return Row{}, err
-	}
-	rr.reportProgress()
 	return row, nil
-}
-
-// cachedRow serves row i from the result store when possible. Any defect
-// in a stored record — wrong stamp, undecodable payload, a point of the
-// wrong kind — is a miss (the row re-simulates and overwrites it), never
-// an error: the store is an accelerator, not a dependency.
-func (rr *rowRunner) cachedRow(i int, row *Row) bool {
-	if rr.store == nil || !rr.cacheable[i] {
-		return false
-	}
-	rec, ok := rr.store.Get(rr.keys[i])
-	if !ok || rec.Stamp != rr.stamp {
-		return false
-	}
-	if !decodeRow(rr.spec.Kind, rec.Payload, row) {
-		return false
-	}
-	row.Cached = true
-	return true
-}
-
-// storeRow writes a freshly simulated row back to the result store. A
-// write failure is loud — a -store directory that stops accepting writes
-// mid-sweep means rows the operator asked to persist are being lost, and
-// silently degrading to compute-only would hide that until the re-run.
-func (rr *rowRunner) storeRow(i int, row Row) error {
-	if rr.store == nil || !rr.cacheable[i] {
-		return nil
-	}
-	payload, err := encodeRow(row)
-	if err != nil {
-		return err
-	}
-	return rr.store.Put(resultstore.Record{Key: rr.keys[i], Stamp: rr.stamp, Payload: payload})
-}
-
-// reportProgress serializes the Progress hook so callers need no locking.
-// Invoking the hook inside the critical section is the documented
-// contract — Progress hooks must be fast and must not block (see
-// ExecOptions.Progress) — which is exactly what lockheld cannot prove
-// about a caller-supplied function value, hence the explained allow.
-func (rr *rowRunner) reportProgress() {
-	if rr.onRow == nil {
-		return
-	}
-	rr.mu.Lock()
-	defer rr.mu.Unlock()
-	rr.done++
-	//mithril:allow lockheld serialized Progress hook; contract: hooks must not block
-	rr.onRow(rr.done, rr.total)
 }
 
 // buildScheme constructs a fresh scheme instance for one simulation. Every
@@ -969,7 +1024,7 @@ func (rr *rowRunner) comparisonRow(ctx context.Context, c Cell) (*PerfPoint, err
 			return nil, err
 		}
 		w, id := adversarialWorkload(rr.sc, c.Seed, scheme)
-		pt, err := rr.r.measure(ctx, scheme, c.Seed, c.FlipTH, w, id)
+		pt, err := rr.measure(ctx, scheme, c.Seed, c.FlipTH, w, id)
 		if err != nil {
 			return nil, err
 		}
@@ -983,7 +1038,7 @@ func (rr *rowRunner) comparisonRow(ctx context.Context, c Cell) (*PerfPoint, err
 			return nil, err
 		}
 		w := set.attacks[c.Attack]
-		pt, err := rr.r.measure(ctx, scheme, c.Seed, c.FlipTH, w, w.Name)
+		pt, err := rr.measure(ctx, scheme, c.Seed, c.FlipTH, w, w.Name)
 		if err != nil {
 			return nil, err
 		}
@@ -999,7 +1054,7 @@ func (rr *rowRunner) comparisonRow(ctx context.Context, c Cell) (*PerfPoint, err
 			if err != nil {
 				return nil, err
 			}
-			pt, err := rr.r.measure(ctx, scheme, c.Seed, c.FlipTH, w, w.Name)
+			pt, err := rr.measure(ctx, scheme, c.Seed, c.FlipTH, w, w.Name)
 			if err != nil {
 				return nil, err
 			}
@@ -1023,7 +1078,7 @@ func (rr *rowRunner) comparisonRow(ctx context.Context, c Cell) (*PerfPoint, err
 	if err != nil {
 		return nil, err
 	}
-	pt, err := rr.r.measure(ctx, scheme, c.Seed, c.FlipTH, w, w.Name)
+	pt, err := rr.measure(ctx, scheme, c.Seed, c.FlipTH, w, w.Name)
 	if err != nil {
 		return nil, err
 	}
@@ -1069,11 +1124,11 @@ func (rr *rowRunner) safetyRow(ctx context.Context, c Cell) (*SafetyResult, erro
 func (rr *rowRunner) configGridRow(ctx context.Context, c Cell) (*Figure9Point, error) {
 	w := rr.workloads[c.Seed]
 	opt := mitigation.Options{Timing: rr.sc.Params(), FlipTH: c.FlipTH, RFMTH: c.RFMTH, Seed: c.Seed}
-	m, err := rr.r.measure(ctx, mitigation.NewMithril(opt), c.Seed, c.FlipTH, w, w.Name)
+	m, err := rr.measure(ctx, mitigation.NewMithril(opt), c.Seed, c.FlipTH, w, w.Name)
 	if err != nil {
 		return nil, err
 	}
-	plus, err := rr.r.measure(ctx, mitigation.NewMithrilPlus(opt), c.Seed, c.FlipTH, w, w.Name)
+	plus, err := rr.measure(ctx, mitigation.NewMithrilPlus(opt), c.Seed, c.FlipTH, w, w.Name)
 	if err != nil {
 		return nil, err
 	}
@@ -1108,7 +1163,7 @@ func (rr *rowRunner) adthRow(ctx context.Context, c Cell) (*Figure7Point, error)
 		scheme := mitigation.NewMithril(mitigation.Options{
 			Timing: p, FlipTH: c.FlipTH, RFMTH: c.RFMTH, AdTH: adOrDisabled(c.AdTH), Seed: c.Seed,
 		})
-		m, err := rr.r.measure(ctx, scheme, c.Seed, c.FlipTH, w, w.Name)
+		m, err := rr.measure(ctx, scheme, c.Seed, c.FlipTH, w, w.Name)
 		if err != nil {
 			return nil, err
 		}

@@ -76,30 +76,6 @@ func (s *Spec) cellKey(sc Scale, c Cell, stamp string) (key resultstore.Key, cac
 	return resultstore.HashComponents(comp), true, nil
 }
 
-// StoreKeys derives the content address of every expanded grid row at
-// once: the stamp the keys embed, one key per cell in Expand order, and
-// the parallel cacheable mask (false marks rows a store must never serve,
-// i.e. trace-replay workloads). This is the coordinator's view of the
-// store — it lets a distributed merge probe for finished rows and write
-// back rows received from workers without re-deriving cell hashing.
-func (s *Spec) StoreKeys(sc Scale) (stamp string, keys []resultstore.Key, cacheable []bool, err error) {
-	if err := s.Validate(); err != nil {
-		return "", nil, nil, err
-	}
-	stamp = StoreStamp()
-	cells := s.Expand(sc)
-	keys = make([]resultstore.Key, len(cells))
-	cacheable = make([]bool, len(cells))
-	for i, c := range cells {
-		key, ok, err := s.cellKey(sc, c, stamp)
-		if err != nil {
-			return "", nil, nil, err
-		}
-		keys[i], cacheable[i] = key, ok
-	}
-	return stamp, keys, cacheable, nil
-}
-
 // EncodeRowPayload serializes a completed row's point for the wire or the
 // store. The encoding is the result store's row payload — JSON round-trips
 // float64 exactly, so a decoded row renders byte-identically to the
@@ -138,27 +114,18 @@ func encodeRow(row Row) (json.RawMessage, error) {
 }
 
 // decodeRow deserializes a stored payload into the row's point field.
-// ok is false for any mismatch — undecodable payload, wrong or missing
-// point for the kind — which callers treat as a cache miss (the row
+// ok is false for any mismatch — undecodable payload, a missing point or
+// one of another kind — which callers treat as a cache miss (the row
 // re-simulates and the record is overwritten), never an error.
 func decodeRow(kind Kind, payload json.RawMessage, row *Row) bool {
 	var sr storedRow
 	if err := json.Unmarshal(payload, &sr); err != nil {
 		return false
 	}
-	switch kind {
-	case Comparison:
-		row.Perf = sr.Perf
-		return sr.Perf != nil
-	case SafetyKind:
-		row.Safety = sr.Safety
-		return sr.Safety != nil
-	case ConfigGrid:
-		row.Grid = sr.Grid
-		return sr.Grid != nil
-	case AdTHSweep:
-		row.AdTH = sr.AdTH
-		return sr.AdTH != nil
+	stored := Row{Perf: sr.Perf, Safety: sr.Safety, Grid: sr.Grid, AdTH: sr.AdTH}
+	if stored.pointKind() != kind {
+		return false
 	}
-	return false
+	row.Perf, row.Safety, row.Grid, row.AdTH = sr.Perf, sr.Safety, sr.Grid, sr.AdTH
+	return true
 }

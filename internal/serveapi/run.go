@@ -103,9 +103,9 @@ func (s *server) handleSweep(w http.ResponseWriter, r *http.Request, body []byte
 		return
 	}
 	sc = s.applyJobs(sc)
-	// Construct the full execution — row runner or coordinator fan-out
-	// plan — before committing the header: anything wrong with the spec
-	// surfaces here as a 400.
+	// Construct the execution — local, or fanned out by the coordinator;
+	// both bind the store the same way — before committing the header:
+	// anything wrong with the spec surfaces here as a 400.
 	var seq iter.Seq2[expspec.Row, error]
 	if s.cfg.Coordinator != nil {
 		seq, err = s.cfg.Coordinator.Stream(r.Context(), sp, sc, s.execOptions())
@@ -162,6 +162,12 @@ func (s *server) handleShard(w http.ResponseWriter, r *http.Request, body []byte
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&req); err != nil {
 		writeError(w, http.StatusBadRequest, distrib.CodeBadRequest, fmt.Sprintf("decoding shard request: %v", err))
+		return
+	}
+	// A nil subset means the whole grid to StreamRowsAt, which would run
+	// every row — trace cells included, unchecked by the guard below.
+	if req.Rows == nil {
+		writeError(w, http.StatusBadRequest, distrib.CodeBadRequest, "shard request has no rows (a shard names the grid rows it executes)")
 		return
 	}
 	sp, err := expspec.Parse(req.Spec)

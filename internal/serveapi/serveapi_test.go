@@ -6,6 +6,9 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -270,6 +273,81 @@ func TestV1RunStream(t *testing.T) {
 	}
 }
 
+// runNDJSON POSTs testSpec to a /v1/run endpoint and returns its data
+// rows ordered by grid index, plus the terminal summary.
+func runNDJSON(t *testing.T, url string) (rows []string, summary map[string]int) {
+	t.Helper()
+	resp, err := http.Post(url+"/v1/run", "application/json", strings.NewReader(testSpec))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("status = %d", resp.StatusCode)
+	}
+	byRow := map[int]string{}
+	sc := bufio.NewScanner(resp.Body)
+	for sc.Scan() {
+		var rec struct {
+			Row     *int           `json:"row"`
+			Summary map[string]int `json:"summary"`
+			Error   any            `json:"error"`
+		}
+		if err := json.Unmarshal(sc.Bytes(), &rec); err != nil {
+			t.Fatalf("bad NDJSON line %q: %v", sc.Text(), err)
+		}
+		switch {
+		case rec.Error != nil:
+			t.Fatalf("stream error: %v", rec.Error)
+		case rec.Summary != nil:
+			summary = rec.Summary
+		default:
+			byRow[*rec.Row] = sc.Text()
+		}
+	}
+	for i := 0; i < len(byRow); i++ {
+		line, ok := byRow[i]
+		if !ok {
+			t.Fatalf("row %d missing from the stream (got %d rows)", i, len(byRow))
+		}
+		rows = append(rows, line)
+	}
+	return rows, summary
+}
+
+// TestCoordinatorRunMatchesWorker drives a coordinator-mode server with
+// a result store: a bare /v1/run streams the same data rows as a plain
+// worker-mode server, simulating every row cold and none warm.
+func TestCoordinatorRunMatchesWorker(t *testing.T) {
+	defer testutil.CheckGoroutines(t)()
+	w1 := newServer(t, serveapi.Config{Jobs: 1})
+	w2 := newServer(t, serveapi.Config{Jobs: 1})
+	coord, err := distrib.New([]string{w1.URL, w2.URL}, distrib.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	front := newServer(t, serveapi.Config{Store: resultstore.NewMem(), Coordinator: coord})
+
+	want, _ := runNDJSON(t, w1.URL)
+	n := len(want)
+	for _, pass := range []struct {
+		name    string
+		summary map[string]int
+	}{
+		{"cold", map[string]int{"rows": n, "cached": 0, "simulated": n}},
+		{"warm", map[string]int{"rows": n, "cached": n, "simulated": 0}},
+	} {
+		got, summary := runNDJSON(t, front.URL)
+		if strings.Join(got, "\n") != strings.Join(want, "\n") {
+			t.Errorf("%s coordinator rows diverge from the worker's:\nworker:\n%s\ncoordinator:\n%s",
+				pass.name, strings.Join(want, "\n"), strings.Join(got, "\n"))
+		}
+		if !reflect.DeepEqual(summary, pass.summary) {
+			t.Errorf("%s summary = %v, want %v", pass.name, summary, pass.summary)
+		}
+	}
+}
+
 // shardRequest builds a valid wire request for a subset of testSpec.
 func shardRequest(t *testing.T, rows []int) ([]byte, *expspec.Spec, expspec.Scale) {
 	t.Helper()
@@ -343,8 +421,9 @@ func TestShardStream(t *testing.T) {
 }
 
 // TestShardRejections pins the worker's pre-header guards: version
-// drift conflicts, malformed subsets, invalid scales, and shards aimed
-// at a coordinator all fail with real statuses and envelope codes.
+// drift conflicts, malformed or missing subsets, invalid scales, and
+// shards aimed at a coordinator all fail with real statuses and envelope
+// codes.
 func TestShardRejections(t *testing.T) {
 	ts := newServer(t, serveapi.Config{})
 
@@ -395,6 +474,36 @@ func TestShardRejections(t *testing.T) {
 		t.Errorf("zero-core shard status = %d, want 400 before the stream header", resp.StatusCode)
 	} else if code, _ := decodeEnvelope(t, resp); code != "bad_request" {
 		t.Errorf("zero-core shard code = %q, want bad_request", code)
+	}
+
+	// A shard without rows must not fall through to a full-grid run: for
+	// a spec naming a server-local trace file that would open the file and
+	// report the parse of its first line back to the client.
+	secret := filepath.Join(t.TempDir(), "secret.trace")
+	if err := os.WriteFile(secret, []byte("SECRET-LINE-ONE\n"), 0o600); err != nil {
+		t.Fatal(err)
+	}
+	traceSpec := strings.Replace(testSpec, `["mix-high"]`, `["mix-high", "trace:`+secret+`"]`, 1)
+	for name, rows := range map[string]json.RawMessage{"missing": nil, "null": json.RawMessage("null")} {
+		doc := map[string]json.RawMessage{}
+		if err := json.Unmarshal(body, &doc); err != nil {
+			t.Fatal(err)
+		}
+		doc["spec"] = json.RawMessage(traceSpec)
+		doc["grid"] = json.RawMessage("4")
+		delete(doc, "rows")
+		if rows != nil {
+			doc["rows"] = rows
+		}
+		b, _ = json.Marshal(doc)
+		resp := post(b)
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("%s rows: status = %d, want 400", name, resp.StatusCode)
+		}
+		code, msg := decodeEnvelope(t, resp)
+		if code != "bad_request" || strings.Contains(msg, "secret.trace") || !strings.Contains(msg, "rows") {
+			t.Errorf("%s rows: envelope = %s %q, want bad_request naming the missing rows, not a parse of the file", name, code, msg)
+		}
 	}
 
 	coordTS := newServer(t, serveapi.Config{Coordinator: mustCoordinator(t)})

@@ -232,6 +232,11 @@ func StreamContext[T any](ctx context.Context, jobs, n int, fn func(ctx context.
 							cancel()
 							return
 						}
+						// The send readied the consumer on this P. Yield
+						// the P to it: with every P running a CPU-bound
+						// cell it would otherwise see the result only at
+						// the next preemption, about 10 ms later.
+						runtime.Gosched()
 					case <-cctx.Done():
 						return
 					}
