@@ -224,3 +224,27 @@ func TestSchemeNamesSorted(t *testing.T) {
 		t.Fatalf("SchemeNames() = %v, want sorted %v", got, want)
 	}
 }
+
+// TestEngineRunRejectsBadLLC pins that an unbuildable LLC is a config
+// error returned by Run, not a panic inside the simulator.
+func TestEngineRunRejectsBadLLC(t *testing.T) {
+	eng := NewEngine(DDR5())
+	for _, tc := range []struct {
+		name        string
+		bytes, ways int
+	}{
+		{"3 MB: 3072 sets", 3 << 20, 16},
+		{"3 ways: 87381 sets", 16 << 20, 3},
+		{"smaller than one set", 64, 16},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := baseSimConfig(6250, tinyScale())
+			cfg.Workload = MixHigh(2, 1).Fresh()
+			cfg.InstrPerCore = 400
+			cfg.LLCBytes, cfg.LLCWays = tc.bytes, tc.ways
+			if _, err := eng.Run(context.Background(), cfg); err == nil {
+				t.Fatalf("LLC %d bytes / %d ways: Run returned no error", tc.bytes, tc.ways)
+			}
+		})
+	}
+}

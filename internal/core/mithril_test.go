@@ -245,7 +245,7 @@ func TestEndToEndNoBitFlipsUnderConfiguredMithril(t *testing.T) {
 	}
 	cfg := Config{NEntry: ac.NEntry, RFMTH: ac.RFMTH}
 	m := New(cfg)
-	checker := rh.NewChecker(4096, flipTH, nil)
+	checker := rh.NewChecker(4096, 1, flipTH, nil)
 	sinceRFM := 0
 	streamLen := p.ACTsPerREFW()
 	if streamLen > 300000 {
@@ -277,7 +277,7 @@ func TestEndToEndNoBitFlipsUnderConfiguredMithril(t *testing.T) {
 func TestUnprotectedBankFlipsUnderSameAttack(t *testing.T) {
 	// Control experiment: the same attack with no mitigation flips quickly.
 	const flipTH = 3125
-	checker := rh.NewChecker(4096, flipTH, nil)
+	checker := rh.NewChecker(4096, 1, flipTH, nil)
 	for i := 0; i < 4*flipTH; i++ {
 		checker.OnActivate(2000+2*(i%2), timing.PicoSeconds(i))
 	}

@@ -7,79 +7,112 @@ package cpu
 
 import (
 	"fmt"
+	"math"
 	"math/bits"
-	"sync"
+
+	"mithril/internal/freelist"
 )
 
 // LLC is a shared set-associative last-level cache with LRU replacement.
-// Tag and valid state live in two flat arrays indexed by set×ways — one
-// allocation each instead of one per set, and contiguous for locality.
+// Each way is one packed uint32 in a flat sets×ways array: the line's tag
+// plus one, with 0 marking an invalid way. One allocation, contiguous for
+// locality, and a way's validity and tag compare in one load.
+//
+// Packing holds a tag in 32 bits, so the addresses the cache sees must lie
+// in a space CheckLLC accepts. The simulator proves this once per run from
+// the device's address space instead of checking every access.
 type LLC struct {
-	sets     int
-	setBits  uint // log2(sets); sets is asserted a power of two
-	ways     int
-	lineBits uint
-	tags     []uint64 // sets×ways, LRU-ordered within a set: offset 0 = MRU
-	valid    []bool
+	sets    int
+	setBits uint // log2(sets); sets is asserted a power of two
+	ways    int
+	tags    []uint32 // sets×ways, LRU-ordered within a set: offset 0 = MRU
 
 	hits   uint64
 	misses uint64
 
-	pool *llcPool // set when the cache came from AcquireLLC
+	pooled bool // came from AcquireLLC
+}
+
+// llcLineBits is log2 of the 64-byte cache line.
+const llcLineBits = 6
+
+// llcSets reports the set count of a cache of capacityBytes with the given
+// associativity and 64-byte lines, or why no such cache can be built.
+func llcSets(capacityBytes, ways int) (int, error) {
+	if capacityBytes <= 0 || ways <= 0 {
+		return 0, fmt.Errorf("cpu: invalid LLC geometry %d/%d", capacityBytes, ways)
+	}
+	sets := (capacityBytes >> llcLineBits) / ways
+	if sets <= 0 || sets&(sets-1) != 0 {
+		return 0, fmt.Errorf("cpu: LLC sets = %d must be a positive power of two", sets)
+	}
+	return sets, nil
+}
+
+// CheckLLC reports an error unless a cache of capacityBytes and ways can be
+// built and every address in [0, space) fits its packed tags.
+func CheckLLC(capacityBytes, ways int, space uint64) error {
+	sets, err := llcSets(capacityBytes, ways)
+	if err != nil {
+		return err
+	}
+	if limit := addressLimit(sets); space > limit {
+		return fmt.Errorf("cpu: a %d-byte %d-way LLC packs tags for addresses below %#x, but the address space is %#x bytes",
+			capacityBytes, ways, limit, space)
+	}
+	return nil
+}
+
+// addressLimit is the size of the largest address space whose tags fit a
+// packed way: tag+1 must not exceed 2^32 − 1.
+func addressLimit(sets int) uint64 {
+	tagShift := llcLineBits + uint(bits.TrailingZeros(uint(sets)))
+	if tagShift > 32 {
+		return math.MaxUint64 // every 64-bit address fits
+	}
+	return math.MaxUint32 << tagShift
 }
 
 // NewLLC builds a cache of capacityBytes with the given associativity and
-// 64-byte lines. Capacity must divide evenly into sets.
+// 64-byte lines. Capacity must divide into a power-of-two number of sets.
 func NewLLC(capacityBytes, ways int) *LLC {
-	const line = 64
-	if capacityBytes <= 0 || ways <= 0 {
-		panic(fmt.Sprintf("cpu: invalid LLC geometry %d/%d", capacityBytes, ways))
-	}
-	sets := capacityBytes / line / ways
-	if sets <= 0 || sets&(sets-1) != 0 {
-		panic(fmt.Sprintf("cpu: LLC sets = %d must be a positive power of two", sets))
+	sets, err := llcSets(capacityBytes, ways)
+	if err != nil {
+		panic(err)
 	}
 	return &LLC{
-		sets: sets, setBits: uint(bits.TrailingZeros(uint(sets))), ways: ways, lineBits: 6,
-		tags:  make([]uint64, sets*ways),
-		valid: make([]bool, sets*ways),
+		sets: sets, setBits: uint(bits.TrailingZeros(uint(sets))), ways: ways,
+		tags: make([]uint32, sets*ways),
 	}
 }
 
-// Reset empties the cache and zeroes its counters. Only the valid bits
-// need clearing — tags are never read for invalid ways — so the cost is
-// one sets×ways byte memclr, a rounding error next to reallocating the
-// multi-megabyte tag array.
+// Reset empties the cache and zeroes its counters: one sets×ways×4-byte
+// memclr, a rounding error next to reallocating the tag array.
 func (l *LLC) Reset() {
-	for i := range l.valid {
-		l.valid[i] = false
-	}
+	clear(l.tags)
 	l.hits = 0
 	l.misses = 0
 }
 
-type llcKey struct{ bytes, ways int }
+type llcKey struct{ sets, ways int }
 
-type llcPool struct{ p sync.Pool }
-
-var llcPools sync.Map // llcKey → *llcPool
+// llcs recycles caches by geometry; see package freelist.
+var llcs freelist.List[llcKey, *LLC]
 
 // AcquireLLC returns a cache indistinguishable from NewLLC's result,
 // recycling a previously released one of the same geometry when available.
 // Release with ReleaseLLC once the simulation is done with it.
 func AcquireLLC(capacityBytes, ways int) *LLC {
-	key := llcKey{bytes: capacityBytes, ways: ways}
-	entry, ok := llcPools.Load(key)
-	if !ok {
-		entry, _ = llcPools.LoadOrStore(key, &llcPool{})
+	sets, err := llcSets(capacityBytes, ways)
+	if err != nil {
+		panic(err)
 	}
-	pool := entry.(*llcPool)
-	if l, ok := pool.p.Get().(*LLC); ok {
+	if l, ok := llcs.Get(llcKey{sets, ways}); ok {
 		l.Reset()
 		return l
 	}
 	l := NewLLC(capacityBytes, ways)
-	l.pool = pool
+	l.pooled = true
 	return l
 }
 
@@ -87,42 +120,41 @@ func AcquireLLC(capacityBytes, ways int) *LLC {
 // built directly with NewLLC are ignored. A released cache must not be
 // used again.
 func ReleaseLLC(l *LLC) {
-	if l == nil || l.pool == nil {
+	if l == nil || !l.pooled {
 		return
 	}
-	l.pool.p.Put(l)
+	llcs.Put(llcKey{l.sets, l.ways}, l)
 }
 
 // Access looks up addr, updating LRU state and allocating on miss
-// (write-allocate for stores). It reports whether the access hit.
+// (write-allocate for stores). It reports whether the access hit. addr
+// must lie in an address space CheckLLC accepts for this geometry.
 //
 //mithril:hotpath
 func (l *LLC) Access(addr uint64) bool {
-	line := addr >> l.lineBits
+	line := addr >> llcLineBits
 	set := int(line) & (l.sets - 1)
-	tag := line >> l.setBits
+	tag := uint32(line>>l.setBits) + 1
 	base := set * l.ways
-	tags, valid := l.tags[base:base+l.ways], l.valid[base:base+l.ways]
+	ways := l.tags[base : base+l.ways]
 	// MRU fast path: streaming workloads hit the most-recent line far more
 	// often than any other way, and an MRU hit needs no LRU reshuffle.
-	if valid[0] && tags[0] == tag {
+	if ways[0] == tag {
 		l.hits++
 		return true
 	}
 	for w := 1; w < l.ways; w++ {
-		if valid[w] && tags[w] == tag {
+		if ways[w] == tag {
 			// Move to MRU.
-			copy(tags[1:w+1], tags[:w])
-			copy(valid[1:w+1], valid[:w])
-			tags[0], valid[0] = tag, true
+			copy(ways[1:w+1], ways[:w])
+			ways[0] = tag
 			l.hits++
 			return true
 		}
 	}
 	// Miss: evict LRU (last way).
-	copy(tags[1:], tags[:l.ways-1])
-	copy(valid[1:], valid[:l.ways-1])
-	tags[0], valid[0] = tag, true
+	copy(ways[1:], ways[:l.ways-1])
+	ways[0] = tag
 	l.misses++
 	return false
 }

@@ -8,20 +8,18 @@ import (
 )
 
 // Device models a full DRAM subsystem: Channels × Ranks × Banks banks, each
-// with timing state and a RowHammer checker, plus per-rank auto-refresh
-// sweep bookkeeping. Banks are addressed by a global index
+// with timing state and a RowHammer checker, plus per-rank ACT-window
+// bookkeeping. Banks are addressed by a global index
 // ((channel·Ranks + rank)·Banks + bank).
 type Device struct {
-	p       timing.Params
-	flipTH  int
-	weights []float64
+	p      timing.Params
+	flipTH int
 
 	banks    []*Bank
 	checkers []*rh.Checker
 	ranks    []*rankTracker
-	refGroup []int // per rank: next refresh group to sweep
 
-	pool *devicePool // set when the device came from AcquireDevice
+	pooled bool // came from AcquireDevice
 }
 
 // NewDevice builds the device for the given parameters and fault model.
@@ -35,15 +33,13 @@ func NewDevice(p timing.Params, flipTH int, weights []float64) *Device {
 	d := &Device{
 		p:        p,
 		flipTH:   flipTH,
-		weights:  weights,
 		banks:    make([]*Bank, nBanks),
 		checkers: make([]*rh.Checker, nBanks),
 		ranks:    make([]*rankTracker, nRanks),
-		refGroup: make([]int, nRanks),
 	}
 	for i := range d.banks {
 		d.banks[i] = NewBank(p)
-		d.checkers[i] = rh.NewChecker(p.Rows, flipTH, weights)
+		d.checkers[i] = rh.NewChecker(p.Rows, p.RefreshGroups, flipTH, weights)
 	}
 	for i := range d.ranks {
 		d.ranks[i] = &rankTracker{p: p}
@@ -51,24 +47,21 @@ func NewDevice(p timing.Params, flipTH int, weights []float64) *Device {
 	return d
 }
 
-// Reset returns the device to its just-constructed state: bank timing
-// state machines, rank trackers, and refresh sweep positions are zeroed,
-// and every checker starts a new epoch (per-row disturbance is invalidated
-// lazily, so the cost is O(banks), not O(banks × rows)). Used by the
-// device pool between simulations; callers of AcquireDevice receive an
-// already-Reset device.
-func (d *Device) Reset() {
+// reset returns the device to the state NewDevice(d.Params(), flipTH,
+// weights) would build: bank timing state machines and rank trackers are
+// zeroed, and every checker starts a new epoch under the new fault model
+// (per-row state is invalidated lazily, so the cost is O(banks), not
+// O(banks × rows)). The device pool calls it on every acquisition.
+func (d *Device) reset(flipTH int, weights []float64) {
+	d.flipTH = flipTH
 	for _, b := range d.banks {
 		b.Reset()
 	}
 	for _, ck := range d.checkers {
-		ck.Reset()
+		ck.Reset(flipTH, weights)
 	}
 	for _, r := range d.ranks {
 		r.reset()
-	}
-	for i := range d.refGroup {
-		d.refGroup[i] = 0
 	}
 }
 
@@ -145,39 +138,25 @@ func (d *Device) ActivateOnly(global, row int, now timing.PicoSeconds) timing.Pi
 	return actAt + d.p.TRC
 }
 
-// RowsPerRefreshGroup is the number of rows swept by one REF command.
-//
-//mithril:hotpath
-func (d *Device) RowsPerRefreshGroup() int {
-	n := d.p.Rows / d.p.RefreshGroups
-	if n < 1 {
-		n = 1
-	}
-	return n
-}
-
 // IssueREF executes one auto-refresh on every bank of the rank: the banks
-// are occupied for tRFC and the next refresh group's rows are restored
-// (resetting their RowHammer disturbance).
+// are occupied for tRFC and the next of the RefreshGroups row groups
+// (max(1, Rows/RefreshGroups) rows each, swept round-robin) is restored,
+// resetting its RowHammer disturbance. Each checker counts the REF and
+// zeroes the restored rows lazily, so a REF costs O(banks), not
+// O(banks × rows per group).
 //
 //mithril:hotpath
 func (d *Device) IssueREF(rankIdx int, now timing.PicoSeconds) timing.PicoSeconds {
 	if rankIdx < 0 || rankIdx >= len(d.ranks) {
 		panic(fmt.Sprintf("dram: rank %d out of range", rankIdx))
 	}
-	group := d.refGroup[rankIdx]
-	d.refGroup[rankIdx] = (group + 1) % d.p.RefreshGroups
-	rows := d.RowsPerRefreshGroup()
-	first := group * rows
 	var end timing.PicoSeconds
 	for b := rankIdx * d.p.Banks; b < (rankIdx+1)*d.p.Banks; b++ {
 		e := d.banks[b].StartMaintenance(now, d.p.TRFC, MaintREF)
 		if e > end {
 			end = e
 		}
-		for r := first; r < first+rows && r < d.p.Rows; r++ {
-			d.checkers[b].OnRefresh(r)
-		}
+		d.checkers[b].OnAutoRefresh()
 	}
 	return end
 }

@@ -109,13 +109,20 @@ func TestAutoRefreshSweepResetsDisturbance(t *testing.T) {
 }
 
 func TestRefreshGroupPointerWraps(t *testing.T) {
-	p := smallParams()
+	p := smallParams() // 8 rows per group: group 2 is rows 16..23, group 3 rows 24..31
 	d := NewDevice(p, 1000, nil)
 	for i := 0; i < p.RefreshGroups+3; i++ {
 		d.IssueREF(0, timing.PicoSeconds(i)*p.TREFI)
 	}
-	if got := d.refGroup[0]; got != 3 {
-		t.Fatalf("group pointer = %d, want 3 after wrap", got)
+	now := timing.PicoSeconds(p.RefreshGroups+3) * p.TREFI
+	now = d.ActivateOnly(0, 20, now) // disturbs rows 19 and 21 (group 2)
+	now = d.ActivateOnly(0, 28, now) // disturbs rows 27 and 29 (group 3)
+	d.IssueREF(0, now)               // after the wrap, REF G+3 restores group 3
+	if got := d.Checker(0).Disturbance(21); got != 1 {
+		t.Fatalf("group 2 row 21 = %v, want 1 (not swept)", got)
+	}
+	if got := d.Checker(0).Disturbance(29); got != 0 {
+		t.Fatalf("group 3 row 29 = %v, want 0 (swept after the wrap)", got)
 	}
 }
 

@@ -1,68 +1,44 @@
 package dram
 
 import (
-	"sync"
-
+	"mithril/internal/freelist"
 	"mithril/internal/timing"
 )
 
-// Constructing a Device is dominated by zeroing the per-bank RowHammer
-// checkers (~50 MB for the DDR5 Table III geometry) — far more than a
-// short simulation spends simulating. The pool below recycles devices
-// between runs: Reset restores just-constructed semantics in O(banks)
-// because the checkers invalidate their row state lazily via epoch stamps.
+// A Device's RowHammer checkers size their row tables by the rows a run
+// touches, so a fresh device is small, but a simulation still builds bank
+// and checker objects for every bank. The pool below recycles devices
+// between runs: reset restores NewDevice semantics in O(banks) because the
+// checkers empty their tables lazily via epoch stamps, and a recycled
+// device keeps the table capacity earlier runs grew.
 //
-// Devices are interchangeable only within one construction configuration,
-// so the pool is keyed by (Params, FlipTH, weights). Concurrency-safe:
-// parallel sweep workers each acquire an exclusive device.
-
-// maxPooledWeights bounds the disturbance-weight vectors that can be
-// inlined into the comparable pool key. Longer vectors (no shipped model
-// uses more than 3) skip pooling rather than lose exactness.
-const maxPooledWeights = 4
-
-type poolKey struct {
-	p      timing.Params
-	flipTH int
-	nw     int
-	w      [maxPooledWeights]float64
-}
-
-type devicePool struct{ p sync.Pool }
-
-var devicePools sync.Map // poolKey → *devicePool
+// Devices are interchangeable within one geometry (timing.Params): FlipTH
+// and the disturbance weights are set on every acquisition. Concurrency-
+// safe: parallel sweep workers each acquire an exclusive device.
+var devices freelist.List[timing.Params, *Device]
 
 // AcquireDevice returns a device for the given configuration that is
 // indistinguishable from NewDevice's result, recycling a previously
-// released one when available. Release with ReleaseDevice once the
-// simulation no longer references the device or anything it owns.
+// released one of the same geometry when available. Release with
+// ReleaseDevice once the simulation no longer references the device or
+// anything it owns.
 func AcquireDevice(p timing.Params, flipTH int, weights []float64) *Device {
-	if len(weights) > maxPooledWeights {
-		return NewDevice(p, flipTH, weights)
-	}
-	key := poolKey{p: p, flipTH: flipTH, nw: len(weights)}
-	copy(key.w[:], weights)
-	entry, ok := devicePools.Load(key)
-	if !ok {
-		entry, _ = devicePools.LoadOrStore(key, &devicePool{})
-	}
-	pool := entry.(*devicePool)
-	if d, ok := pool.p.Get().(*Device); ok {
-		d.Reset()
+	if d, ok := devices.Get(p); ok {
+		d.reset(flipTH, weights)
 		return d
 	}
 	d := NewDevice(p, flipTH, weights)
-	d.pool = pool
+	d.pooled = true
 	return d
 }
 
 // ReleaseDevice returns a device obtained from AcquireDevice to its pool.
 // The device may be in any state — mid-run cancellation included — since
-// the next acquisition Resets it. Devices built directly with NewDevice
+// the next acquisition resets it. Devices built directly with NewDevice
 // are ignored, and a released device must not be used again.
 func ReleaseDevice(d *Device) {
-	if d == nil || d.pool == nil {
+	if d == nil || !d.pooled {
 		return
 	}
-	d.pool.p.Put(d)
+	devices.Put(d.p, d)
 }

@@ -197,7 +197,7 @@ func TestNormalizeBoundaries(t *testing.T) {
 // ARR/preventive refreshes to a fault checker. Returns the checker report.
 func replayAttack(s mc.Scheme, flipTH int, rows []uint32, nACTs int) rh.Report {
 	p := timing.DDR5()
-	ck := rh.NewChecker(p.Rows, flipTH, nil)
+	ck := rh.NewChecker(p.Rows, p.RefreshGroups, flipTH, nil)
 	raa := 0
 	now := timing.PicoSeconds(0)
 	autoRef := 0

@@ -8,6 +8,8 @@ package rh
 
 import (
 	"fmt"
+	"math"
+	"math/bits"
 
 	"mithril/internal/timing"
 )
@@ -27,31 +29,59 @@ func (f Flip) String() string {
 
 // Checker accumulates RowHammer disturbance for one DRAM bank.
 //
-// Per-row state (disturb, flipped) is validated lazily against an epoch
-// stamp: a row whose stamp differs from the current epoch reads as
-// untouched. Reset therefore costs O(1) instead of re-zeroing two
-// row-length arrays — the property the dram device pool depends on, since
-// zeroing 64 banks × 65536 rows of checker state otherwise dominates
-// short simulations.
+// A simulation touches a small fraction of a bank's rows (no golden-spec
+// run touches more than 1,024 of a DDR5 bank's 65,536), so per-row state
+// lives in a sparse open-addressing table of touched rows rather than in
+// row-length arrays: host memory scales with the rows a run touches. Slots carry an
+// epoch stamp, and a slot whose stamp differs from the current epoch is
+// empty, so Reset costs O(1) and a pooled checker keeps its grown table.
+//
+// Auto-refresh is applied lazily. OnAutoRefresh only counts the REF: REF k
+// (0-based since Reset) restores group k mod refreshGroups, and each slot
+// records the REF count at which its row's group is next restored. A row
+// whose due count has passed reads as refreshed and is zeroed on its next
+// touch, which is indistinguishable from zeroing it eagerly at the REF.
 type Checker struct {
-	rows    int
-	flipTH  float64
-	weights []float64 // weights[d-1] = disturbance added at distance d per ACT
+	rows      int
+	groups    int // auto-refresh groups, restored round-robin one per REF
+	groupRows int // rows per group: max(1, rows/groups); rows past groups×groupRows are never auto-refreshed
+	flipTH    float64
+	weights   []float64 // weights[d-1] = disturbance added at distance d per ACT
 
-	disturb   []float64
-	flipped   []bool   // latched per refresh epoch to avoid duplicate reports
-	stamp     []uint32 // per row: epoch the disturb/flipped entries belong to
-	epoch     uint32
-	flips     []Flip
-	maxSeen   float64
-	maxRow    int
-	acts      uint64
-	refreshes uint64
+	slots []slot // power-of-two length; empty when stamp != epoch
+	shift uint   // 32 − log2(len(slots)), for Fibonacci hashing
+	used  int    // live slots in the current epoch
+	epoch uint32
+
+	autoRefs   uint64 // REFs since Reset
+	preventive uint64 // preventive (RFM/ARR) row refreshes since Reset
+	flips      []Flip
+	maxSeen    float64
+	maxRow     int
+	acts       uint64
 }
+
+// slot is the state of one touched row.
+type slot struct {
+	row     uint32
+	stamp   uint32 // epoch the slot belongs to
+	due     uint64 // autoRefs value at which the row's group is next restored
+	disturb float64
+	flipped bool // latched per refresh epoch to avoid duplicate reports
+}
+
+// initialSlots is a fresh table's capacity: 2 KB of slots per bank, so a
+// 64-bank device starts with 128 KB. Tables double on demand, keeping the
+// load factor at or below 1/2.
+const initialSlots = 64
 
 // DoubleSidedWeights is the classic adjacent-only model: each ACT disturbs
 // the two distance-1 neighbours with weight 1 (aggregated effect 2).
 func DoubleSidedWeights() []float64 { return []float64{1} }
+
+// doubleSided is the shared default a checker reads when given no weights,
+// so a Reset on every pooled acquisition allocates nothing.
+var doubleSided = DoubleSidedWeights()
 
 // NonAdjacentWeights models the range-3 effect of Section V-C: per-side
 // weights 1, 0.5, 0.25 aggregate to 3.5 as reported by BlockHammer.
@@ -67,59 +97,141 @@ func AggregatedEffect(weights []float64) float64 {
 	return total
 }
 
-// NewChecker builds a checker for a bank with rows rows, flip threshold
-// flipTH, and the given per-distance weights (nil means double-sided).
-func NewChecker(rows, flipTH int, weights []float64) *Checker {
-	if rows <= 0 {
-		panic(fmt.Sprintf("rh: rows must be positive, got %d", rows))
+// NewChecker builds a checker for a bank with rows rows whose auto-refresh
+// sweeps refreshGroups groups round-robin, with flip threshold flipTH and
+// the given per-distance weights (nil means double-sided).
+func NewChecker(rows, refreshGroups, flipTH int, weights []float64) *Checker {
+	if rows <= 0 || uint64(rows) > math.MaxUint32 {
+		panic(fmt.Sprintf("rh: rows must be in [1, 2^32), got %d", rows))
 	}
+	if refreshGroups <= 0 {
+		panic(fmt.Sprintf("rh: refresh groups must be positive, got %d", refreshGroups))
+	}
+	c := &Checker{rows: rows, groups: refreshGroups, groupRows: max(1, rows/refreshGroups)}
+	c.setSlots(make([]slot, initialSlots))
+	c.Reset(flipTH, weights)
+	return c
+}
+
+// Reset returns the checker to the state NewChecker would build for the
+// same bank geometry and the given fault model, in O(1): a new epoch
+// empties every slot lazily, and the counters and flip log are cleared.
+// The slot table keeps its grown capacity. Slices previously returned by
+// Flips are invalidated (their backing array is reused).
+func (c *Checker) Reset(flipTH int, weights []float64) {
 	if flipTH <= 0 {
 		panic(fmt.Sprintf("rh: FlipTH must be positive, got %d", flipTH))
 	}
 	if len(weights) == 0 {
-		weights = DoubleSidedWeights()
+		weights = doubleSided
 	}
-	return &Checker{
-		rows:    rows,
-		flipTH:  float64(flipTH),
-		weights: weights,
-		disturb: make([]float64, rows),
-		flipped: make([]bool, rows),
-		stamp:   make([]uint32, rows),
-		epoch:   1, // fresh stamps are 0 → every row starts untouched
-	}
-}
-
-// Reset returns the checker to its just-constructed state in O(1): a new
-// epoch invalidates all per-row disturbance and flip latches lazily, and
-// the counters and flip log are cleared. Slices previously returned by
-// Flips are invalidated (their backing array is reused).
-func (c *Checker) Reset() {
+	c.flipTH = float64(flipTH)
+	c.weights = weights
 	c.epoch++
 	if c.epoch == 0 {
 		// uint32 wrap (once per ~4G resets): stale stamps could collide
 		// with a recycled epoch value, so hard-clear them.
-		for i := range c.stamp {
-			c.stamp[i] = 0
+		for i := range c.slots {
+			c.slots[i].stamp = 0
 		}
 		c.epoch = 1
 	}
+	c.used = 0
+	c.autoRefs = 0
+	c.preventive = 0
 	c.flips = c.flips[:0]
 	c.maxSeen = 0
 	c.maxRow = 0
 	c.acts = 0
-	c.refreshes = 0
 }
 
-// touch validates row's lazily-reset state for the current epoch.
+func (c *Checker) setSlots(s []slot) {
+	c.slots = s
+	c.shift = uint(32 - bits.TrailingZeros(uint(len(s))))
+}
+
+// home is row's first probe position.
 //
 //mithril:hotpath
-func (c *Checker) touch(row int) {
-	if c.stamp[row] != c.epoch {
-		c.stamp[row] = c.epoch
-		c.disturb[row] = 0
-		c.flipped[row] = false
+func (c *Checker) home(row uint32) int { return int((row * 0x9E3779B9) >> c.shift) }
+
+// lookup returns row's live slot, or nil when the row is untouched since
+// Reset.
+//
+//mithril:hotpath
+func (c *Checker) lookup(row int) *slot {
+	mask := len(c.slots) - 1
+	for i := c.home(uint32(row)); ; i = (i + 1) & mask {
+		s := &c.slots[i]
+		if s.stamp != c.epoch {
+			return nil
+		}
+		if s.row == uint32(row) {
+			return s
+		}
 	}
+}
+
+// touch returns row's live slot, claiming one when the row is untouched
+// since Reset and applying any auto-refresh that restored the row since
+// its last update.
+//
+//mithril:hotpath
+func (c *Checker) touch(row int) *slot {
+	mask := len(c.slots) - 1
+	for i := c.home(uint32(row)); ; i = (i + 1) & mask {
+		s := &c.slots[i]
+		if s.stamp != c.epoch {
+			if 2*(c.used+1) > len(c.slots) {
+				c.grow() //mithril:allow hotpathalloc doubles a bank's table at most log2(touched rows) times per device lifetime; pooled devices keep the capacity
+				return c.touch(row)
+			}
+			c.used++
+			*s = slot{row: uint32(row), stamp: c.epoch, due: c.nextDue(row)}
+			return s
+		}
+		if s.row == uint32(row) {
+			if c.autoRefs >= s.due {
+				s.disturb = 0
+				s.flipped = false
+				s.due = c.nextDue(row)
+			}
+			return s
+		}
+	}
+}
+
+// grow doubles the slot table and rehashes the live slots.
+func (c *Checker) grow() {
+	old := c.slots
+	c.setSlots(make([]slot, 2*len(old)))
+	mask := len(c.slots) - 1
+	for _, s := range old {
+		if s.stamp != c.epoch {
+			continue
+		}
+		i := c.home(s.row)
+		for c.slots[i].stamp == c.epoch {
+			i = (i + 1) & mask
+		}
+		c.slots[i] = s
+	}
+}
+
+// nextDue is the autoRefs value at which row is next auto-refreshed: REF k
+// restores group k mod groups, so the first REF at or after the current
+// count that hits row's group is autoRefs + (group − autoRefs) mod groups,
+// and the count passes it one REF later. Rows past the last full group are
+// never auto-refreshed.
+//
+//mithril:hotpath
+func (c *Checker) nextDue(row int) uint64 {
+	g := uint64(row / c.groupRows)
+	n := uint64(c.groups)
+	if g >= n {
+		return math.MaxUint64
+	}
+	return c.autoRefs + (g+n-c.autoRefs%n)%n + 1
 }
 
 // OnActivate records one ACT on row at the given time, disturbing every
@@ -137,45 +249,53 @@ func (c *Checker) OnActivate(row int, now timing.PicoSeconds) {
 			if v < 0 || v >= c.rows {
 				continue
 			}
-			c.touch(v)
-			c.disturb[v] += w
-			if c.disturb[v] > c.maxSeen {
-				c.maxSeen = c.disturb[v]
+			s := c.touch(v)
+			s.disturb += w
+			if s.disturb > c.maxSeen {
+				c.maxSeen = s.disturb
 				c.maxRow = v
 			}
-			if c.disturb[v] >= c.flipTH && !c.flipped[v] {
-				c.flipped[v] = true
-				c.flips = append(c.flips, Flip{Row: v, Time: now, Disturbance: c.disturb[v]})
+			if s.disturb >= c.flipTH && !s.flipped {
+				s.flipped = true
+				c.flips = append(c.flips, Flip{Row: v, Time: now, Disturbance: s.disturb})
 			}
 		}
 	}
 }
 
-// OnRefresh records a refresh (auto or preventive) of row, resetting its
-// accumulated disturbance.
+// OnAutoRefresh records one auto-refresh (REF) command: the next group of
+// the round-robin sweep is restored. The rows are zeroed lazily, on their
+// next touch.
+//
+//mithril:hotpath
+func (c *Checker) OnAutoRefresh() { c.autoRefs++ }
+
+// OnRefresh records a preventive refresh (RFM or ARR victim refresh) of
+// row, resetting its accumulated disturbance.
 //
 //mithril:hotpath
 func (c *Checker) OnRefresh(row int) {
 	if row < 0 || row >= c.rows {
-		return // refresh sweeps may address padding rows; ignore
+		return // victim lists may address rows past the bank edge; ignore
 	}
-	c.refreshes++
-	if c.stamp[row] != c.epoch {
-		// Untouched since the last Reset: the row already reads as zero
-		// disturbance, so the refresh sweep only needs the stamp probe (one
-		// dense uint32 read) instead of writing three arrays per row.
-		return
+	c.preventive++
+	if s := c.lookup(row); s != nil {
+		// An untouched row already reads as zero disturbance.
+		s.disturb = 0
+		s.flipped = false
 	}
-	c.disturb[row] = 0
-	c.flipped[row] = false
 }
 
 // Disturbance reports the current accumulated disturbance of row.
 func (c *Checker) Disturbance(row int) float64 {
-	if row < 0 || row >= c.rows || c.stamp[row] != c.epoch {
+	if row < 0 || row >= c.rows {
 		return 0
 	}
-	return c.disturb[row]
+	s := c.lookup(row)
+	if s == nil || c.autoRefs >= s.due {
+		return 0
+	}
+	return s.disturb
 }
 
 // Flips returns all detected bit flips in detection order.
@@ -186,8 +306,20 @@ func (c *Checker) Flips() []Flip { return c.flips }
 // FlipTH − MaxDisturbance even when no flip fired.
 func (c *Checker) MaxDisturbance() (float64, int) { return c.maxSeen, c.maxRow }
 
-// Counts reports the total ACTs and refreshes observed.
-func (c *Checker) Counts() (acts, refreshes uint64) { return c.acts, c.refreshes }
+// Counts reports the total ACTs and row refreshes observed: every
+// preventive refresh plus every row the auto-refresh sweep restored.
+func (c *Checker) Counts() (acts, refreshes uint64) { return c.acts, c.refreshes() }
+
+// refreshes adds the rows restored by the REFs so far to the preventive
+// refreshes. A full sweep of all groups restores the covered rows once;
+// the k REFs of a partial sweep restore the first k groups.
+func (c *Checker) refreshes() uint64 {
+	n := uint64(c.groups)
+	perGroup := uint64(c.groupRows)
+	rows := uint64(c.rows)
+	covered := min(n*perGroup, rows)
+	return c.preventive + c.autoRefs/n*covered + min(c.autoRefs%n*perGroup, rows)
+}
 
 // Report summarizes the verdict for one bank.
 type Report struct {
@@ -207,7 +339,7 @@ func (c *Checker) Report() Report {
 		MaxDisturbance: c.maxSeen,
 		MarginPercent:  100 * (c.flipTH - c.maxSeen) / c.flipTH,
 		ACTs:           c.acts,
-		Refreshes:      c.refreshes,
+		Refreshes:      c.refreshes(),
 	}
 }
 

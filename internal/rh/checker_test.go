@@ -8,7 +8,7 @@ import (
 )
 
 func TestDoubleSidedDisturbance(t *testing.T) {
-	c := NewChecker(100, 1000, nil)
+	c := NewChecker(100, 1, 1000, nil)
 	c.OnActivate(50, 0)
 	if got := c.Disturbance(49); got != 1 {
 		t.Errorf("row 49 disturbance = %v, want 1", got)
@@ -27,7 +27,7 @@ func TestDoubleSidedDisturbance(t *testing.T) {
 func TestDoubleSidedAttackFlipsAtHalfFlipTH(t *testing.T) {
 	// Two aggressors around one victim: FlipTH/2 ACTs on each flips it.
 	const flipTH = 100
-	c := NewChecker(10, flipTH, nil)
+	c := NewChecker(10, 1, flipTH, nil)
 	for i := 0; i < flipTH/2; i++ {
 		c.OnActivate(4, timing.PicoSeconds(i))
 		c.OnActivate(6, timing.PicoSeconds(i))
@@ -46,7 +46,7 @@ func TestDoubleSidedAttackFlipsAtHalfFlipTH(t *testing.T) {
 
 func TestSingleSidedNeedsFullFlipTH(t *testing.T) {
 	const flipTH = 100
-	c := NewChecker(10, flipTH, nil)
+	c := NewChecker(10, 1, flipTH, nil)
 	for i := 0; i < flipTH-1; i++ {
 		c.OnActivate(4, 0)
 	}
@@ -61,7 +61,7 @@ func TestSingleSidedNeedsFullFlipTH(t *testing.T) {
 
 func TestRefreshResetsDisturbance(t *testing.T) {
 	const flipTH = 50
-	c := NewChecker(10, flipTH, nil)
+	c := NewChecker(10, 1, flipTH, nil)
 	for i := 0; i < flipTH-1; i++ {
 		c.OnActivate(4, 0)
 	}
@@ -79,7 +79,7 @@ func TestRefreshResetsDisturbance(t *testing.T) {
 }
 
 func TestFlipLatchedUntilRefresh(t *testing.T) {
-	c := NewChecker(10, 10, nil)
+	c := NewChecker(10, 1, 10, nil)
 	for i := 0; i < 30; i++ {
 		c.OnActivate(4, 0)
 	}
@@ -102,7 +102,7 @@ func TestNonAdjacentWeights(t *testing.T) {
 	if got := AggregatedEffect(DoubleSidedWeights()); got != 2 {
 		t.Fatalf("double-sided aggregated effect = %v, want 2", got)
 	}
-	c := NewChecker(100, 1000, NonAdjacentWeights())
+	c := NewChecker(100, 1, 1000, NonAdjacentWeights())
 	c.OnActivate(50, 0)
 	for _, tc := range []struct {
 		row  int
@@ -115,7 +115,7 @@ func TestNonAdjacentWeights(t *testing.T) {
 }
 
 func TestEdgeRowsHaveFewerNeighbours(t *testing.T) {
-	c := NewChecker(4, 100, NonAdjacentWeights())
+	c := NewChecker(4, 1, 100, NonAdjacentWeights())
 	c.OnActivate(0, 0) // neighbours only on the right
 	if got := c.Disturbance(1); got != 1 {
 		t.Errorf("row 1 = %v, want 1", got)
@@ -126,7 +126,7 @@ func TestEdgeRowsHaveFewerNeighbours(t *testing.T) {
 }
 
 func TestMaxDisturbanceTracksHighWaterMark(t *testing.T) {
-	c := NewChecker(10, 1000, nil)
+	c := NewChecker(10, 1, 1000, nil)
 	for i := 0; i < 42; i++ {
 		c.OnActivate(4, 0)
 	}
@@ -139,7 +139,7 @@ func TestMaxDisturbanceTracksHighWaterMark(t *testing.T) {
 }
 
 func TestReportFields(t *testing.T) {
-	c := NewChecker(10, 100, nil)
+	c := NewChecker(10, 1, 100, nil)
 	for i := 0; i < 40; i++ {
 		c.OnActivate(4, 0)
 	}
@@ -160,7 +160,7 @@ func TestReportFields(t *testing.T) {
 }
 
 func TestOutOfRangeHandling(t *testing.T) {
-	c := NewChecker(10, 100, nil)
+	c := NewChecker(10, 1, 100, nil)
 	c.OnRefresh(-1) // ignored
 	c.OnRefresh(99) // ignored
 	if got := c.Disturbance(-5); got != 0 {
@@ -176,8 +176,8 @@ func TestOutOfRangeHandling(t *testing.T) {
 
 func TestConstructorPanics(t *testing.T) {
 	for _, build := range []func(){
-		func() { NewChecker(0, 100, nil) },
-		func() { NewChecker(10, 0, nil) },
+		func() { NewChecker(0, 1, 100, nil) },
+		func() { NewChecker(10, 1, 0, nil) },
 	} {
 		func() {
 			defer func() {
@@ -194,7 +194,7 @@ func TestDisturbanceConservationProperty(t *testing.T) {
 	// Property: with double-sided weights and no refreshes, total
 	// disturbance equals ACTs × (neighbours in range).
 	f := func(seed uint64) bool {
-		c := NewChecker(64, 1<<30, nil)
+		c := NewChecker(64, 1, 1<<30, nil)
 		r := seed
 		total := 0.0
 		for i := 0; i < 500; i++ {
@@ -222,15 +222,15 @@ func TestResetRestoresFreshBehaviour(t *testing.T) {
 		max, _ := c.MaxDisturbance()
 		return len(c.Flips()), max
 	}
-	c := NewChecker(64, 10, nil)
-	fresh := NewChecker(64, 10, nil)
+	c := NewChecker(64, 1, 10, nil)
+	fresh := NewChecker(64, 1, 10, nil)
 	wantFlips, wantMax := hammer(fresh)
 	if wantFlips == 0 {
 		t.Fatal("setup: hammering must produce flips")
 	}
 	hammer(c)
-	c.Reset()
-	// All per-row state must read as untouched without any array rewrite.
+	c.Reset(10, nil)
+	// All per-row state must read as untouched without clearing any slot.
 	for row := 0; row < 64; row++ {
 		if d := c.Disturbance(row); d != 0 {
 			t.Fatalf("row %d keeps disturbance %g after Reset", row, d)
@@ -250,10 +250,10 @@ func TestResetRestoresFreshBehaviour(t *testing.T) {
 }
 
 func TestRefreshOfUntouchedRowStillCounts(t *testing.T) {
-	c := NewChecker(64, 10, nil)
-	c.OnRefresh(5) // row never activated: stamp probe path
+	c := NewChecker(64, 1, 10, nil)
+	c.OnRefresh(5) // row never activated: no slot to clear
 	c.OnActivate(10, 0)
-	c.OnRefresh(9) // touched neighbour: full reset path
+	c.OnRefresh(9) // touched neighbour: its slot is cleared
 	if d := c.Disturbance(9); d != 0 {
 		t.Fatalf("refreshed row keeps disturbance %g", d)
 	}

@@ -71,6 +71,11 @@ func (c *Config) normalize() error {
 	if c.LLCWays <= 0 {
 		c.LLCWays = 16
 	}
+	// The LLC packs tags into 32 bits; proving here that the device's
+	// address space fits them spares a check on every access.
+	if err := cpu.CheckLLC(c.LLCBytes, c.LLCWays, mc.NewAddressMapper(c.Params).AddressSpace()); err != nil {
+		return err
+	}
 	if c.MaxTime <= 0 {
 		c.MaxTime = 400 * timing.Millisecond
 	}
@@ -208,11 +213,12 @@ func RunContext(ctx context.Context, cfg Config) (Result, error) {
 	if scheme == nil {
 		scheme = mc.NoProtection{}
 	}
-	// Device and LLC come from pools: their construction zeroes tens of
-	// megabytes of checker/tag state, which would dominate short runs.
+	// Device and LLC come from free-list pools: building a device means a
+	// bank and a checker object per bank, and the 16 MB LLC's tag array is
+	// a megabyte, so a recycled pair spares a short run that allocation.
 	// Nothing a Result carries aliases either object, so they are safe to
-	// recycle the moment RunContext returns (Reset on reacquisition erases
-	// any state, including that of a cancelled run).
+	// recycle the moment RunContext returns (the reset on reacquisition
+	// erases any state, including that of a cancelled run).
 	dev := dram.AcquireDevice(cfg.Params, cfg.FlipTH, cfg.Weights)
 	defer dram.ReleaseDevice(dev)
 	var pending completionQueue
