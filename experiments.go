@@ -231,5 +231,5 @@ func PARFMFailure(flipTH, rfmTH int) (bank, system float64) {
 
 // PARFMRequiredRFMTH re-exports the RFMTH search (1e-15 target).
 func PARFMRequiredRFMTH(flipTH int) (int, bool) {
-	return analysis.ParfmRequiredRFMTH(DDR5(), flipTH, analysis.DefaultAttackableBanks, 1e-15, nil)
+	return analysis.ParfmRequiredRFMTH(DDR5(), flipTH, analysis.DefaultAttackableBanks, 1e-15)
 }

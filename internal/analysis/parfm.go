@@ -2,6 +2,7 @@ package analysis
 
 import (
 	"math"
+	"sync"
 
 	"mithril/internal/timing"
 )
@@ -95,24 +96,53 @@ func ParfmSystemFailure(p timing.Params, flipTH, rfmTH, nBanks int) float64 {
 // simultaneously under tFAW in the paper's 2-rank system (Section IX-C).
 const DefaultAttackableBanks = 22
 
-// ParfmRequiredRFMTH returns the largest RFMTH (searched over candidates,
-// descending) whose system failure probability stays at or below target
-// (typically 1e-15) for the given FlipTH. ok is false when even RFMTH = 1
-// misses the target.
-func ParfmRequiredRFMTH(p timing.Params, flipTH, nBanks int, target float64, candidates []int) (int, bool) {
-	if len(candidates) == 0 {
-		candidates = []int{256, 224, 192, 160, 128, 96, 80, 64, 48, 32, 24, 16, 12, 8, 6, 4, 2, 1}
+// ParfmRequiredRFMTH returns the largest RFMTH (searched over
+// parfmCandidates, descending) whose system failure probability stays at or
+// below target (typically 1e-15) for the given FlipTH. ok is false when even
+// RFMTH = 1 misses the target.
+//
+// Answers are memoized per process: every PARFM scheme construction asks
+// the same question, and each answer costs one failure-probability
+// recurrence per candidate.
+func ParfmRequiredRFMTH(p timing.Params, flipTH, nBanks int, target float64) (rfmTH int, ok bool) {
+	key := parfmQuery{p, flipTH, nBanks, target}
+	parfmMemo.Lock()
+	defer parfmMemo.Unlock()
+	if r, hit := parfmMemo.answers[key]; hit {
+		return r, r > 0
 	}
-	best, found := 0, false
-	for _, r := range candidates {
+	if len(parfmMemo.answers) >= parfmMemoLimit {
+		clear(parfmMemo.answers)
+	}
+	for _, r := range parfmCandidates {
 		if ParfmSystemFailure(p, flipTH, r, nBanks) <= target {
-			if r > best {
-				best, found = r, true
-			}
+			rfmTH = r
+			break
 		}
 	}
-	return best, found
+	parfmMemo.answers[key] = rfmTH
+	return rfmTH, rfmTH > 0
 }
+
+// parfmCandidates is ParfmRequiredRFMTH's search list, descending, so the
+// first candidate that meets the target is the largest.
+var parfmCandidates = []int{256, 224, 192, 160, 128, 96, 80, 64, 48, 32, 24, 16, 12, 8, 6, 4, 2, 1}
+
+type parfmQuery struct {
+	p              timing.Params
+	flipTH, nBanks int
+	target         float64
+}
+
+// parfmMemoLimit bounds the memo in a long-lived server, where the FlipTH
+// and timing of each query come from requests.
+const parfmMemoLimit = 1024
+
+// parfmMemo maps a query to its RFMTH, 0 when no candidate meets the target.
+var parfmMemo = struct {
+	sync.Mutex
+	answers map[parfmQuery]int
+}{answers: make(map[parfmQuery]int)}
 
 // ParfmCostEffectiveness is equation (5): the attacker's per-ACT value of
 // activating a row j times per RFM interval. It decreases monotonically in

@@ -61,7 +61,7 @@ func TestParfmDegenerateInputs(t *testing.T) {
 func TestParfmRequiredRFMTHMeetsTarget(t *testing.T) {
 	p := timing.DDR5()
 	for _, flipTH := range []int{50000, 6250, 1500} {
-		r, ok := ParfmRequiredRFMTH(p, flipTH, DefaultAttackableBanks, 1e-15, nil)
+		r, ok := ParfmRequiredRFMTH(p, flipTH, DefaultAttackableBanks, 1e-15)
 		if !ok {
 			t.Fatalf("no RFMTH meets 1e-15 at FlipTH=%d", flipTH)
 		}
@@ -70,8 +70,8 @@ func TestParfmRequiredRFMTHMeetsTarget(t *testing.T) {
 		}
 	}
 	// The paper's argument: PARFM needs a smaller RFMTH as FlipTH drops.
-	rHi, _ := ParfmRequiredRFMTH(p, 50000, DefaultAttackableBanks, 1e-15, nil)
-	rLo, _ := ParfmRequiredRFMTH(p, 1500, DefaultAttackableBanks, 1e-15, nil)
+	rHi, _ := ParfmRequiredRFMTH(p, 50000, DefaultAttackableBanks, 1e-15)
+	rLo, _ := ParfmRequiredRFMTH(p, 1500, DefaultAttackableBanks, 1e-15)
 	if !(rLo < rHi) {
 		t.Fatalf("required RFMTH should shrink with FlipTH: r(1.5K)=%d ≥ r(50K)=%d", rLo, rHi)
 	}
@@ -100,7 +100,7 @@ func TestParfmScaledWindowForcesLowerRFMTH(t *testing.T) {
 	p := timing.DDR5()
 	p.TREFW /= 8
 	p.RefreshGroups /= 8
-	rScaled, ok := ParfmRequiredRFMTH(p, 1500, DefaultAttackableBanks, 1e-15, nil)
+	rScaled, ok := ParfmRequiredRFMTH(p, 1500, DefaultAttackableBanks, 1e-15)
 	if !ok {
 		t.Fatal("no RFMTH meets the target on the scaled window")
 	}

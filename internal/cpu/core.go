@@ -105,6 +105,7 @@ func NewCore(id int, cfg CoreConfig, src Source, llc *LLC, target int64, enqueue
 	c := &Core{id: id, cfg: cfg, src: src, llc: llc, enqueue: enqueue, target: target,
 		nextReqID:  uint64(id) << 48,
 		hitPenalty: timing.PicoSeconds(cfg.LLCHitCycles) * cfg.CyclePs,
+		freeReqs:   make([]*mc.Request, 0, cfg.MSHRs+1),
 	}
 	// The per-access cycle count divides by Width; for the usual
 	// power-of-two widths a precomputed shift replaces the hardware divide

@@ -44,9 +44,9 @@ func (k SchedulerKind) String() string {
 }
 
 // blissState tracks BLISS's serve streak and blacklist per channel. The
-// blacklist is a dense slice indexed by core ID, grown on demand (core
-// counts are small and stable), so the scheduler's inner loop stays free of
-// map lookups.
+// blacklist is a dense slice indexed by core ID, grown in one step to the
+// highest core it has blacklisted (core counts are small and stable), so
+// the scheduler's inner loop stays free of map lookups.
 type blissState struct {
 	lastCore  int
 	streak    int
@@ -76,8 +76,10 @@ func (b *blissState) recordServe(core int, now timing.PicoSeconds) {
 		b.streak++
 		if b.streak >= blissStreakLimit {
 			if core >= 0 {
-				for core >= len(b.blackTill) {
-					b.blackTill = append(b.blackTill, 0)
+				if core >= len(b.blackTill) {
+					grown := make([]timing.PicoSeconds, core+1) //mithril:allow hotpathalloc grows only past the highest core blacklisted so far, so at most once per core per run
+					copy(grown, b.blackTill)
+					b.blackTill = grown
 				}
 				b.blackTill[core] = now + blissClearInterval
 			}

@@ -78,23 +78,20 @@ func (s *Graphene) OnActivate(bank int, row uint32, core int, now timing.PicoSec
 	if now-s.lastReset >= s.opt.Timing.TREFW/2 {
 		for b, t := range s.tables {
 			if t != nil {
-				t.Reset() //mithril:allow hotpathalloc twice-per-tREFW table reset is Graphene's modeled cost, off the per-ACT path
+				t.Reset()
+				clear(s.nextLevel[b])
 			}
-			s.nextLevel[b] = nil
 		}
 		s.lastReset = now
 		s.resets++
 	}
 	t := s.tables[bank]
 	if t == nil {
-		t = streaming.NewSpaceSaving(s.nEntry) //mithril:allow hotpathalloc one-time lazy construction on a bank's first ACT
+		t = streaming.NewSpaceSaving(s.nEntry)                //mithril:allow hotpathalloc one-time lazy construction on a bank's first ACT
+		s.nextLevel[bank] = make(map[uint32]uint64, s.nEntry) //mithril:allow hotpathalloc one-time lazy construction on a bank's first ACT; bounded by nEntry
 		s.tables[bank] = t
 	}
 	levels := s.nextLevel[bank]
-	if levels == nil {
-		levels = make(map[uint32]uint64, s.nEntry) //mithril:allow hotpathalloc rebuilt only after a reset; bounded by nEntry
-		s.nextLevel[bank] = levels
-	}
 	if evicted, ok := t.ObserveEvict(row); ok {
 		// Trigger levels are keyed to table residency: a row the CbS
 		// evicts must restart at the base threshold if it re-enters.

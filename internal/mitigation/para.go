@@ -112,7 +112,7 @@ func NewPARFM(opt Options) *PARFM {
 	opt.normalize()
 	rfmTH := opt.RFMTH
 	if rfmTH <= 0 {
-		r, ok := analysis.ParfmRequiredRFMTH(opt.Timing, opt.FlipTH, analysis.DefaultAttackableBanks, 1e-15, nil)
+		r, ok := analysis.ParfmRequiredRFMTH(opt.Timing, opt.FlipTH, analysis.DefaultAttackableBanks, 1e-15)
 		if !ok {
 			r = 1
 		}

@@ -7,10 +7,9 @@ import "fmt"
 // underestimates. BlockHammer's counting Bloom filters behave equivalently
 // for frequency estimation, so this type backs the BlockHammer baseline.
 type CountMinSketch struct {
-	rows  int
 	width int
-	data  [][]uint32
-	seeds []uint64
+	data  []uint32 // one row of width counters per seed, row-major
+	seeds []uint64 // per hash row
 }
 
 // NewCountMinSketch returns a sketch with the given number of hash rows and
@@ -19,11 +18,8 @@ func NewCountMinSketch(rows, width int) *CountMinSketch {
 	if rows <= 0 || width <= 0 {
 		panic(fmt.Sprintf("streaming: CountMinSketch dimensions must be positive, got %dx%d", rows, width))
 	}
-	s := &CountMinSketch{rows: rows, width: width}
-	s.data = make([][]uint32, rows)
-	s.seeds = make([]uint64, rows)
-	for i := range s.data {
-		s.data[i] = make([]uint32, width)
+	s := &CountMinSketch{width: width, data: make([]uint32, rows*width), seeds: make([]uint64, rows)}
+	for i := range s.seeds {
 		s.seeds[i] = splitmix64(uint64(i) + 0xabcdef)
 	}
 	return s
@@ -33,8 +29,8 @@ func NewCountMinSketch(rows, width int) *CountMinSketch {
 //
 //mithril:hotpath
 func (s *CountMinSketch) Observe(key uint32) {
-	for i := range s.data {
-		s.data[i][hashKey(key, s.seeds[i])%uint64(s.width)]++
+	for i, seed := range s.seeds {
+		s.data[i*s.width+int(hashKey(key, seed)%uint64(s.width))]++
 	}
 }
 
@@ -43,8 +39,8 @@ func (s *CountMinSketch) Observe(key uint32) {
 //mithril:hotpath
 func (s *CountMinSketch) Estimate(key uint32) uint64 {
 	min := uint32(1<<32 - 1)
-	for i := range s.data {
-		if v := s.data[i][hashKey(key, s.seeds[i])%uint64(s.width)]; v < min {
+	for i, seed := range s.seeds {
+		if v := s.data[i*s.width+int(hashKey(key, seed)%uint64(s.width))]; v < min {
 			min = v
 		}
 	}
@@ -54,16 +50,10 @@ func (s *CountMinSketch) Estimate(key uint32) uint64 {
 // Reset zeroes all counters.
 //
 //mithril:hotpath
-func (s *CountMinSketch) Reset() {
-	for i := range s.data {
-		for j := range s.data[i] {
-			s.data[i][j] = 0
-		}
-	}
-}
+func (s *CountMinSketch) Reset() { clear(s.data) }
 
 // Rows and Width report the sketch geometry.
-func (s *CountMinSketch) Rows() int  { return s.rows }
+func (s *CountMinSketch) Rows() int  { return len(s.seeds) }
 func (s *CountMinSketch) Width() int { return s.width }
 
 // SlotIndex reproduces the slot a key maps to in hash row `row` of any

@@ -1,6 +1,9 @@
 package streaming
 
-import "fmt"
+import (
+	"fmt"
+	"math/bits"
+)
 
 // SpaceSaving is the O(1)-per-update implementation of the Counter-based
 // Summary algorithm, built on the Stream-Summary data structure of Metwally,
@@ -9,85 +12,167 @@ import "fmt"
 // moves it to the neighbouring bucket in O(1); the minimum and maximum are
 // the first and last buckets, which is exactly the MinPtr/MaxPtr pair of the
 // Mithril hardware (Figure 4 of the paper).
+//
+// Like the hardware table it models, the structure has a fixed size:
+// NewSpaceSaving allocates every array it will ever use, and no operation
+// allocates afterwards, Reset included.
+//
+//   - Entries and buckets live in two capacity-length arrays and link to
+//     each other by int32 index (-1 ends a list). An emptied bucket goes
+//     back on a stack of free bucket slots; live buckets never outnumber
+//     live entries, so the stack never runs dry.
+//   - Counts only ever move by one (Observe) or drop from the maximum to
+//     the minimum (DecrementMaxToMin), so an entry's target bucket is its
+//     bucket's successor, a bucket spliced in right after it, the first
+//     bucket, or a new first bucket. No count-to-bucket index is needed.
+//   - The address CAM is an open-addressing table of at least twice the
+//     capacity, a power of two long, with linear probing and
+//     backward-shift deletion, so deletes leave no tombstones.
+//
+// Entries attach at the head of their bucket, and Max, DecrementMaxToMin
+// and the replacement rule take the head entry: among rows with equal
+// counts, the one most recently moved into the bucket is refreshed or
+// evicted first.
 type SpaceSaving struct {
-	capacity int
-	entries  []ssEntry
-	free     []int          // free-slot stack
-	index    map[uint32]int // key -> entry slot
-	buckets  map[uint64]*ssBucket
-	minB     *ssBucket // head: smallest count
-	maxB     *ssBucket // tail: largest count
+	entries    []ssEntry  // capacity-length entry slots
+	buckets    []ssBucket // capacity-length bucket slots
+	freeSlots  []int32    // free entry slots, popped from the end
+	freeBkts   []int32    // free bucket slots, popped from the end
+	index      []ssCell   // key -> entry slot, power-of-two length
+	shift      uint       // 32 − log2(len(index)), for Fibonacci hashing
+	minB, maxB int32      // first (smallest count) and last bucket; -1 when empty
 }
 
 type ssEntry struct {
 	key        uint32
-	bucket     *ssBucket
-	prev, next int // entry list within bucket; -1 terminated
+	bucket     int32
+	prev, next int32 // entry list within the bucket; -1 terminated
 }
 
 type ssBucket struct {
 	count      uint64
-	head       int // first entry slot, -1 when empty
-	prev, next *ssBucket
+	head       int32 // first entry slot
+	prev, next int32 // bucket list sorted by count; -1 terminated
 }
+
+// ssCell is one address-CAM cell.
+type ssCell struct {
+	key  uint32
+	slot int32 // entry slot + 1; 0 marks an empty cell
+}
+
+// maxSpaceSavingCapacity keeps slot numbers and the index length in int32
+// range.
+const maxSpaceSavingCapacity = 1 << 29
 
 var _ Summary = (*SpaceSaving)(nil)
 
 // NewSpaceSaving returns a Stream-Summary-backed CbS with capacity entries.
 func NewSpaceSaving(capacity int) *SpaceSaving {
-	if capacity <= 0 {
-		panic(fmt.Sprintf("streaming: SpaceSaving capacity must be positive, got %d", capacity))
+	if capacity <= 0 || capacity > maxSpaceSavingCapacity {
+		panic(fmt.Sprintf("streaming: SpaceSaving capacity must be in [1, %d], got %d", maxSpaceSavingCapacity, capacity))
+	}
+	cells := 2
+	for cells < 2*capacity {
+		cells <<= 1
 	}
 	s := &SpaceSaving{
-		capacity: capacity,
-		entries:  make([]ssEntry, capacity),
-		free:     make([]int, 0, capacity),
-		index:    make(map[uint32]int, capacity),
-		buckets:  make(map[uint64]*ssBucket),
+		entries:   make([]ssEntry, capacity),
+		buckets:   make([]ssBucket, capacity),
+		freeSlots: make([]int32, capacity),
+		freeBkts:  make([]int32, capacity),
+		index:     make([]ssCell, cells),
+		shift:     uint(32 - bits.TrailingZeros(uint(cells))),
 	}
-	for i := capacity - 1; i >= 0; i-- {
-		s.free = append(s.free, i)
-	}
+	s.Reset()
 	return s
 }
 
-// bucketFor returns the bucket for count, creating and splicing it after
-// the given predecessor (which must have a smaller count, or nil to insert
-// at the head).
+// Reset clears the structure in place.
 //
 //mithril:hotpath
-func (s *SpaceSaving) bucketFor(count uint64, after *ssBucket) *ssBucket {
-	if b, ok := s.buckets[count]; ok {
-		return b
+func (s *SpaceSaving) Reset() {
+	clear(s.index)
+	n := len(s.entries)
+	s.freeSlots = s.freeSlots[:n]
+	s.freeBkts = s.freeBkts[:n]
+	for i := range n {
+		s.freeSlots[i] = int32(n - 1 - i) // slot 0 is taken first
+		s.freeBkts[i] = int32(n - 1 - i)
 	}
-	b := &ssBucket{count: count, head: -1} //mithril:allow hotpathalloc live buckets are bounded by table capacity; steady state reuses existing counts
-	s.buckets[count] = b
-	if after == nil {
-		b.next = s.minB
-		if s.minB != nil {
-			s.minB.prev = b
+	s.minB, s.maxB = -1, -1
+}
+
+// home is key's first probe position in the index.
+//
+//mithril:hotpath
+func (s *SpaceSaving) home(key uint32) int { return int((key * 0x9E3779B9) >> s.shift) }
+
+// find returns key's index cell and true when key is on-table, or the empty
+// cell an insertion of key would claim and false.
+//
+//mithril:hotpath
+func (s *SpaceSaving) find(key uint32) (int, bool) {
+	mask := len(s.index) - 1
+	for i := s.home(key); ; i = (i + 1) & mask {
+		c := s.index[i]
+		if c.slot == 0 {
+			return i, false
 		}
+		if c.key == key {
+			return i, true
+		}
+	}
+}
+
+// unindex empties cell i and shifts the cells of its probe run back over
+// the hole, so every remaining key stays reachable from its home.
+//
+//mithril:hotpath
+func (s *SpaceSaving) unindex(i int) {
+	mask := len(s.index) - 1
+	for j := (i + 1) & mask; s.index[j].slot != 0; j = (j + 1) & mask {
+		// The key at j may fill the hole at i unless its home lies
+		// cyclically in (i, j].
+		if (j-s.home(s.index[j].key))&mask >= (j-i)&mask {
+			s.index[i] = s.index[j]
+			i = j
+		}
+	}
+	s.index[i] = ssCell{}
+}
+
+// newBucket takes a free bucket slot for count and splices it after the
+// bucket after (-1 to make it the first bucket).
+//
+//mithril:hotpath
+func (s *SpaceSaving) newBucket(count uint64, after int32) int32 {
+	n := len(s.freeBkts) - 1
+	b := s.freeBkts[n]
+	s.freeBkts = s.freeBkts[:n]
+	next := s.minB
+	if after >= 0 {
+		next = s.buckets[after].next
+		s.buckets[after].next = b
+	} else {
 		s.minB = b
-		if s.maxB == nil {
-			s.maxB = b
-		}
-		return b
 	}
-	b.prev = after
-	b.next = after.next
-	after.next = b
-	if b.next != nil {
-		b.next.prev = b
+	if next >= 0 {
+		s.buckets[next].prev = b
 	} else {
 		s.maxB = b
 	}
+	s.buckets[b] = ssBucket{count: count, head: -1, prev: after, next: next}
 	return b
 }
 
+// detachEntry unlinks slot from its bucket, freeing the bucket when it
+// empties.
+//
 //mithril:hotpath
-func (s *SpaceSaving) detachEntry(slot int) {
+func (s *SpaceSaving) detachEntry(slot int32) {
 	e := &s.entries[slot]
-	b := e.bucket
+	b := &s.buckets[e.bucket]
 	if e.prev >= 0 {
 		s.entries[e.prev].next = e.next
 	} else {
@@ -96,37 +181,33 @@ func (s *SpaceSaving) detachEntry(slot int) {
 	if e.next >= 0 {
 		s.entries[e.next].prev = e.prev
 	}
-	e.prev, e.next, e.bucket = -1, -1, nil
-	if b.head == -1 {
-		s.removeBucket(b)
+	if b.head >= 0 {
+		return
 	}
-}
-
-//mithril:hotpath
-func (s *SpaceSaving) removeBucket(b *ssBucket) {
-	if b.prev != nil {
-		b.prev.next = b.next
+	if b.prev >= 0 {
+		s.buckets[b.prev].next = b.next
 	} else {
 		s.minB = b.next
 	}
-	if b.next != nil {
-		b.next.prev = b.prev
+	if b.next >= 0 {
+		s.buckets[b.next].prev = b.prev
 	} else {
 		s.maxB = b.prev
 	}
-	delete(s.buckets, b.count)
+	s.freeBkts = append(s.freeBkts, e.bucket)
 }
 
+// attachEntry links slot in at the head of bucket b.
+//
 //mithril:hotpath
-func (s *SpaceSaving) attachEntry(slot int, b *ssBucket) {
+func (s *SpaceSaving) attachEntry(slot, b int32) {
 	e := &s.entries[slot]
-	e.bucket = b
-	e.prev = -1
-	e.next = b.head
-	if b.head >= 0 {
-		s.entries[b.head].prev = slot
+	bk := &s.buckets[b]
+	e.bucket, e.prev, e.next = b, -1, bk.head
+	if bk.head >= 0 {
+		s.entries[bk.head].prev = slot
 	}
-	b.head = slot
+	bk.head = slot
 }
 
 // Observe implements the CbS update rule in O(1).
@@ -142,79 +223,75 @@ func (s *SpaceSaving) Observe(key uint32) { s.ObserveEvict(key) }
 //
 //mithril:hotpath
 func (s *SpaceSaving) ObserveEvict(key uint32) (evicted uint32, ok bool) {
-	if slot, hit := s.index[key]; hit {
-		s.promote(slot, 1)
+	cell, hit := s.find(key)
+	if hit {
+		s.promote(s.index[cell].slot - 1)
 		return 0, false
 	}
-	if len(s.free) > 0 {
-		slot := s.free[len(s.free)-1]
-		s.free = s.free[:len(s.free)-1]
-		s.entries[slot] = ssEntry{key: key, prev: -1, next: -1}
-		s.index[key] = slot
-		// New entries start at count 1 (0 + increment).
-		var pred *ssBucket
-		if s.minB != nil && s.minB.count < 1 {
-			pred = s.minB
+	if n := len(s.freeSlots) - 1; n >= 0 {
+		slot := s.freeSlots[n]
+		s.freeSlots = s.freeSlots[:n]
+		s.index[cell] = ssCell{key: key, slot: slot + 1}
+		s.entries[slot].key = key
+		// New entries start at count 1 (0 + increment), after the count-0
+		// bucket DecrementMaxToMin leaves while slots are free.
+		after, b := int32(-1), s.minB
+		if b >= 0 && s.buckets[b].count == 0 {
+			after, b = b, s.buckets[b].next
 		}
-		s.attachEntry(slot, s.bucketFor(1, pred))
+		if b < 0 || s.buckets[b].count != 1 {
+			b = s.newBucket(1, after)
+		}
+		s.attachEntry(slot, b)
 		return 0, false
 	}
 	// Replace an entry from the minimum bucket.
-	slot := s.minB.head
+	slot := s.buckets[s.minB].head
 	old := s.entries[slot].key
-	delete(s.index, old)
+	oldCell, _ := s.find(old)
+	s.unindex(oldCell)
+	cell, _ = s.find(key)
+	s.index[cell] = ssCell{key: key, slot: slot + 1}
 	s.entries[slot].key = key
-	s.index[key] = slot
-	s.promote(slot, 1)
+	s.promote(slot)
 	return old, true
 }
 
-// promote moves the entry at slot up by delta counts.
+// promote moves the entry at slot up by one count.
 //
 //mithril:hotpath
-func (s *SpaceSaving) promote(slot int, delta uint64) {
-	b := s.entries[slot].bucket
-	target := b.count + delta
-	s.detachEntry(slot)
-	// b may have been freed by detachEntry; find the insertion predecessor
-	// starting from the bucket that preceded the target count. The common
-	// case (delta == 1, neighbour bucket exists) stays O(1).
-	var pred *ssBucket
-	if nb, ok := s.buckets[target]; ok {
-		s.attachEntry(slot, nb)
+func (s *SpaceSaving) promote(slot int32) {
+	e := &s.entries[slot]
+	b := e.bucket
+	count := s.buckets[b].count + 1
+	if next := s.buckets[b].next; next >= 0 && s.buckets[next].count == count {
+		s.detachEntry(slot)
+		s.attachEntry(slot, next)
 		return
 	}
-	// Walk from b (if alive) or from min; with delta==1 this is at most one
-	// step because counts are integers.
-	if bb, ok := s.buckets[b.count]; ok {
-		pred = bb
-	} else {
-		for cur := s.minB; cur != nil && cur.count < target; cur = cur.next {
-			pred = cur
-		}
+	if e.prev < 0 && e.next < 0 {
+		// Alone in its bucket: the bucket itself moves up one count
+		// without leaving its place in the list.
+		s.buckets[b].count = count
+		return
 	}
-	for pred != nil && pred.next != nil && pred.next.count < target {
-		pred = pred.next
-	}
-	if pred != nil && pred.count >= target {
-		pred = pred.prev
-	}
-	s.attachEntry(slot, s.bucketFor(target, pred))
+	s.detachEntry(slot)
+	s.attachEntry(slot, s.newBucket(count, b))
 }
 
 // Estimate reports the written counter for on-table keys and Min otherwise.
 //
 //mithril:hotpath
 func (s *SpaceSaving) Estimate(key uint32) uint64 {
-	if slot, ok := s.index[key]; ok {
-		return s.entries[slot].bucket.count
+	if cell, ok := s.find(key); ok {
+		return s.buckets[s.entries[s.index[cell].slot-1].bucket].count
 	}
 	return s.Min()
 }
 
 // Contains reports whether key is on-table.
 func (s *SpaceSaving) Contains(key uint32) bool {
-	_, ok := s.index[key]
+	_, ok := s.find(key)
 	return ok
 }
 
@@ -222,20 +299,21 @@ func (s *SpaceSaving) Contains(key uint32) bool {
 //
 //mithril:hotpath
 func (s *SpaceSaving) Min() uint64 {
-	if len(s.free) > 0 || s.minB == nil {
+	if len(s.freeSlots) > 0 {
 		return 0
 	}
-	return s.minB.count
+	return s.buckets[s.minB].count
 }
 
 // Max reports an entry with the maximum counter value.
 //
 //mithril:hotpath
 func (s *SpaceSaving) Max() (uint32, uint64, bool) {
-	if s.maxB == nil {
+	if s.maxB < 0 {
 		return 0, 0, false
 	}
-	return s.entries[s.maxB.head].key, s.maxB.count, true
+	b := &s.buckets[s.maxB]
+	return s.entries[b.head].key, b.count, true
 }
 
 // DecrementMaxToMin moves one maximum entry down to the minimum count — the
@@ -243,22 +321,23 @@ func (s *SpaceSaving) Max() (uint32, uint64, bool) {
 //
 //mithril:hotpath
 func (s *SpaceSaving) DecrementMaxToMin() (uint32, bool) {
-	if s.maxB == nil {
+	if s.maxB < 0 {
 		return 0, false
 	}
-	slot := s.maxB.head
+	slot := s.buckets[s.maxB].head
 	key := s.entries[slot].key
 	target := s.Min()
-	if s.maxB.count == target {
+	if s.buckets[s.maxB].count == target {
 		return key, true // already at min; nothing to move
 	}
 	s.detachEntry(slot)
-	if nb, ok := s.buckets[target]; ok {
-		s.attachEntry(slot, nb)
-	} else {
-		// target is below every live bucket: insert at head.
-		s.attachEntry(slot, s.bucketFor(target, nil))
+	// The only bucket that can hold target is the first one; otherwise
+	// target (0 while slots are free) is below every live bucket.
+	b := s.minB
+	if b < 0 || s.buckets[b].count != target {
+		b = s.newBucket(target, -1)
 	}
+	s.attachEntry(slot, b)
 	return key, true
 }
 
@@ -266,35 +345,25 @@ func (s *SpaceSaving) DecrementMaxToMin() (uint32, bool) {
 //
 //mithril:hotpath
 func (s *SpaceSaving) Spread() uint64 {
-	if s.maxB == nil {
+	if s.maxB < 0 {
 		return 0
 	}
-	return s.maxB.count - s.Min()
+	return s.buckets[s.maxB].count - s.Min()
 }
 
 // Len reports the number of occupied entries.
-func (s *SpaceSaving) Len() int { return len(s.index) }
+func (s *SpaceSaving) Len() int { return len(s.entries) - len(s.freeSlots) }
 
 // Cap reports the table capacity.
-func (s *SpaceSaving) Cap() int { return s.capacity }
+func (s *SpaceSaving) Cap() int { return len(s.entries) }
 
-// Reset clears the structure.
-func (s *SpaceSaving) Reset() {
-	s.index = make(map[uint32]int, s.capacity)
-	s.buckets = make(map[uint64]*ssBucket)
-	s.minB, s.maxB = nil, nil
-	s.free = s.free[:0]
-	for i := s.capacity - 1; i >= 0; i-- {
-		s.free = append(s.free, i)
-	}
-}
-
-// Entries returns a snapshot of (key, count) pairs for tests/diagnostics.
+// Entries returns a snapshot of (key, count) pairs for tests/diagnostics,
+// in bucket order from the minimum and head first within a bucket.
 func (s *SpaceSaving) Entries() []Entry {
-	out := make([]Entry, 0, len(s.index))
-	for b := s.minB; b != nil; b = b.next {
-		for slot := b.head; slot >= 0; slot = s.entries[slot].next {
-			out = append(out, Entry{Key: s.entries[slot].key, Count: b.count})
+	out := make([]Entry, 0, s.Len())
+	for b := s.minB; b >= 0; b = s.buckets[b].next {
+		for slot := s.buckets[b].head; slot >= 0; slot = s.entries[slot].next {
+			out = append(out, Entry{Key: s.entries[slot].key, Count: s.buckets[b].count})
 		}
 	}
 	return out
@@ -302,31 +371,54 @@ func (s *SpaceSaving) Entries() []Entry {
 
 // checkInvariants validates the internal structure; used by tests.
 func (s *SpaceSaving) checkInvariants() error {
-	seen := 0
-	var prev *ssBucket
-	for b := s.minB; b != nil; b = b.next {
-		if prev != nil && prev.count >= b.count {
-			return fmt.Errorf("buckets out of order: %d then %d", prev.count, b.count)
+	seen, live := 0, 0
+	prev := int32(-1)
+	for b := s.minB; b >= 0; b = s.buckets[b].next {
+		bk := &s.buckets[b]
+		if prev >= 0 && s.buckets[prev].count >= bk.count {
+			return fmt.Errorf("buckets out of order: %d then %d", s.buckets[prev].count, bk.count)
 		}
-		if b.prev != prev {
-			return fmt.Errorf("bucket back-link broken at count %d", b.count)
+		if bk.prev != prev {
+			return fmt.Errorf("bucket back-link broken at count %d", bk.count)
 		}
-		if b.head == -1 {
-			return fmt.Errorf("empty bucket with count %d survived", b.count)
+		if bk.head < 0 {
+			return fmt.Errorf("empty bucket with count %d survived", bk.count)
 		}
-		for slot := b.head; slot >= 0; slot = s.entries[slot].next {
-			if s.entries[slot].bucket != b {
-				return fmt.Errorf("entry %d bucket pointer mismatch", slot)
+		before := int32(-1)
+		for slot := bk.head; slot >= 0; slot = s.entries[slot].next {
+			e := &s.entries[slot]
+			if e.bucket != b {
+				return fmt.Errorf("entry %d bucket link mismatch", slot)
 			}
+			if e.prev != before {
+				return fmt.Errorf("entry %d back-link broken", slot)
+			}
+			if cell, ok := s.find(e.key); !ok || s.index[cell].slot != slot+1 {
+				return fmt.Errorf("entry %d (key %d) not indexed at its slot", slot, e.key)
+			}
+			before = slot
 			seen++
 		}
 		prev = b
+		live++
 	}
 	if s.maxB != prev {
 		return fmt.Errorf("maxB does not point at last bucket")
 	}
-	if seen != len(s.index) {
-		return fmt.Errorf("entry count mismatch: %d linked, %d indexed", seen, len(s.index))
+	if seen != s.Len() {
+		return fmt.Errorf("entry count mismatch: %d linked, %d occupied", seen, s.Len())
+	}
+	cells := 0
+	for _, c := range s.index {
+		if c.slot != 0 {
+			cells++
+		}
+	}
+	if cells != seen {
+		return fmt.Errorf("index holds %d keys, %d entries linked", cells, seen)
+	}
+	if live+len(s.freeBkts) != len(s.buckets) {
+		return fmt.Errorf("bucket slots leaked: %d live + %d free != %d", live, len(s.freeBkts), len(s.buckets))
 	}
 	return nil
 }
