@@ -1,6 +1,8 @@
 package mitigation
 
 import (
+	"fmt"
+
 	"mithril/internal/analysis"
 	"mithril/internal/mc"
 	"mithril/internal/streaming"
@@ -57,6 +59,11 @@ const blockHammerThreadThreshold = 64
 func NewBlockHammer(opt Options) *BlockHammer {
 	opt.normalize()
 	counters, nbl := analysis.BlockHammerConfigFor(opt.FlipTH)
+	if nbl > streaming.CBFMaxCount {
+		// The filters' counters saturate there; only thresholds at or
+		// below it get the exact-count blacklist decision.
+		panic(fmt.Sprintf("mitigation: BlockHammer NBL %d at FlipTH %d exceeds the filter counters' saturation point %d", nbl, opt.FlipTH, streaming.CBFMaxCount))
+	}
 	tCBF := opt.Timing.TREFW
 	den := opt.FlipTH/2 - nbl
 	if den < 1 {
@@ -117,9 +124,7 @@ func (s *BlockHammer) filter(bank int) *streaming.DualCBF {
 //
 //mithril:hotpath
 func (s *BlockHammer) OnActivate(bank int, row uint32, core int, now timing.PicoSeconds) []uint32 {
-	f := s.filter(bank)
-	f.Observe(row)
-	if f.Estimate(row) >= s.nbl {
+	if s.filter(bank).ObserveEstimate(row) >= s.nbl {
 		s.blacklisted++
 		na := s.nextACT[bank]
 		if na == nil {

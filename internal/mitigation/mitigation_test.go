@@ -7,8 +7,10 @@ import (
 	"strings"
 	"testing"
 
+	"mithril/internal/analysis"
 	"mithril/internal/mc"
 	"mithril/internal/rh"
+	"mithril/internal/streaming"
 	"mithril/internal/timing"
 )
 
@@ -533,6 +535,19 @@ func TestBlockHammerCollidingRowsPinned(t *testing.T) {
 			if f != nil {
 				t.Errorf("FlipTH %d: CollidingRows built bank %d's filters", c.flipTH, bank)
 			}
+		}
+	}
+}
+
+// TestBlockHammerNBLFitsFilterCounters checks the filters' 16-bit
+// precondition: at every configured FlipTH, and at off-grid ones that map
+// to the nearest level, NBL is at or below the counters' saturation point,
+// so NewBlockHammer builds without panicking.
+func TestBlockHammerNBLFitsFilterCounters(t *testing.T) {
+	flipTHs := append([]int{1, 100, 1000, 2000, 4800, 9000, 40000, 100000, 1 << 30}, analysis.StandardFlipTHs...)
+	for _, f := range flipTHs {
+		if nbl := NewBlockHammer(opts(f)).NBL(); nbl > streaming.CBFMaxCount {
+			t.Errorf("FlipTH %d: NBL %d exceeds the saturation point %d", f, nbl, streaming.CBFMaxCount)
 		}
 	}
 }

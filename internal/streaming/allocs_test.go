@@ -37,3 +37,29 @@ func TestSpaceSavingAllocFree(t *testing.T) {
 		}
 	}
 }
+
+// TestDualCBFAllocFree checks that, once the second filter exists (built
+// at the first rotation), nothing allocates: updates, queries, rotations
+// and Reset.
+func TestDualCBFAllocFree(t *testing.T) {
+	for _, width := range []int{17, 1024} {
+		d := NewDualCBF(4, width, 100)
+		r := NewRand(uint64(width))
+		for range 150 {
+			d.ObserveEstimate(uint32(r.Intn(3 * width)))
+		}
+		ops := func() {
+			for i := range 5000 {
+				key := uint32(r.Intn(3 * width))
+				if i == 4000 {
+					d.Reset()
+				}
+				d.ObserveEstimate(key)
+				d.Estimate(key)
+			}
+		}
+		if got := testing.AllocsPerRun(20, ops); got != 0 {
+			t.Errorf("width %d: %v allocations per 5000 operations, want 0", width, got)
+		}
+	}
+}

@@ -8,8 +8,8 @@
 //     Stream-Summary (SpaceSaving) — which are property-tested against each
 //     other.
 //   - Lossy Counting (Manku–Motwani): the tracking mechanism of TWiCe.
-//   - Count-Min Sketch and dual interleaved Counting Bloom Filters: the
-//     tracking mechanism of BlockHammer.
+//   - Dual interleaved Counting Bloom Filters, each a count-min sketch of
+//     saturating 16-bit counters: the tracking mechanism of BlockHammer.
 //
 // CbS maintains, for every key, the two bounds the Mithril proof relies on:
 //

@@ -12,13 +12,6 @@ func splitmix64(x uint64) uint64 {
 	return x ^ (x >> 31)
 }
 
-// hashKey mixes a 32-bit key with a seed into a 64-bit hash.
-//
-//mithril:hotpath
-func hashKey(key uint32, seed uint64) uint64 {
-	return splitmix64(uint64(key) ^ splitmix64(seed))
-}
-
 // Rand is a tiny deterministic pseudo-random source (xorshift64*) used by the
 // probabilistic mitigations (PARA, PARFM). It is seeded explicitly so that
 // every experiment is reproducible.

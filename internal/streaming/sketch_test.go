@@ -5,15 +5,21 @@ import (
 	"testing/quick"
 )
 
+// noRotation is a half epoch longer than any stream below: a DualCBF that
+// never rotates is a single count-min sketch.
+const noRotation = 1 << 30
+
 func TestCMSNeverUnderestimates(t *testing.T) {
 	f := func(seed uint64) bool {
-		s := NewCountMinSketch(4, 64)
+		s := NewDualCBF(4, 64, noRotation)
 		r := NewRand(seed)
 		actual := map[uint32]uint64{}
 		for i := 0; i < 3000; i++ {
 			k := uint32(r.Intn(500))
-			s.Observe(k)
 			actual[k]++
+			if s.ObserveEstimate(k) < actual[k] {
+				return false
+			}
 		}
 		for k, act := range actual {
 			if s.Estimate(k) < act {
@@ -29,12 +35,12 @@ func TestCMSNeverUnderestimates(t *testing.T) {
 
 func TestCMSExactForSparseKeys(t *testing.T) {
 	// With few keys and a wide sketch, estimates should be exact.
-	s := NewCountMinSketch(4, 4096)
+	s := NewDualCBF(4, 4096, noRotation)
 	for i := 0; i < 100; i++ {
-		s.Observe(1)
+		s.ObserveEstimate(1)
 	}
 	for i := 0; i < 7; i++ {
-		s.Observe(2)
+		s.ObserveEstimate(2)
 	}
 	if got := s.Estimate(1); got != 100 {
 		t.Errorf("Estimate(1) = %d, want 100", got)
@@ -48,22 +54,22 @@ func TestCMSExactForSparseKeys(t *testing.T) {
 }
 
 func TestCMSReset(t *testing.T) {
-	s := NewCountMinSketch(2, 32)
-	s.Observe(5)
+	// Reset before the first rotation, while only one filter exists.
+	s := NewDualCBF(2, 32, noRotation)
+	s.ObserveEstimate(5)
 	s.Reset()
 	if got := s.Estimate(5); got != 0 {
 		t.Fatalf("after Reset, Estimate = %d, want 0", got)
 	}
+	if s.standby != nil {
+		t.Fatal("the second filter was built before the first rotation")
+	}
 }
 
-func TestCMSGeometryAccessorsAndPanics(t *testing.T) {
-	s := NewCountMinSketch(3, 17)
-	if s.Rows() != 3 || s.Width() != 17 {
-		t.Errorf("geometry = %dx%d, want 3x17", s.Rows(), s.Width())
-	}
+func TestDualCBFPanicsOnBadGeometry(t *testing.T) {
 	for _, build := range []func(){
-		func() { NewCountMinSketch(0, 8) },
-		func() { NewCountMinSketch(2, 0) },
+		func() { NewDualCBF(0, 8, 10) },
+		func() { NewDualCBF(2, 0, 10) },
 		func() { NewDualCBF(2, 8, 0) },
 	} {
 		func() {
@@ -82,17 +88,36 @@ func TestDualCBFRotationBoundsHistory(t *testing.T) {
 	// been forgotten (that's the point of interleaving).
 	d := NewDualCBF(4, 1024, 100)
 	for i := 0; i < 50; i++ {
-		d.Observe(7)
+		d.ObserveEstimate(7)
 	}
 	if est := d.Estimate(7); est < 50 {
 		t.Fatalf("fresh estimate %d, want ≥ 50", est)
 	}
 	// Two half-epoch rotations with disjoint traffic clear key 7.
 	for i := 0; i < 200; i++ {
-		d.Observe(uint32(1000 + i))
+		d.ObserveEstimate(uint32(1000 + i))
 	}
 	if est := d.Estimate(7); est > 10 {
 		t.Fatalf("stale estimate %d survived two rotations", est)
+	}
+}
+
+// TestDualCBFRotationQueriesLongerHistory pins which filter a rotation
+// hands the queries to: the one that has observed the longer history, not
+// the one it just cleared.
+func TestDualCBFRotationQueriesLongerHistory(t *testing.T) {
+	d := NewDualCBF(4, 4096, 100)
+	for i := 0; i < 99; i++ {
+		d.ObserveEstimate(uint32(1000 + i))
+	}
+	if got := d.ObserveEstimate(7); got != 1 { // the 100th ACT rotates
+		t.Errorf("rotating ACT: estimate %d, want 1", got)
+	}
+	if got := d.ObserveEstimate(7); got != 2 {
+		t.Errorf("ACT after the rotation: estimate %d, want 2", got)
+	}
+	if got := d.Estimate(7); got != 2 {
+		t.Errorf("Estimate(7) = %d after the rotation, want 2", got)
 	}
 }
 
@@ -102,22 +127,63 @@ func TestDualCBFNeverUnderestimatesRecentEpoch(t *testing.T) {
 	d := NewDualCBF(4, 2048, 1000)
 	count := uint64(0)
 	for i := 0; i < 400; i++ {
-		d.Observe(3)
 		count++
-		if est := d.Estimate(3); est < count {
+		if est := d.ObserveEstimate(3); est < count {
 			t.Fatalf("step %d: estimate %d < true %d", i, est, count)
+		}
+	}
+	// Across rotations, the active filter has seen at least the last half
+	// epoch of ACTs, the rotating one included.
+	const epoch = 50
+	d = NewDualCBF(4, 2048, epoch)
+	r := NewRand(9)
+	var window [epoch]uint32
+	for i := 0; i < 20*epoch; i++ {
+		k := uint32(r.Intn(4))
+		window[i%epoch] = k
+		recent := uint64(0)
+		for j := 0; j <= i && j < epoch; j++ {
+			if window[j] == k {
+				recent++
+			}
+		}
+		if est := d.ObserveEstimate(k); est < recent {
+			t.Fatalf("ACT %d: estimate %d of key %d < %d ACTs in the last half epoch", i, est, k, recent)
 		}
 	}
 }
 
+func TestDualCBFSaturates(t *testing.T) {
+	d := NewDualCBF(4, 1024, noRotation)
+	for i := uint64(1); i <= CBFMaxCount+5000; i++ {
+		want := min(i, CBFMaxCount)
+		if got := d.ObserveEstimate(42); got != want {
+			t.Fatalf("ACT %d: estimate %d, want %d", i, got, want)
+		}
+	}
+	if got := d.Estimate(42); got != CBFMaxCount {
+		t.Fatalf("Estimate = %d, want the saturation value %d", got, CBFMaxCount)
+	}
+	if got := d.Estimate(43); got != 0 {
+		t.Fatalf("a key sharing no slot reads %d, want 0", got)
+	}
+}
+
 func TestDualCBFReset(t *testing.T) {
+	// Reset after rotations, once both filters exist.
 	d := NewDualCBF(2, 64, 10)
-	for i := 0; i < 9; i++ {
-		d.Observe(1)
+	for i := 0; i < 25; i++ {
+		d.ObserveEstimate(1)
 	}
 	d.Reset()
 	if got := d.Estimate(1); got != 0 {
 		t.Fatalf("after Reset, Estimate = %d, want 0", got)
+	}
+	for i := 0; i < 10; i++ {
+		d.ObserveEstimate(2) // the 10th rotates: the standby must be clear too
+	}
+	if got := d.Estimate(1); got != 0 {
+		t.Fatalf("after Reset and a rotation, Estimate = %d, want 0", got)
 	}
 }
 
