@@ -11,10 +11,12 @@ import (
 	"testing"
 
 	"mithril/internal/analysis"
+	"mithril/internal/attack"
 	"mithril/internal/core"
 	"mithril/internal/dram"
 	"mithril/internal/mc"
 	"mithril/internal/mitigation"
+	"mithril/internal/sim"
 	"mithril/internal/streaming"
 	"mithril/internal/timing"
 )
@@ -484,5 +486,64 @@ func BenchmarkSimulatorThroughput(b *testing.B) {
 			b.ReportMetric(res.AggregateIPC, "aggregate_IPC")
 			b.ReportMetric(float64(res.Device.ACTs), "ACTs")
 		}
+	}
+}
+
+// BenchmarkSimRun measures one simulation, the ladder rung between the
+// controller microbenches and the sweeps, and reports host time per
+// simulated ACT and the requests full channel queues turned away:
+//
+//   - benign16: the paper's 16-core system on mix-high at full scale,
+//     unprotected, 25k instructions per core — the benign rows, whose
+//     channel queues fill;
+//   - attack: the golden-scale multi-sided-rh cell under Mithril at
+//     FlipTH 1500 — three mix-high cores and an 8-victim attacker at 64x
+//     the budget, ending when the benign cores finish.
+func BenchmarkSimRun(b *testing.B) {
+	cases := []struct {
+		name string
+		cfg  func() (sim.Config, error)
+	}{
+		{"benign16", func() (sim.Config, error) {
+			sc := FullScale()
+			sc.InstrPerCore = 25_000
+			cfg := baseSimConfig(6250, sc)
+			cfg.Workload = MixHigh(sc.Cores, sc.Seed).Fresh()
+			return cfg, nil
+		}},
+		{"attack", func() (sim.Config, error) {
+			sc := goldenScale()
+			cfg := baseSimConfig(1500, sc)
+			gens := MixHigh(4, sc.Seed).Fresh()
+			gens[3] = attack.NewMultiSided(mc.NewAddressMapper(cfg.Params), 1, 7, 4000, 8)
+			cfg.Workload = gens
+			cfg.InstrPerCore *= 64
+			cfg.RequireCores = 3
+			var err error
+			cfg.Scheme, err = mitigation.Build("mithril", mitigation.Options{Timing: cfg.Params, FlipTH: 1500, Seed: sc.Seed})
+			return cfg, err
+		}},
+	}
+	for _, c := range cases {
+		b.Run(c.name, func(b *testing.B) {
+			var acts, rejected uint64
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				cfg, err := c.cfg()
+				if err != nil {
+					b.Fatal(err)
+				}
+				b.StartTimer()
+				res, err := sim.RunContext(context.Background(), cfg)
+				if err != nil {
+					b.Fatal(err)
+				}
+				acts += res.Device.ACTs
+				rejected += res.MC.Rejected
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(acts), "ns/ACT")
+			b.ReportMetric(float64(acts)/float64(b.N), "ACTs/op")
+			b.ReportMetric(float64(rejected)/float64(b.N), "rejections/op")
+		})
 	}
 }

@@ -201,7 +201,11 @@ func (c *Core) nextReady() timing.PicoSeconds {
 		return timing.Never
 	}
 	if c.pending != nil {
-		return 0 // needs an enqueue retry as soon as possible
+		// Retried on every iteration until the controller accepts it. The
+		// retry cannot succeed before the next serve on the request's
+		// channel, so the event calendar parks the core until then (see
+		// BlockedChannel) but still steps the clock by one tick, as here.
+		return 0
 	}
 	if c.instrIssued >= c.target {
 		return timing.Never // draining outstanding misses
@@ -216,6 +220,18 @@ func (c *Core) nextReady() timing.PicoSeconds {
 		return timing.Never
 	}
 	return c.fetchTime
+}
+
+// BlockedChannel reports the channel whose full queue turned away the
+// core's pending request, or -1 when no request is waiting. Until that
+// channel serves, Advance only retries the request and fails again.
+//
+//mithril:hotpath
+func (c *Core) BlockedChannel() int {
+	if c.pending == nil {
+		return -1
+	}
+	return c.pending.Loc.Channel
 }
 
 // NextDeadline reports the earliest instant at or after now at which this

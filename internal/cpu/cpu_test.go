@@ -196,19 +196,29 @@ func TestCoreBackpressureRetry(t *testing.T) {
 	var got []*mc.Request
 	src := seqSource(0, 1<<20)
 	core := NewCore(0, cfg, src, llc, 1<<40, func(r *mc.Request) bool {
+		r.Loc.Channel = 1
 		if accept {
 			got = append(got, r)
 		}
 		return accept
 	})
+	if ch := core.BlockedChannel(); ch != -1 {
+		t.Fatalf("BlockedChannel = %d before any request, want -1", ch)
+	}
 	core.Advance(10 * timing.Nanosecond)
 	if len(got) != 0 {
 		t.Fatal("rejected request should not be recorded")
+	}
+	if ch := core.BlockedChannel(); ch != 1 {
+		t.Fatalf("BlockedChannel = %d while the request waits, want 1", ch)
 	}
 	accept = true
 	core.Advance(20 * timing.Nanosecond)
 	if len(got) == 0 {
 		t.Fatal("pending request should be retried and accepted")
+	}
+	if ch := core.BlockedChannel(); ch != -1 {
+		t.Fatalf("BlockedChannel = %d after acceptance, want -1", ch)
 	}
 }
 

@@ -56,7 +56,7 @@ type Stats struct {
 	ARRWindows  uint64
 	ARRVictims  uint64
 	REFIssued   uint64
-	Rejected    uint64 // enqueue attempts against a full queue
+	Rejected    uint64 // requests a full queue turned away, each counted once at its first rejection
 	ThrottleHit uint64 // requests delayed by PreACTDelay
 }
 
@@ -177,14 +177,19 @@ func (c *Controller) Stats() Stats { return c.stats }
 func (c *Controller) QueueLen(channel int) int { return len(c.channels[channel].queue) }
 
 // Enqueue accepts a request into its channel queue; it reports false when
-// the queue is full (the core must retry).
+// the queue is full (the core must retry). A channel's queue shrinks only
+// when it serves, so a retry before the next serve on req's channel (the
+// complete callback reports every serve) is certain to fail.
 //
 //mithril:hotpath
 func (c *Controller) Enqueue(req *Request) bool {
 	c.mapper.MapInto(req.Addr, &req.Loc)
 	cc := c.channels[req.Loc.Channel]
 	if len(cc.queue) >= c.cfg.QueueDepth {
-		c.stats.Rejected++
+		if !req.rejected {
+			req.rejected = true
+			c.stats.Rejected++
+		}
 		return false
 	}
 	cc.queue = append(cc.queue, req)
@@ -407,7 +412,6 @@ func (c *Controller) serve(cc *channelCtl, req *Request, now timing.PicoSeconds)
 	if c.cfg.Scheduler == BLISS {
 		cc.bliss.recordServe(req.CoreID, now)
 	}
-	req.served = true
 	c.stats.Served++
 	c.complete(req, dataAt)
 }

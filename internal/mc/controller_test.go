@@ -56,12 +56,20 @@ func TestQueueBackpressure(t *testing.T) {
 	c := NewController(dev, Config{QueueDepth: 2}, nil)
 	a := c.Enqueue(&Request{Addr: 0})
 	b := c.Enqueue(&Request{Addr: 64 * 2}) // same channel (stride 2 lines)
-	full := c.Enqueue(&Request{Addr: 64 * 4})
+	blocked := &Request{Addr: 64 * 4}
+	full := c.Enqueue(blocked)
 	if !a || !b || full {
 		t.Fatalf("expected 2 accepts then reject, got %v %v %v", a, b, full)
 	}
 	if c.Stats().Rejected != 1 {
 		t.Fatal("rejection not counted")
+	}
+	// Retries of a rejected request count once; another request counts.
+	if c.Enqueue(blocked) || c.Enqueue(blocked) || c.Enqueue(&Request{Addr: 64 * 6}) {
+		t.Fatal("full queue accepted a request")
+	}
+	if got := c.Stats().Rejected; got != 2 {
+		t.Fatalf("Rejected = %d after two retries and one new request, want 2", got)
 	}
 }
 

@@ -4,14 +4,17 @@ import "mithril/internal/timing"
 
 // Request is one memory transaction queued at the controller.
 type Request struct {
-	ID      uint64
-	CoreID  int
-	Addr    uint64
-	Write   bool
-	Loc     Location
-	Arrive  timing.PicoSeconds
-	served  bool
-	blocked timing.PicoSeconds // earliest serve time (throttling)
+	ID     uint64
+	CoreID int
+	Addr   uint64
+	Write  bool
+	// rejected marks a request a full queue has already turned away, so
+	// Stats.Rejected counts it once however often its core retries. It
+	// sits in Write's padding, so a request takes 96 bytes.
+	rejected bool
+	Loc      Location
+	Arrive   timing.PicoSeconds
+	blocked  timing.PicoSeconds // earliest serve time (throttling)
 }
 
 // SchedulerKind selects the request scheduling policy.
@@ -97,7 +100,7 @@ func (b *blissState) recordServe(core int, now timing.PicoSeconds) {
 // calls: the scan runs once per serve attempt over every queued request,
 // and two indirect calls per entry were measurable on the simulator loop.
 // ready has side effects (throttle accounting, blocked-until updates), so
-// each policy calls it exactly once per unserved entry, in queue order.
+// each policy calls it exactly once per queued entry, in queue order.
 //
 //mithril:hotpath
 func (c *Controller) pick(cc *channelCtl, now timing.PicoSeconds) int {
@@ -105,7 +108,7 @@ func (c *Controller) pick(cc *channelCtl, now timing.PicoSeconds) int {
 	switch c.cfg.Scheduler {
 	case FCFS:
 		for i, r := range queue {
-			if !r.served && c.ready(r, now) {
+			if c.ready(r, now) {
 				return i // queue is in arrival order
 			}
 		}
@@ -114,7 +117,7 @@ func (c *Controller) pick(cc *channelCtl, now timing.PicoSeconds) int {
 		best := -1
 		bestHit := false
 		for i, r := range queue {
-			if r.served || !c.ready(r, now) {
+			if !c.ready(r, now) {
 				continue
 			}
 			hit := c.dev.Bank(r.Loc.GlobalBank).OpenRow() == r.Loc.Row
@@ -129,7 +132,7 @@ func (c *Controller) pick(cc *channelCtl, now timing.PicoSeconds) int {
 		bestHit := false
 		bestWhite := false
 		for i, r := range queue {
-			if r.served || !c.ready(r, now) {
+			if !c.ready(r, now) {
 				continue
 			}
 			white := !bliss.blacklisted(r.CoreID, now)

@@ -15,30 +15,83 @@ import (
 // advanced at all. Two deadlines per core, not one, because they answer
 // different questions:
 //
-//   - wake[i]: earliest instant Advance(i) would change any state — the
-//     advance gate. Skipping a core with wake[i] > now is exact, not
-//     heuristic: every early-return path in Advance mutates nothing.
-//   - ready[i]: the core's contribution to the clock jump, identical to
-//     what the tick loop folded in via NextReady. A core that only needs
-//     one Advance to latch Finished has a wake time but no ready deadline;
+//   - wake: earliest instant Advance would change any state — the advance
+//     gate. Skipping a core with wake > now is exact, not heuristic: every
+//     early-return path in Advance mutates nothing.
+//   - ready: the core's contribution to the clock jump, identical to what
+//     the tick loop folded in via NextReady. A core that only needs one
+//     Advance to latch Finished has a wake time but no ready deadline;
 //     folding its wake into the jump would create iterations the tick loop
 //     never ran and change observable interleavings.
 //
 // Both caches stay valid while a core is skipped because its state is
 // mutated only by Advance and Complete, and every Complete delivery resets
-// wake[i] to now.
+// wake to now.
 //
-// The slices are allocated once per run in RunContext (the loop itself is
-// allocation-free).
+// A core whose request a full channel queue turned away is parked on that
+// channel: wake is Never, because its retry fails until the channel serves
+// (queues shrink nowhere else), and ready is pinned to the instant it
+// parked, because the tick loop's blocked core still folds "retry now"
+// into every jump and so steps the clock one tick at a time. The
+// controller's complete callback reports every serve through served,
+// which wakes every core parked on that channel. Woken cores retry in core
+// order, so one that loses the freed slot to a lower-indexed core parks
+// again, exactly as its retry in the tick loop would have failed.
+//
+// The per-core state is allocated once per run in RunContext, in one
+// slice (the loop itself is allocation-free).
 type calendar struct {
-	wake  []timing.PicoSeconds
-	ready []timing.PicoSeconds
+	cores  []coreCal
+	parked int // cores with parkedOn >= 0
+}
+
+// coreCal is one core's calendar entry.
+type coreCal struct {
+	wake, ready timing.PicoSeconds
+	parkedOn    int // channel the core waits on, or -1
 }
 
 func newCalendar(cores int) *calendar {
-	return &calendar{
-		wake:  make([]timing.PicoSeconds, cores), // zero: every core advances at t=0
-		ready: make([]timing.PicoSeconds, cores),
+	cal := &calendar{cores: make([]coreCal, cores)}
+	for i := range cal.cores {
+		// Zero wake: every core advances at t=0.
+		cal.cores[i].parkedOn = -1
+	}
+	return cal
+}
+
+// park takes core i out of the advance pass until channel ch serves. Its
+// jump contribution stays pinned to now: the tick loop's blocked core
+// keeps the clock stepping one tick at a time. A parked core that a
+// completion woke retries against the same full queue and parks again.
+//
+//mithril:hotpath
+func (cal *calendar) park(i, ch int, now timing.PicoSeconds) {
+	e := &cal.cores[i]
+	if e.parkedOn < 0 {
+		cal.parked++
+	}
+	e.parkedOn = ch
+	e.wake = timing.Never
+	e.ready = now
+}
+
+// served wakes every core parked on channel ch, whose queue has just freed
+// a slot. The controller serves after the loop's advance pass, so a wake
+// time of zero means "advance on the next iteration", when the tick loop
+// would retry too.
+//
+//mithril:hotpath
+func (cal *calendar) served(ch int) {
+	if cal.parked == 0 {
+		return
+	}
+	for i := range cal.cores {
+		if e := &cal.cores[i]; e.parkedOn == ch {
+			e.parkedOn = -1
+			e.wake = 0
+			cal.parked--
+		}
 	}
 }
 
@@ -50,7 +103,8 @@ func newCalendar(cores int) *calendar {
 // the legacy tick loop — same time series, same per-iteration side effects
 // — the work skipped is exclusively calls the tick loop made that mutated
 // nothing. TestLoopEquivalence holds the two loops to byte-identical
-// results on every shipped quick spec.
+// results on every shipped quick spec, and TestLoopEquivalenceBackpressure
+// to identical Results on runs whose channel queues fill.
 //
 //mithril:hotpath
 func runLoopCalendar(ctx context.Context, cfg *Config, cores []*cpu.Core, ctl *mc.Controller, pending *completionQueue, cal *calendar, cancellable bool) (now timing.PicoSeconds, allDone bool, err error) {
@@ -82,10 +136,11 @@ func runLoopCalendar(ctx context.Context, cfg *Config, cores []*cpu.Core, ctl *m
 			c := pending.pop()
 			core := completionCore(c.reqID)
 			cores[core].Complete(c.reqID, c.at)
-			cal.wake[core] = now
+			cal.cores[core].wake = now
 		}
 		for i, core := range cores {
-			if cal.wake[i] > now {
+			e := &cal.cores[i]
+			if e.wake > now {
 				continue
 			}
 			wasUnfinished := i < required && !core.Finished()
@@ -93,8 +148,16 @@ func runLoopCalendar(ctx context.Context, cfg *Config, cores []*cpu.Core, ctl *m
 			if wasUnfinished && core.Finished() {
 				unfinished--
 			}
-			cal.wake[i] = core.NextWake(now)
-			cal.ready[i] = core.NextDeadline(now)
+			// A parked core advances only once a serve on its channel
+			// unparked it, or when a completion woke it; then no slot has
+			// freed and it parks again. So a core that is not blocked
+			// after Advance is not parked.
+			if ch := core.BlockedChannel(); ch >= 0 {
+				cal.park(i, ch, now)
+			} else {
+				e.wake = core.NextWake(now)
+				e.ready = core.NextDeadline(now)
+			}
 		}
 		if unfinished == 0 || now > cfg.MaxTime {
 			return now, unfinished == 0, nil
@@ -108,8 +171,8 @@ func runLoopCalendar(ctx context.Context, cfg *Config, cores []*cpu.Core, ctl *m
 		if t := pending.minAt(); t < next {
 			next = t
 		}
-		for _, t := range cal.ready {
-			if t < next {
+		for i := range cal.cores {
+			if t := cal.cores[i].ready; t < next {
 				next = t
 			}
 		}

@@ -47,6 +47,10 @@ type Config struct {
 	// the benign core count: a throttled attacker never finishes — that
 	// is the mitigation working, not a reason to run forever.
 	RequireCores int
+
+	// queueDepth overrides the controller's per-channel queue capacity
+	// (0 = its default). Only tests set it, to back-pressure short runs.
+	queueDepth int
 }
 
 func (c *Config) normalize() error {
@@ -222,12 +226,18 @@ func RunContext(ctx context.Context, cfg Config) (Result, error) {
 	dev := dram.AcquireDevice(cfg.Params, cfg.FlipTH, cfg.Weights)
 	defer dram.ReleaseDevice(dev)
 	var pending completionQueue
+	// Every serve frees a slot in its channel's queue, so the completion
+	// callback also wakes the cores the calendar parked on that channel
+	// (the tick loop parks none, making the call a no-op there).
+	cal := newCalendar(len(cfg.Workload))
 	ctl := mc.NewController(dev, mc.Config{
-		Scheduler: cfg.Scheduler,
-		Policy:    cfg.Policy,
-		Scheme:    scheme,
+		Scheduler:  cfg.Scheduler,
+		Policy:     cfg.Policy,
+		Scheme:     scheme,
+		QueueDepth: cfg.queueDepth,
 	}, func(r *mc.Request, at timing.PicoSeconds) {
 		pending.push(completion{at: at, reqID: r.ID})
+		cal.served(r.Loc.Channel)
 	})
 	llc := cpu.AcquireLLC(cfg.LLCBytes, cfg.LLCWays)
 	defer cpu.ReleaseLLC(llc)
@@ -251,7 +261,7 @@ func RunContext(ctx context.Context, cfg Config) (Result, error) {
 	if useLegacyTickLoop.Load() {
 		now, allDone, err = runLoopTicked(ctx, &cfg, cores, ctl, &pending, cancellable)
 	} else {
-		now, allDone, err = runLoopCalendar(ctx, &cfg, cores, ctl, &pending, newCalendar(len(cores)), cancellable)
+		now, allDone, err = runLoopCalendar(ctx, &cfg, cores, ctl, &pending, cal, cancellable)
 	}
 	if err != nil {
 		return Result{}, err
