@@ -21,16 +21,22 @@ import (
 // Packing holds a tag in 32 bits, so the addresses the cache sees must lie
 // in a space CheckLLC accepts. The simulator proves this once per run from
 // the device's address space instead of checking every access.
+//
+// The struct is exactly one 64-byte cache line, so the allocator places it
+// line-aligned. Access writes hits and misses on every call, and caches
+// simulated in parallel must not share a line: a larger LLC can straddle
+// one with its neighbour, and two parallel runs then contend for that line
+// on every access.
 type LLC struct {
-	sets    int
-	setBits uint // log2(sets); sets is asserted a power of two
-	ways    int
-	tags    []uint32 // sets×ways, LRU-ordered within a set: offset 0 = MRU
+	sets int
+	ways int
+	tags []uint32 // sets×ways, LRU-ordered within a set: offset 0 = MRU
 
 	hits   uint64
 	misses uint64
 
-	pooled bool // came from AcquireLLC
+	setBits uint8 // log2(sets); sets is asserted a power of two
+	pooled  bool  // came from AcquireLLC
 }
 
 // llcLineBits is log2 of the 64-byte cache line.
@@ -81,7 +87,7 @@ func NewLLC(capacityBytes, ways int) *LLC {
 		panic(err)
 	}
 	return &LLC{
-		sets: sets, setBits: uint(bits.TrailingZeros(uint(sets))), ways: ways,
+		sets: sets, setBits: uint8(bits.TrailingZeros(uint(sets))), ways: ways,
 		tags: make([]uint32, sets*ways),
 	}
 }

@@ -4,7 +4,16 @@ import (
 	"math"
 	"runtime"
 	"testing"
+	"unsafe"
 )
+
+// An LLC must fill exactly one cache line (see the LLC doc): any other
+// size lets two caches simulated in parallel share a line.
+func TestLLCFillsOneCacheLine(t *testing.T) {
+	if got := unsafe.Sizeof(LLC{}); got != 64 {
+		t.Fatalf("sizeof(LLC) = %d bytes, want 64", got)
+	}
+}
 
 func TestCheckLLC(t *testing.T) {
 	const ddr5Space = 1 << 35 // 2 ch × 32 banks × 64K rows × 8 KB

@@ -3,7 +3,7 @@ package expspec
 import (
 	"fmt"
 	"io"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -41,203 +41,64 @@ type Result struct {
 	RowsSimulated int
 }
 
-// column is one bound output column: the machine name (spec "columns"
-// vocabulary), the human table header, and the two renderings of a row.
+// column is one output column: the machine name (spec "columns"
+// vocabulary), the human table header, the format verb its table cell
+// renders the value with (the CLI's formatting), and the raw value of a
+// result's row i (JSON/CSV).
 type column struct {
 	name   string
 	header string
-	value  func(i int) any    // raw value for JSON/CSV
-	cell   func(i int) string // table cell (mirrors the CLI's formatting)
-}
-
-// availableColumns returns every column the spec's kind can emit, in
-// canonical order.
-func (s *Spec) availableColumns() []string {
-	names := func(cols []column) []string {
-		out := make([]string, len(cols))
-		for i, c := range cols {
-			out[i] = c.name
-		}
-		return out
-	}
-	return names((&Result{Spec: s}).allColumns())
-}
-
-// defaultColumns returns the columns emitted when the spec selects none;
-// they mirror the CLI tables.
-func (s *Spec) defaultColumns() []string {
-	switch s.Kind {
-	case Comparison:
-		return []string{"scheme", "flipth", "workload", "perf", "energy", "tablekb", "safe"}
-	case SafetyKind:
-		return []string{"attack", "scheme", "flips", "maxdisturbance", "verdict"}
-	case ConfigGrid:
-		return []string{"flipth", "rfmth", "mithril", "mithril+", "tablekb"}
-	case AdTHSweep:
-		cols := []string{"flipth", "rfmth", "adth"}
-		for _, w := range s.Axes.Workloads {
-			cols = append(cols, "energy:"+w)
-		}
-		return append(cols, "nentry")
-	}
-	return nil
+	verb   string
+	value  func(r *Result, i int) any
 }
 
 // columns resolves the spec's column selection (or the kind default)
-// against the available set.
-func (s *Spec) columns() ([]string, error) {
-	sel := s.Columns
-	if len(sel) == 0 {
-		sel = s.defaultColumns()
+// against the columns the kind can emit.
+func (s *Spec) columns() ([]column, error) {
+	k, ok := kindTable[s.Kind]
+	if !ok {
+		return nil, fmt.Errorf("unknown kind %q (want one of %v)", s.Kind, kinds)
 	}
-	avail := s.availableColumns()
-	if err := noDuplicates("columns", sel); err != nil {
+	names := s.Columns
+	if len(names) == 0 {
+		names = k.defaultColumns(s)
+	}
+	if err := noDuplicates("columns", names); err != nil {
 		return nil, err
 	}
-	for _, c := range sel {
-		found := false
-		for _, a := range avail {
-			if a == c {
-				found = true
-				break
+	all := k.columns(s)
+	sel := make([]column, len(names))
+	for i, n := range names {
+		j := slices.IndexFunc(all, func(c column) bool { return c.name == n })
+		if j < 0 {
+			avail := make([]string, len(all))
+			for a, c := range all {
+				avail[a] = c.name
 			}
+			return nil, fmt.Errorf("unknown column %q (available: %v)", n, avail)
 		}
-		if !found {
-			return nil, fmt.Errorf("unknown column %q (available: %v)", c, avail)
-		}
+		sel[i] = all[j]
 	}
 	return sel, nil
 }
 
-// allColumns binds every available column of the result's kind.
-func (r *Result) allColumns() []column {
-	f2 := func(v float64) string { return fmt.Sprintf("%.2f", v) }
-	switch r.Spec.Kind {
-	case Comparison:
-		p := r.Perf
-		return []column{
-			{"scheme", "scheme", func(i int) any { return p[i].Scheme }, func(i int) string { return p[i].Scheme }},
-			{"flipth", "FlipTH", func(i int) any { return p[i].FlipTH }, func(i int) string { return strconv.Itoa(p[i].FlipTH) }},
-			{"rfmth", "RFMTH", func(i int) any { return p[i].RFMTH }, func(i int) string { return strconv.Itoa(p[i].RFMTH) }},
-			{"workload", "workload", func(i int) any { return p[i].Workload }, func(i int) string { return p[i].Workload }},
-			{"seed", "seed", func(i int) any { return p[i].Seed }, func(i int) string { return strconv.FormatUint(p[i].Seed, 10) }},
-			{"perf", "perf%", func(i int) any { return p[i].RelativePerformance }, func(i int) string { return f2(p[i].RelativePerformance) }},
-			{"energy", "energy+%", func(i int) any { return p[i].EnergyOverheadPct }, func(i int) string { return f2(p[i].EnergyOverheadPct) }},
-			{"tablekb", "tableKB", func(i int) any { return p[i].TableKB }, func(i int) string { return f2(p[i].TableKB) }},
-			{"safe", "safe", func(i int) any { return p[i].Safe }, func(i int) string { return fmt.Sprintf("%v", p[i].Safe) }},
-		}
-	case SafetyKind:
-		s := r.Safety
-		return []column{
-			{"attack", "attack", func(i int) any { return s[i].Attack }, func(i int) string { return s[i].Attack }},
-			{"scheme", "scheme", func(i int) any { return s[i].Scheme }, func(i int) string { return s[i].Scheme }},
-			{"flipth", "FlipTH", func(i int) any { return s[i].FlipTH }, func(i int) string { return strconv.Itoa(s[i].FlipTH) }},
-			{"seed", "seed", func(i int) any { return s[i].Seed }, func(i int) string { return strconv.FormatUint(s[i].Seed, 10) }},
-			{"flips", "flips", func(i int) any { return s[i].Flips }, func(i int) string { return strconv.Itoa(s[i].Flips) }},
-			{"maxdisturbance", "max disturbance", func(i int) any { return s[i].MaxDisturbance }, func(i int) string { return fmt.Sprintf("%.0f", s[i].MaxDisturbance) }},
-			{"safe", "safe", func(i int) any { return s[i].Safe }, func(i int) string { return fmt.Sprintf("%v", s[i].Safe) }},
-			{"verdict", "verdict", func(i int) any { return verdict(s[i].Safe) }, func(i int) string { return verdict(s[i].Safe) }},
-		}
-	case ConfigGrid:
-		g := r.Grid
-		return []column{
-			{"flipth", "FlipTH", func(i int) any { return g[i].FlipTH }, func(i int) string { return strconv.Itoa(g[i].FlipTH) }},
-			{"rfmth", "RFMTH", func(i int) any { return g[i].RFMTH }, func(i int) string { return strconv.Itoa(g[i].RFMTH) }},
-			{"seed", "seed", func(i int) any { return g[i].Seed }, func(i int) string { return strconv.FormatUint(g[i].Seed, 10) }},
-			{"mithril", "Mithril perf%", func(i int) any { return g[i].Mithril }, func(i int) string { return f2(g[i].Mithril) }},
-			{"mithril+", "Mithril+ perf%", func(i int) any { return g[i].MithrilPlus }, func(i int) string { return f2(g[i].MithrilPlus) }},
-			{"tablekb", "table KB", func(i int) any { return g[i].TableKB }, func(i int) string { return f2(g[i].TableKB) }},
-			{"energy", "Mithril energy+%", func(i int) any { return g[i].EnergyMithril }, func(i int) string { return f2(g[i].EnergyMithril) }},
-			{"energy+", "Mithril+ energy+%", func(i int) any { return g[i].EnergyPlus }, func(i int) string { return f2(g[i].EnergyPlus) }},
-		}
-	case AdTHSweep:
-		a := r.AdTH
-		cols := []column{
-			{"flipth", "FlipTH", func(i int) any { return a[i].FlipTH }, func(i int) string { return strconv.Itoa(a[i].FlipTH) }},
-			{"rfmth", "RFMTH", func(i int) any { return a[i].RFMTH }, func(i int) string { return strconv.Itoa(a[i].RFMTH) }},
-			{"adth", "AdTH", func(i int) any { return a[i].AdTH }, func(i int) string { return strconv.Itoa(a[i].AdTH) }},
-			{"seed", "seed", func(i int) any { return a[i].Seed }, func(i int) string { return strconv.FormatUint(a[i].Seed, 10) }},
-		}
-		for _, w := range r.Spec.Axes.Workloads {
-			w := w
-			cols = append(cols, column{
-				"energy:" + w, fmt.Sprintf("energy%% (%s)", adthWorkloads[w].short),
-				func(i int) any { return a[i].EnergyOverheadPct[w] },
-				func(i int) string { return f2(a[i].EnergyOverheadPct[w]) },
-			})
-		}
-		return append(cols, column{"nentry", "+Nentry%",
-			func(i int) any { return a[i].AdditionalNEntryPct },
-			func(i int) string { return fmt.Sprintf("%.1f", a[i].AdditionalNEntryPct) }})
-	}
-	return nil
-}
-
-func verdict(safe bool) string {
-	if safe {
-		return "SAFE"
-	}
-	return "UNSAFE"
-}
-
-// selectedColumns binds the spec's column selection.
-func (r *Result) selectedColumns() ([]column, error) {
-	names, err := r.Spec.columns()
-	if err != nil {
-		return nil, err
-	}
-	all := r.allColumns()
-	sel := make([]column, 0, len(names))
-	for _, n := range names {
-		for _, c := range all {
-			if c.name == n {
-				sel = append(sel, c)
-				break
-			}
-		}
-	}
-	return sel, nil
-}
-
-// rowCount returns the populated row-slice length.
-func (r *Result) rowCount() int {
-	switch r.Spec.Kind {
-	case Comparison:
-		return len(r.Perf)
-	case SafetyKind:
-		return len(r.Safety)
-	case ConfigGrid:
-		return len(r.Grid)
-	case AdTHSweep:
-		return len(r.AdTH)
-	}
-	return 0
-}
-
-// rowOrder returns the emission order of table rows. The safety table
-// sorts by (attack, scheme) like the CLI always has; every other kind and
-// every machine format keeps raw grid order.
+// rowOrder returns the emission order of the result's rows: grid order,
+// which the kind may re-sort for the text table.
 func (r *Result) rowOrder(tableSort bool) []int {
-	n := r.rowCount()
-	order := make([]int, n)
+	k := kindTable[r.Spec.Kind]
+	order := make([]int, k.count(r))
 	for i := range order {
 		order[i] = i
 	}
-	if tableSort && r.Spec.Kind == SafetyKind {
-		s := r.Safety
-		sort.SliceStable(order, func(a, b int) bool {
-			if s[order[a]].Attack != s[order[b]].Attack {
-				return s[order[a]].Attack < s[order[b]].Attack
-			}
-			return s[order[a]].Scheme < s[order[b]].Scheme
-		})
+	if tableSort {
+		k.sortTable(r, order)
 	}
 	return order
 }
 
 // Table renders the selected columns as the CLI's aligned text table.
 func (r *Result) Table() (string, error) {
-	cols, err := r.selectedColumns()
+	cols, err := r.Spec.columns()
 	if err != nil {
 		return "", err
 	}
@@ -249,7 +110,7 @@ func (r *Result) Table() (string, error) {
 	for _, i := range r.rowOrder(true) {
 		row := make([]string, len(cols))
 		for j, c := range cols {
-			row[j] = c.cell(i)
+			row[j] = fmt.Sprintf(c.verb, c.value(r, i))
 		}
 		t.Add(row...)
 	}
@@ -258,26 +119,16 @@ func (r *Result) Table() (string, error) {
 
 // machineValue renders a raw value for CSV with full float precision.
 func machineValue(v any) string {
-	switch x := v.(type) {
-	case float64:
+	if x, ok := v.(float64); ok {
 		return strconv.FormatFloat(x, 'g', -1, 64)
-	case int:
-		return strconv.Itoa(x)
-	case uint64:
-		return strconv.FormatUint(x, 10)
-	case bool:
-		return strconv.FormatBool(x)
-	case string:
-		return x
-	default:
-		return fmt.Sprintf("%v", x)
 	}
+	return fmt.Sprint(v)
 }
 
 // WriteCSV emits one header line of column names plus one row per grid
 // cell, floats at full round-trip precision.
 func (r *Result) WriteCSV(w io.Writer) error {
-	cols, err := r.selectedColumns()
+	cols, err := r.Spec.columns()
 	if err != nil {
 		return err
 	}
@@ -285,11 +136,12 @@ func (r *Result) WriteCSV(w io.Writer) error {
 	for i, c := range cols {
 		header[i] = c.name
 	}
-	rows := make([][]string, 0, r.rowCount())
-	for _, i := range r.rowOrder(false) {
+	order := r.rowOrder(false)
+	rows := make([][]string, 0, len(order))
+	for _, i := range order {
 		row := make([]string, len(cols))
 		for j, c := range cols {
-			row[j] = machineValue(c.value(i))
+			row[j] = machineValue(c.value(r, i))
 		}
 		rows = append(rows, row)
 	}
@@ -318,7 +170,7 @@ type jsonDoc struct {
 
 // WriteJSON emits the machine-readable document for the result.
 func (r *Result) WriteJSON(w io.Writer) error {
-	cols, err := r.selectedColumns()
+	cols, err := r.Spec.columns()
 	if err != nil {
 		return err
 	}
@@ -337,7 +189,7 @@ func (r *Result) WriteJSON(w io.Writer) error {
 	for _, i := range r.rowOrder(false) {
 		row := make(map[string]any, len(cols))
 		for _, c := range cols {
-			row[c.name] = c.value(i)
+			row[c.name] = c.value(r, i)
 		}
 		doc.Rows = append(doc.Rows, row)
 	}
@@ -350,30 +202,9 @@ func (r *Result) WriteJSON(w io.Writer) error {
 // drift is visible.
 func (r *Result) Golden() string {
 	var b strings.Builder
-	switch r.Spec.Kind {
-	case Comparison:
-		for _, p := range r.Perf {
-			fmt.Fprintf(&b, "%s flipTH=%d rfmTH=%d workload=%s perf=%g energy=%g tableKB=%g safe=%v\n",
-				p.Scheme, p.FlipTH, p.RFMTH, p.Workload,
-				p.RelativePerformance, p.EnergyOverheadPct, p.TableKB, p.Safe)
-		}
-	case SafetyKind:
-		for _, s := range r.Safety {
-			fmt.Fprintf(&b, "%s attack=%s flipTH=%d flips=%d maxDisturbance=%g safe=%v\n",
-				s.Scheme, s.Attack, s.FlipTH, s.Flips, s.MaxDisturbance, s.Safe)
-		}
-	case ConfigGrid:
-		for _, g := range r.Grid {
-			fmt.Fprintf(&b, "flipTH=%d rfmTH=%d mithril=%g mithril+=%g tableKB=%g energy=%g energy+=%g\n",
-				g.FlipTH, g.RFMTH, g.Mithril, g.MithrilPlus, g.TableKB, g.EnergyMithril, g.EnergyPlus)
-		}
-	case AdTHSweep:
-		for _, a := range r.AdTH {
-			fmt.Fprintf(&b, "flipTH=%d rfmTH=%d adTH=%d", a.FlipTH, a.RFMTH, a.AdTH)
-			for _, w := range r.Spec.Axes.Workloads {
-				fmt.Fprintf(&b, " energy[%s]=%g", w, a.EnergyOverheadPct[w])
-			}
-			fmt.Fprintf(&b, " nentry=%g\n", a.AdditionalNEntryPct)
+	if k, ok := kindTable[r.Spec.Kind]; ok {
+		for i := range k.count(r) {
+			k.golden(&b, r, i)
 		}
 	}
 	return b.String()
@@ -389,13 +220,13 @@ func (s *Spec) RowValues(sc Scale, row Row) (map[string]any, error) {
 	if err != nil {
 		return nil, err
 	}
-	cols, err := res.selectedColumns()
+	cols, err := s.columns()
 	if err != nil {
 		return nil, err
 	}
 	m := make(map[string]any, len(cols))
 	for _, c := range cols {
-		m[c.name] = c.value(0)
+		m[c.name] = c.value(res, 0)
 	}
 	return m, nil
 }

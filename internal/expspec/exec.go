@@ -7,19 +7,14 @@ import (
 	"fmt"
 	"iter"
 	"slices"
-	"sort"
 	"strings"
 
-	"mithril/internal/analysis"
-	"mithril/internal/attack"
 	"mithril/internal/energy"
 	"mithril/internal/mc"
 	"mithril/internal/mitigation"
 	"mithril/internal/resultstore"
 	"mithril/internal/sim"
-	"mithril/internal/stats"
 	"mithril/internal/sweep"
-	"mithril/internal/timing"
 	"mithril/internal/trace"
 )
 
@@ -39,115 +34,7 @@ func BaseSimConfig(flipTH int, sc Scale) sim.Config {
 	}
 }
 
-// ---------------------------------------------------------------- registries
-
-// Benign workload names resolve through the open registry in
-// internal/trace (trace.BuildWorkload), which also understands the
-// "trace:<path>" replay form; attack names resolve through the open
-// registry in internal/attack (attack.Build). This package adds only the
-// two comparison meta-workloads that depend on the experiment scale:
-// "normal" is the scale's benign set reduced to one geomean row;
-// "multi-sided-rh" is the Figure 10(b) attack.
-const (
-	normalSet    = "normal"
-	multiSidedRH = "multi-sided-rh"
-)
-
-// validateComparisonWorkload accepts the meta-workloads plus anything the
-// workload registry can build; its error lists the meta names too, so a
-// typo of "normal" is steered back to the full vocabulary.
-func validateComparisonWorkload(name string) error {
-	if name == normalSet || name == multiSidedRH {
-		return nil
-	}
-	if err := trace.ValidateWorkloadName(name); err != nil {
-		return fmt.Errorf("%w; comparison also accepts %q and %q", err, normalSet, multiSidedRH)
-	}
-	return nil
-}
-
-// adthWorkloads maps the Figure 7 workload classes to generators, plus the
-// short labels its energy-column headers use.
-var adthWorkloads = map[string]struct {
-	short string
-	build func(cores int, seed uint64) trace.Workload
-}{
-	"multi-programmed": {"multi-prog", trace.MixHigh},
-	"multi-threaded":   {"multi-thread", trace.FFT},
-}
-
-func adthWorkloadNames() []string { return sortedKeys(adthWorkloads) }
-
-// safetyBackground builds the benign core a safety attack runs alongside.
-// Background core first, attacker last: the run ends when the benign core
-// finishes even if the attacker is throttled to a crawl. The background
-// must be memory-bound (footprint ≫ LLC) so the attacker gets a realistic
-// time window.
-func safetyBackground() trace.Generator {
-	return trace.NewStream("bg", 1<<28, 64<<20, 10, 4)
-}
-
-func sortedKeys[V any](m map[string]V) []string {
-	names := make([]string, 0, len(m))
-	for k := range m {
-		names = append(names, k)
-	}
-	sort.Strings(names)
-	return names
-}
-
 // ---------------------------------------------------------------- row types
-
-// PerfPoint is one (scheme, FlipTH, workload) measurement.
-type PerfPoint struct {
-	Scheme              string
-	FlipTH              int
-	RFMTH               int
-	Workload            string
-	Seed                uint64
-	RelativePerformance float64 // % of unprotected aggregate IPC
-	EnergyOverheadPct   float64
-	TableKB             float64
-	Safe                bool
-}
-
-// String renders the point for logs.
-func (p PerfPoint) String() string {
-	return fmt.Sprintf("%-12s FlipTH=%-6d %-16s perf=%6.2f%% energy=+%5.2f%% table=%6.2fKB safe=%v",
-		p.Scheme, p.FlipTH, p.Workload, p.RelativePerformance, p.EnergyOverheadPct, p.TableKB, p.Safe)
-}
-
-// SafetyResult is one scheme × attack verdict.
-type SafetyResult struct {
-	Scheme         string
-	Attack         string
-	FlipTH         int
-	Seed           uint64
-	Flips          int
-	MaxDisturbance float64
-	Safe           bool
-}
-
-// Figure9Point compares Mithril and Mithril+ at one operating point.
-type Figure9Point struct {
-	FlipTH, RFMTH int
-	Seed          uint64
-	Mithril       float64 // relative performance %
-	MithrilPlus   float64
-	TableKB       float64
-	EnergyMithril float64
-	EnergyPlus    float64
-}
-
-// Figure7Point is one AdTH level of Figure 7.
-type Figure7Point struct {
-	FlipTH, RFMTH, AdTH int
-	Seed                uint64
-	// EnergyOverheadPct per workload class (multi-programmed/threaded).
-	EnergyOverheadPct map[string]float64
-	// AdditionalNEntryPct is the Theorem 2 table growth (right axis).
-	AdditionalNEntryPct float64
-}
 
 // Row is one completed output row of an executing spec: the unit the
 // streaming executor yields as workers finish grid points. Exactly one of
@@ -287,9 +174,9 @@ func (sc Scale) cfgFor(flipTH int, w trace.Workload) sim.Config {
 // fill runs at the FlipTH of the first cell that asks: the threshold
 // shapes only the fault checker, which a baseline does not keep, and that
 // threshold's device pool is already warm.
-func (rr *rowRunner) baseline(ctx context.Context, seed uint64, flipTH int, w trace.Workload, id string) (baseline, error) {
-	return rr.baselines.get(ctx, rr.sc.baselineKey(seed, id), func() (baseline, error) {
-		res, err := sim.RunContext(ctx, rr.sc.cfgFor(flipTH, w))
+func (x *Execution) baseline(ctx context.Context, seed uint64, flipTH int, w trace.Workload, id string) (baseline, error) {
+	return x.baselines.get(ctx, x.sc.baselineKey(seed, id), func() (baseline, error) {
+		res, err := sim.RunContext(ctx, x.sc.cfgFor(flipTH, w))
 		return baseline{ipcs: res.IPCs, energy: res.Energy}, err
 	})
 }
@@ -313,13 +200,13 @@ func BenignIPC(ipcs []float64, attackers int) float64 {
 // trailing attacker cores (w.Attackers) are excluded from IPC aggregation.
 // id is the workload's generator identity, which keys its baseline: w.Name
 // for every workload but the adversarial cell's.
-func (rr *rowRunner) measure(ctx context.Context, scheme mc.Scheme, seed uint64, flipTH int, w trace.Workload, id string) (PerfPoint, error) {
+func (x *Execution) measure(ctx context.Context, scheme mc.Scheme, seed uint64, flipTH int, w trace.Workload, id string) (PerfPoint, error) {
 	attackers := w.Attackers
-	base, err := rr.baseline(ctx, seed, flipTH, w, id)
+	base, err := x.baseline(ctx, seed, flipTH, w, id)
 	if err != nil {
 		return PerfPoint{}, err
 	}
-	cfg := rr.sc.cfgFor(flipTH, w)
+	cfg := x.sc.cfgFor(flipTH, w)
 	cfg.Scheme = scheme
 	res, err := sim.RunContext(ctx, cfg)
 	if err != nil {
@@ -337,157 +224,6 @@ func (rr *rowRunner) measure(ctx context.Context, scheme mc.Scheme, seed uint64,
 	}
 	pt.EnergyOverheadPct = energy.OverheadPercent(res.Energy, base.energy)
 	return pt, nil
-}
-
-// normalWorkloads returns the benign workload set for a scale (two mixes at
-// quick scale; the paper's five at full scale).
-func normalWorkloads(sc Scale, seed uint64) []trace.Workload {
-	if sc.Cores < 16 {
-		return []trace.Workload{trace.MixHigh(sc.Cores, seed), trace.FFT(sc.Cores, seed)}
-	}
-	all := trace.NormalWorkloads(sc.Cores, seed)
-	out := make([]trace.Workload, len(all))
-	for i, w := range all {
-		out[i] = w.Workload
-	}
-	return out
-}
-
-// multiSidedWorkload builds the Figure 10(b) workload: benign cores plus
-// one multi-sided attacker (32 victims at full scale).
-func multiSidedWorkload(sc Scale, seed uint64) trace.Workload {
-	mapper := mc.NewAddressMapper(sc.Params())
-	n := sc.attackCores()
-	benign := trace.MixHigh(n, seed)
-	victims := sc.multiSidedVictims()
-	return trace.Workload{
-		Name:      multiSidedRH,
-		Attackers: 1,
-		Fresh: func() []trace.Generator {
-			gens := benign.Fresh()
-			gens[len(gens)-1] = attack.NewMultiSided(mapper, 1, 7, 4000, victims)
-			return gens
-		},
-	}
-}
-
-// attackWorkload builds one comparison attacks-axis workload: the benign
-// mix-high cores with the last core replaced by the named registry
-// pattern at its paper-default coordinates — the same arrangement as
-// multi-sided-rh, for any registered attack. The workload is named after
-// the built generator ("multi:8" measures as workload "multi-sided-8"),
-// so baseline-cache keys and output rows are distinct per pattern. The
-// pattern is built once up front to surface bad names/arguments before
-// the sweep starts; Fresh rebuilds it per simulation because generators
-// are stateful.
-func attackWorkload(sc Scale, seed uint64, name string) (trace.Workload, error) {
-	mapper := mc.NewAddressMapper(sc.Params())
-	n := sc.attackCores()
-	benign := trace.MixHigh(n, seed)
-	gen, err := attack.Build(name, attack.Params{Mapper: mapper})
-	if err != nil {
-		return trace.Workload{}, err
-	}
-	return trace.Workload{
-		Name:      gen.Name(),
-		Attackers: 1,
-		Fresh: func() []trace.Generator {
-			gens := benign.Fresh()
-			g, err := attack.Build(name, attack.Params{Mapper: mapper})
-			if err != nil {
-				// Build is deterministic and succeeded above.
-				panic(fmt.Sprintf("expspec: attack %q failed on rebuild: %v", name, err))
-			}
-			gens[len(gens)-1] = g
-			return gens
-		},
-	}, nil
-}
-
-// adversarialWorkload builds the Figure 10(c) workload: benign cores with
-// one hot-row service core, plus a BlockHammer-collision adversary aimed at
-// the service core's rows. Against non-throttling schemes the adversary's
-// walk is harmless background traffic. The adversary's rows are searched
-// once per cell and every Fresh builds its generator from them. The second
-// result is the workload's generator identity: the name carries the
-// scheme, but the rows are all that vary with it, so schemes that yield
-// the same rows share one baseline.
-func adversarialWorkload(sc Scale, seed uint64, scheme mc.Scheme) (trace.Workload, string) {
-	p := sc.Params()
-	mapper := mc.NewAddressMapper(p)
-	n := sc.attackCores()
-	benign := trace.MixHigh(n, seed)
-	victimCore := n - 2
-	if victimCore < 0 {
-		victimCore = 0
-	}
-	base := uint64(victimCore) << 28
-	loc := mapper.Map(base)
-	rows := adversaryRows(mapper, loc, scheme)
-	return trace.Workload{
-		Name:      "bh-adversarial/" + scheme.Name(),
-		Attackers: 1,
-		Fresh: func() []trace.Generator {
-			gens := benign.Fresh()
-			// The service core strides an 8 MB object with a prime stride:
-			// cache-hostile, so its rows keep re-activating — throttling
-			// them (or escalating to the whole thread) hurts directly.
-			gens[victimCore] = trace.NewStrided("service", base, 8<<20, 257, 6)
-			// The adversary hammers rows that collide with the service
-			// core's hot rows in the deployed scheme's filters.
-			gens[len(gens)-1] = attack.NewRowList("bh-adversarial", mapper, loc.Channel, loc.Bank, rows)
-			return gens
-		},
-	}, adversaryID(rows)
-}
-
-// adversaryID is an adversarial workload's generator identity. Like the
-// workload names that key every other baseline it must name one set of
-// generators; the bracketed row list keeps it apart from those names.
-func adversaryID(rows []int) string { return fmt.Sprint("bh-adversarial", rows) }
-
-// adversaryRows picks the adversary's rows: those colliding with the
-// service core's first two hot rows in its first bank, or a fixed walk
-// when the scheme exposes no collision oracle.
-func adversaryRows(mapper *mc.AddressMapper, loc mc.Location, scheme mc.Scheme) []int {
-	var rows []int
-	if th, ok := scheme.(attack.Throttler); ok {
-		for i := 0; i < 2; i++ {
-			for _, r := range th.CollidingRows(loc.GlobalBank, uint32(loc.Row+i), 4) {
-				rows = append(rows, int(r))
-			}
-		}
-	}
-	if len(rows) == 0 {
-		for i := 0; i < 16; i++ {
-			rows = append(rows, (loc.Row+64+8*i)%mapper.Params().Rows)
-		}
-	}
-	return rows
-}
-
-// schemeTableKB reports the per-bank counter table area for the scheme at
-// a FlipTH level (Figure 10(e)/Table IV models).
-func schemeTableKB(name string, flipTH int) float64 {
-	p := timing.DDR5()
-	switch name {
-	case "graphene":
-		return analysis.GrapheneTableKB(p, flipTH)
-	case "twice":
-		return analysis.TWiCeTableKB(p, flipTH)
-	case "cbt":
-		return analysis.CBTTableKB(p, flipTH)
-	case "blockhammer":
-		return analysis.BlockHammerTableKB(flipTH)
-	case "mithril", "mithril+":
-		kb, ok := analysis.MithrilTableKB(p, flipTH, mitigation.PaperRFMTH(flipTH), 0)
-		if !ok {
-			return 0
-		}
-		return kb
-	default:
-		return 0
-	}
 }
 
 // ---------------------------------------------------------------- executors
@@ -525,10 +261,14 @@ func (s *Spec) RunAtContext(ctx context.Context, sc Scale, opts *ExecOptions) (*
 // different spec or dropped a shard, which is an error here rather than a
 // panic at emission time.
 func (s *Spec) NewResult(sc Scale, rows []Row) (*Result, error) {
+	k, ok := kindTable[s.Kind]
+	if !ok {
+		return nil, fmt.Errorf("spec %q: unknown kind %q", s.Name, s.Kind)
+	}
 	slices.SortFunc(rows, func(a, b Row) int { return cmp.Compare(a.Index, b.Index) })
 	res := &Result{Spec: s, Scale: sc}
 	for i := range rows {
-		if rows[i].pointKind() != s.Kind {
+		if !k.has(rows[i]) || rows[i].points() != 1 {
 			return nil, fmt.Errorf("spec %q: row %d has no %s point", s.Name, rows[i].Index, s.Kind)
 		}
 		if rows[i].Cached {
@@ -537,47 +277,19 @@ func (s *Spec) NewResult(sc Scale, rows []Row) (*Result, error) {
 			res.RowsSimulated++
 		}
 	}
-	res.Perf = points(rows, func(r *Row) *PerfPoint { return r.Perf })
-	res.Safety = points(rows, func(r *Row) *SafetyResult { return r.Safety })
-	res.Grid = points(rows, func(r *Row) *Figure9Point { return r.Grid })
-	res.AdTH = points(rows, func(r *Row) *Figure7Point { return r.AdTH })
+	k.collect(res, rows)
 	return res, nil
 }
 
-// pointKind reports which kind's point the row carries, or "" when it
-// carries none or more than one: the one owner of which Row field holds
-// which kind's point.
-func (row *Row) pointKind() Kind {
-	n, kind := 0, Kind("")
-	if row.Perf != nil {
-		n, kind = n+1, Comparison
+// points counts the kinds whose point the row carries.
+func (row Row) points() int {
+	n := 0
+	for _, k := range kinds {
+		if kindTable[k].has(row) {
+			n++
+		}
 	}
-	if row.Safety != nil {
-		n, kind = n+1, SafetyKind
-	}
-	if row.Grid != nil {
-		n, kind = n+1, ConfigGrid
-	}
-	if row.AdTH != nil {
-		n, kind = n+1, AdTHSweep
-	}
-	if n != 1 {
-		return ""
-	}
-	return kind
-}
-
-// points copies one Row field's points out of rows, or returns nil when
-// the rows (which all carry the same kind) hold theirs elsewhere.
-func points[T any](rows []Row, field func(*Row) *T) []T {
-	if len(rows) == 0 || field(&rows[0]) == nil {
-		return nil
-	}
-	out := make([]T, len(rows))
-	for i := range rows {
-		out[i] = *field(&rows[i])
-	}
-	return out
+	return n
 }
 
 // StreamRowsAt executes an explicit row-index subset of the expanded grid
@@ -761,7 +473,7 @@ func (x *Execution) Deliver(row Row) error {
 // are returned before the first yield; the sequence otherwise behaves as
 // StreamRowsAt's.
 func (x *Execution) Local(ctx context.Context, rows []int) (iter.Seq2[Row, error], error) {
-	rr, err := x.newRowRunner(rows)
+	compute, err := kindTable[x.spec.Kind].prepare(x, rows)
 	if err != nil {
 		return nil, err
 	}
@@ -773,7 +485,12 @@ func (x *Execution) Local(ctx context.Context, rows []int) (iter.Seq2[Row, error
 		if x.simulated != nil {
 			x.simulated[i] = true
 		}
-		return rr.run(ctx, i)
+		row, err := compute(ctx, x.cells[i])
+		if err != nil {
+			return Row{}, err
+		}
+		row.Index, row.Cell = i, x.cells[i]
+		return row, nil
 	}
 	return func(yield func(Row, error) bool) {
 		for iv, err := range sweep.StreamContext(ctx, x.sc.Jobs, len(rows), run) {
@@ -807,367 +524,51 @@ func (x *Execution) stream(ctx context.Context) (iter.Seq2[Row, error], error) {
 	}, nil
 }
 
-// seeds resolves the seed axis (empty: the scale's single seed).
-func (s *Spec) seeds(sc Scale) []uint64 {
-	if len(s.Axes.Seeds) > 0 {
-		return s.Axes.Seeds
+// memo builds each distinct input once while a kind prepares its rows;
+// the rows then only read it, so concurrent row jobs need no locking.
+type memo[K comparable, V any] map[K]V
+
+func (m memo[K, V]) get(k K, build func() (V, error)) (V, error) {
+	if v, ok := m[k]; ok {
+		return v, nil
 	}
-	return []uint64{sc.Seed}
+	v, err := build()
+	if err == nil {
+		m[k] = v
+	}
+	return v, err
 }
 
-// seedSet is the per-seed workload state a comparison spec prepares once
-// and reuses across its grid rows. Named workloads (registry and
-// trace-file) and attacks-axis workloads are prebuilt here so build
-// errors — an unknown name, a malformed trace file — surface before the
-// sweep starts; trace-file workloads are additionally shared across
-// seeds (a replay ignores the seed), so each file is parsed exactly once
-// per execution.
-type seedSet struct {
-	normals []trace.Workload
-	rhW     trace.Workload
-	named   map[string]trace.Workload // workloads axis, by spec name
-	attacks map[string]trace.Workload // attacks axis, by registry name
+// workloadKey names one prepared workload of a cell. A trace replay
+// ignores the seed, so its key drops it: each file is parsed once per
+// execution, however many seeds replay it.
+type workloadKey struct {
+	seed             uint64
+	workload, attack string
 }
 
-// needSet records which seeds, (seed, workload) pairs, and (seed, attack)
-// pairs a row subset touches, so newRowRunner prebuilds only the state
-// those rows consume. Adversarial cells contribute nothing beyond their
-// seed — their workload is built inline per row.
-type needSet struct {
-	seeds     map[uint64]bool
-	workloads map[seedName]bool // workload cells (comparison, configgrid)
-	attacks   map[seedName]bool // attack cells (comparison attacks axis, safety)
-	attackAny map[string]bool   // attacks named by any subset cell, any seed
+func workloadKeyOf(c Cell) workloadKey {
+	if strings.HasPrefix(c.Workload, trace.TracePrefix) {
+		return workloadKey{workload: c.Workload}
+	}
+	return workloadKey{c.Seed, c.Workload, c.Attack}
 }
 
-type seedName struct {
-	seed uint64
-	name string
-}
-
-func newNeedSet(cells []Cell, rows []int) *needSet {
-	n := &needSet{
-		seeds:     map[uint64]bool{},
-		workloads: map[seedName]bool{},
-		attacks:   map[seedName]bool{},
-		attackAny: map[string]bool{},
+// checkMithril fails, before any row runs, on a Mithril/Mithril+ cell
+// whose operating point (opt at the execution's timing) NewMithril would
+// panic on mid-sweep. checked remembers the points already vetted.
+func (x *Execution) checkMithril(checked memo[mitigation.Options, bool], scheme string, opt mitigation.Options) error {
+	if scheme != "mithril" && scheme != "mithril+" {
+		return nil
 	}
-	for _, i := range rows {
-		c := cells[i]
-		n.seeds[c.Seed] = true
-		switch {
-		case c.Adversarial:
-		case c.Attack != "":
-			n.attacks[seedName{c.Seed, c.Attack}] = true
-			n.attackAny[c.Attack] = true
-		case c.Workload != "":
-			n.workloads[seedName{c.Seed, c.Workload}] = true
-		}
-	}
-	return n
-}
-
-func (n *needSet) seed(seed uint64) bool                  { return n.seeds[seed] }
-func (n *needSet) workload(seed uint64, name string) bool { return n.workloads[seedName{seed, name}] }
-func (n *needSet) attack(seed uint64, name string) bool   { return n.attacks[seedName{seed, name}] }
-func (n *needSet) anyAttack(name string) bool             { return n.attackAny[name] }
-
-// rowRunner simulates one spec's rows at one scale, one output row at a
-// time: the simulation behind Execution.Local. Precomputed per-seed state
-// keeps row jobs pure. That state is prebuilt only for the rows the runner
-// was built for, so a subset never touches inputs it will not simulate —
-// in particular, a worker handed a shard of a spec that also names
-// trace-file workloads never opens those files unless the shard includes
-// their rows.
-type rowRunner struct {
-	spec      *Spec
-	sc        Scale
-	baselines *BaselineCache
-	cells     []Cell
-
-	sets      map[uint64]*seedSet       // comparison
-	workloads map[uint64]trace.Workload // configgrid
-	mapper    *mc.AddressMapper         // safety
-}
-
-// newRowRunner binds the per-kind state for the named grid rows.
-func (x *Execution) newRowRunner(rows []int) (*rowRunner, error) {
-	s, sc := x.spec, x.sc
-	rr := &rowRunner{spec: s, sc: sc, baselines: x.baselines, cells: x.cells}
-	// needs records which (seed, workload/attack) pairs the rows touch.
-	needs := newNeedSet(rr.cells, rows)
-	// buildNamed resolves one workloads-axis name. Trace replays are
-	// seed-independent, so one build (one file parse) serves every seed.
-	traceShared := map[string]trace.Workload{}
-	buildNamed := func(name string, seed uint64) (trace.Workload, error) {
-		if !strings.HasPrefix(name, trace.TracePrefix) {
-			return trace.BuildWorkload(name, sc.Cores, seed)
-		}
-		w, ok := traceShared[name]
-		if !ok {
-			var err error
-			if w, err = trace.BuildWorkload(name, sc.Cores, seed); err != nil {
-				return trace.Workload{}, err
-			}
-			traceShared[name] = w
-		}
-		return w, nil
-	}
-	switch s.Kind {
-	case Comparison:
-		rr.sets = map[uint64]*seedSet{}
-		for _, seed := range s.seeds(sc) {
-			set := &seedSet{
-				named:   map[string]trace.Workload{},
-				attacks: map[string]trace.Workload{},
-			}
-			rr.sets[seed] = set
-			for _, name := range s.Axes.Workloads {
-				if !needs.workload(seed, name) {
-					continue
-				}
-				switch name {
-				case normalSet:
-					set.normals = normalWorkloads(sc, seed)
-				case multiSidedRH:
-					set.rhW = multiSidedWorkload(sc, seed)
-				default:
-					w, err := buildNamed(name, seed)
-					if err != nil {
-						return nil, err
-					}
-					set.named[name] = w
-				}
-			}
-			for _, name := range s.Axes.Attacks {
-				if !needs.attack(seed, name) {
-					continue
-				}
-				w, err := attackWorkload(sc, seed, name)
-				if err != nil {
-					return nil, err
-				}
-				set.attacks[name] = w
-			}
-		}
-	case SafetyKind:
-		rr.mapper = mc.NewAddressMapper(sc.Params())
-		// Trial-build every subset pattern (sans oracle) so bad
-		// coordinates — an out-of-bank multi:<n>, say — fail here, before
-		// the sweep, exactly as comparison specs fail in attackWorkload.
-		for _, a := range s.Axes.Attacks {
-			if !needs.anyAttack(a) {
-				continue
-			}
-			if _, err := attack.Build(a, attack.Params{Mapper: rr.mapper}); err != nil {
-				return nil, err
-			}
-		}
-	case ConfigGrid:
-		rr.workloads = map[uint64]trace.Workload{}
-		for _, seed := range s.seeds(sc) {
-			if !needs.seed(seed) {
-				continue
-			}
-			w, err := buildNamed(s.Axes.Workloads[0], seed)
-			if err != nil {
-				return nil, err
-			}
-			rr.workloads[seed] = w
-		}
-	}
-	return rr, nil
-}
-
-// run computes grid row i. It is safe for concurrent invocation across
-// distinct rows; per-row scheme instances are built fresh, so tracker
-// state never leaks between rows.
-func (rr *rowRunner) run(ctx context.Context, i int) (Row, error) {
-	row := Row{Index: i, Cell: rr.cells[i]}
-	var err error
-	switch rr.spec.Kind {
-	case Comparison:
-		row.Perf, err = rr.comparisonRow(ctx, rr.cells[i])
-	case SafetyKind:
-		row.Safety, err = rr.safetyRow(ctx, rr.cells[i])
-	case ConfigGrid:
-		row.Grid, err = rr.configGridRow(ctx, rr.cells[i])
-	case AdTHSweep:
-		row.AdTH, err = rr.adthRow(ctx, rr.cells[i])
-	}
-	if err != nil {
-		return Row{}, err
-	}
-	return row, nil
+	opt.Timing = x.sc.Params()
+	_, err := checked.get(opt, func() (bool, error) { return true, mitigation.CheckMithril(opt) })
+	return err
 }
 
 // buildScheme constructs a fresh scheme instance for one simulation. Every
 // simulation gets its own instance — tracker state must never leak between
 // grid cells (or between the member workloads of a "normal" row).
-func (rr *rowRunner) buildScheme(name string, flipTH int, seed uint64) (mc.Scheme, error) {
-	return mitigation.Build(name, mitigation.Options{Timing: rr.sc.Params(), FlipTH: flipTH, Seed: seed})
-}
-
-// comparisonRow measures one output row of a comparison sweep: a single
-// workload cell, or the whole "normal" benign set geomean-reduced to one
-// point, or the per-scheme BlockHammer-collision adversarial cell.
-//
-// The "normal" row runs its member workloads serially inside the one row
-// job — a deliberate trade: the output row is the streaming unit (a
-// partially-measured geomean is meaningless to a consumer), at the cost
-// of intra-row parallelism the old cell-granular executor had. Sweeps
-// keep their cross-row fan-out, which dominates at real grid sizes.
-func (rr *rowRunner) comparisonRow(ctx context.Context, c Cell) (*PerfPoint, error) {
-	if c.Adversarial {
-		scheme, err := rr.buildScheme(c.Scheme, c.FlipTH, c.Seed)
-		if err != nil {
-			return nil, err
-		}
-		w, id := adversarialWorkload(rr.sc, c.Seed, scheme)
-		pt, err := rr.measure(ctx, scheme, c.Seed, c.FlipTH, w, id)
-		if err != nil {
-			return nil, err
-		}
-		pt.TableKB = schemeTableKB(c.Scheme, c.FlipTH)
-		return &pt, nil
-	}
-	set := rr.sets[c.Seed]
-	if c.Attack != "" {
-		scheme, err := rr.buildScheme(c.Scheme, c.FlipTH, c.Seed)
-		if err != nil {
-			return nil, err
-		}
-		w := set.attacks[c.Attack]
-		pt, err := rr.measure(ctx, scheme, c.Seed, c.FlipTH, w, w.Name)
-		if err != nil {
-			return nil, err
-		}
-		pt.TableKB = schemeTableKB(c.Scheme, c.FlipTH)
-		return &pt, nil
-	}
-	if c.Workload == normalSet {
-		var perfs []float64
-		var energySum float64
-		safe := true
-		for _, w := range set.normals {
-			scheme, err := rr.buildScheme(c.Scheme, c.FlipTH, c.Seed)
-			if err != nil {
-				return nil, err
-			}
-			pt, err := rr.measure(ctx, scheme, c.Seed, c.FlipTH, w, w.Name)
-			if err != nil {
-				return nil, err
-			}
-			perfs = append(perfs, pt.RelativePerformance)
-			energySum += pt.EnergyOverheadPct
-			safe = safe && pt.Safe
-		}
-		return &PerfPoint{
-			Scheme: c.Scheme, FlipTH: c.FlipTH, Workload: normalSet, Seed: c.Seed,
-			RelativePerformance: stats.Geomean(perfs),
-			EnergyOverheadPct:   energySum / float64(len(set.normals)),
-			TableKB:             schemeTableKB(c.Scheme, c.FlipTH),
-			Safe:                safe,
-		}, nil
-	}
-	w := set.rhW
-	if c.Workload != multiSidedRH {
-		w = set.named[c.Workload]
-	}
-	scheme, err := rr.buildScheme(c.Scheme, c.FlipTH, c.Seed)
-	if err != nil {
-		return nil, err
-	}
-	pt, err := rr.measure(ctx, scheme, c.Seed, c.FlipTH, w, w.Name)
-	if err != nil {
-		return nil, err
-	}
-	pt.TableKB = schemeTableKB(c.Scheme, c.FlipTH)
-	return &pt, nil
-}
-
-// safetyRow attacks one scheme with one registered attack pattern in the
-// full simulator and reports the fault-model verdict. The deployed
-// scheme's collision oracle (when it exposes one) is handed to the
-// pattern build, so oracle-driven patterns like blockhammer-adversarial
-// aim at the actual filters under test. The reported Attack is the built
-// generator's display name ("multi:32" reports as "multi-sided-32"),
-// which keeps the pre-registry golden lines byte-identical.
-func (rr *rowRunner) safetyRow(ctx context.Context, c Cell) (*SafetyResult, error) {
-	scheme, err := rr.buildScheme(c.Scheme, c.FlipTH, c.Seed)
-	if err != nil {
-		return nil, err
-	}
-	oracle, _ := scheme.(attack.Throttler)
-	gen, err := attack.Build(c.Attack, attack.Params{Mapper: rr.mapper, Oracle: oracle})
-	if err != nil {
-		return nil, err
-	}
-	cfg := BaseSimConfig(c.FlipTH, rr.sc)
-	cfg.Scheme = scheme
-	cfg.Workload = []trace.Generator{safetyBackground(), gen}
-	cfg.InstrPerCore = rr.sc.InstrPerCore * attackInstrFactor
-	cfg.RequireCores = 1 // benign core only
-	res, err := sim.RunContext(ctx, cfg)
-	if err != nil {
-		return nil, err
-	}
-	return &SafetyResult{
-		Scheme: c.Scheme, Attack: gen.Name(), FlipTH: c.FlipTH, Seed: c.Seed,
-		Flips: res.Safety.Flips, MaxDisturbance: res.Safety.MaxDisturbance,
-		Safe: res.Safety.Safe(),
-	}, nil
-}
-
-// configGridRow measures the paired Mithril/Mithril+ point of one feasible
-// (FlipTH, RFMTH) grid cell.
-func (rr *rowRunner) configGridRow(ctx context.Context, c Cell) (*Figure9Point, error) {
-	w := rr.workloads[c.Seed]
-	opt := mitigation.Options{Timing: rr.sc.Params(), FlipTH: c.FlipTH, RFMTH: c.RFMTH, Seed: c.Seed}
-	m, err := rr.measure(ctx, mitigation.NewMithril(opt), c.Seed, c.FlipTH, w, w.Name)
-	if err != nil {
-		return nil, err
-	}
-	plus, err := rr.measure(ctx, mitigation.NewMithrilPlus(opt), c.Seed, c.FlipTH, w, w.Name)
-	if err != nil {
-		return nil, err
-	}
-	kb, _ := analysis.MithrilTableKB(timing.DDR5(), c.FlipTH, c.RFMTH, 0)
-	return &Figure9Point{
-		FlipTH: c.FlipTH, RFMTH: c.RFMTH, Seed: c.Seed,
-		Mithril: m.RelativePerformance, MithrilPlus: plus.RelativePerformance,
-		TableKB:       kb,
-		EnergyMithril: m.EnergyOverheadPct, EnergyPlus: plus.EnergyOverheadPct,
-	}, nil
-}
-
-// adOrDisabled maps AdTH 0 to the mitigation package's "disabled" encoding.
-func adOrDisabled(ad int) int {
-	if ad == 0 {
-		return -1
-	}
-	return ad
-}
-
-// adthRow sweeps the workload classes for one (seed, config, AdTH) point,
-// reporting energy overheads plus the Theorem 2 table growth.
-func (rr *rowRunner) adthRow(ctx context.Context, c Cell) (*Figure7Point, error) {
-	p := rr.sc.Params()
-	pt := &Figure7Point{FlipTH: c.FlipTH, RFMTH: c.RFMTH, AdTH: c.AdTH, Seed: c.Seed,
-		EnergyOverheadPct: map[string]float64{}}
-	if pct, ok := analysis.AdditionalNEntryPercent(p, c.FlipTH, c.RFMTH, c.AdTH); ok {
-		pt.AdditionalNEntryPct = pct
-	}
-	for _, wName := range rr.spec.Axes.Workloads {
-		w := adthWorkloads[wName].build(rr.sc.Cores, c.Seed)
-		scheme := mitigation.NewMithril(mitigation.Options{
-			Timing: p, FlipTH: c.FlipTH, RFMTH: c.RFMTH, AdTH: adOrDisabled(c.AdTH), Seed: c.Seed,
-		})
-		m, err := rr.measure(ctx, scheme, c.Seed, c.FlipTH, w, w.Name)
-		if err != nil {
-			return nil, err
-		}
-		pt.EnergyOverheadPct[wName] = m.EnergyOverheadPct
-	}
-	return pt, nil
+func (x *Execution) buildScheme(name string, flipTH int, seed uint64) (mc.Scheme, error) {
+	return mitigation.Build(name, mitigation.Options{Timing: x.sc.Params(), FlipTH: flipTH, Seed: seed})
 }

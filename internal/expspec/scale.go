@@ -22,6 +22,14 @@
 // thin wrappers over shipped spec files (specs/*.json at the module root);
 // opening a new scenario — a different scheme subset, FlipTH grid, workload
 // mix, or seed set — is a new JSON file, not a recompile.
+//
+// Everything one kind of spec does differently — axis validation,
+// expansion, preparing and running rows, columns, golden lines, and which
+// Row/Result field holds its points — lives in that kind's own file
+// (kind_comparison.go, kind_safety.go, kind_configgrid.go, kind_adth.go)
+// behind the rowKind interface. The generic code looks a kind up in
+// kindTable (spec.go) and never switches on Kind, so a new kind is one
+// new file plus one table entry.
 package expspec
 
 import (

@@ -2,17 +2,17 @@ package expspec
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io/fs"
 	"os"
 	"path"
 	"sort"
+	"strings"
 
-	"mithril/internal/analysis"
 	"mithril/internal/attack"
 	"mithril/internal/mitigation"
-	"mithril/internal/trace"
 )
 
 // Kind selects the experiment family a spec expands into. Every kind shares
@@ -36,8 +36,77 @@ const (
 	AdTHSweep Kind = "adth"
 )
 
-// kinds lists the valid Kind values for validation messages.
+// kinds lists the valid Kind values, in the order validation messages
+// name them.
 var kinds = []Kind{Comparison, SafetyKind, ConfigGrid, AdTHSweep}
+
+// kindTable is the one place a Kind maps to behaviour: each kind's
+// implementation lives in its own kind_<name>.go file.
+var kindTable = map[Kind]rowKind{
+	Comparison: comparisonKind{points[PerfPoint]{
+		func(r Row) *PerfPoint { return r.Perf }, func(r *Result) *[]PerfPoint { return &r.Perf }}},
+	SafetyKind: safetyKind{points[SafetyResult]{
+		func(r Row) *SafetyResult { return r.Safety }, func(r *Result) *[]SafetyResult { return &r.Safety }}},
+	ConfigGrid: configGridKind{points[Figure9Point]{
+		func(r Row) *Figure9Point { return r.Grid }, func(r *Result) *[]Figure9Point { return &r.Grid }}},
+	AdTHSweep: adthKind{points[Figure7Point]{
+		func(r Row) *Figure7Point { return r.AdTH }, func(r *Result) *[]Figure7Point { return &r.AdTH }}},
+}
+
+// rowKind is everything one kind of spec does differently from the others.
+type rowKind interface {
+	// validate checks the kind's axes; the checks every kind shares
+	// (known names, no duplicates, value ranges) have already passed.
+	validate(a *Axes) error
+	// expand appends one seed's cells in emission order.
+	expand(s *Spec, sc Scale, seed uint64, cells []Cell) []Cell
+	// prepare builds, once each, only the inputs the rows' cells name —
+	// so a shard never opens a trace file outside its rows — and rejects
+	// any input that would otherwise fail mid-sweep. It returns the
+	// function computing one row, safe for concurrent calls.
+	prepare(x *Execution, rows []int) (rowFunc, error)
+	// defaultColumns mirrors the CLI table; columns lists every column
+	// the kind can emit, in canonical order.
+	defaultColumns(s *Spec) []string
+	columns(s *Spec) []column
+	// sortTable reorders the text table's rows (machine formats keep grid
+	// order).
+	sortTable(r *Result, order []int)
+	// golden writes row i of r as one full-precision golden line.
+	golden(b *strings.Builder, r *Result, i int)
+	// keyPart names a kind-specific component of every cell's store key
+	// (name "" for none).
+	keyPart(s *Spec) (name, value string)
+
+	// The Row and Result fields holding the kind's points.
+	has(row Row) bool
+	count(r *Result) int
+	collect(r *Result, rows []Row)
+}
+
+// rowFunc computes one grid row's point.
+type rowFunc func(ctx context.Context, c Cell) (Row, error)
+
+// points binds a kind to the Row and Result fields holding its points, and
+// supplies the hooks most kinds leave empty.
+type points[T any] struct {
+	row    func(Row) *T
+	result func(*Result) *[]T
+}
+
+func (p points[T]) has(row Row) bool    { return p.row(row) != nil }
+func (p points[T]) count(r *Result) int { return len(*p.result(r)) }
+
+func (p points[T]) collect(r *Result, rows []Row) {
+	out := make([]T, len(rows))
+	for i, row := range rows {
+		out[i] = *p.row(row)
+	}
+	*p.result(r) = out
+}
+
+func (points[T]) sortTable(*Result, []int)    {}
+func (points[T]) keyPart(*Spec) (_, _ string) { return "", "" }
 
 // ScaleSpec names the simulation scale a spec runs at: a required preset
 // plus optional field overrides (0 keeps the preset's value).
@@ -227,119 +296,52 @@ func (s *Spec) Validate() error {
 	if _, err := s.Scale.Resolve(); err != nil {
 		return fail("%v", err)
 	}
-	if err := noDuplicates("schemes", s.Axes.Schemes); err != nil {
-		return fail("%v", err)
+	for _, err := range []error{
+		noDuplicates("schemes", s.Axes.Schemes),
+		noDuplicates("flipths", s.Axes.FlipTHs),
+		noDuplicates("workloads", s.Axes.Workloads),
+		validateAttackAxis(s.Axes.Attacks),
+		noDuplicates("seeds", s.Axes.Seeds),
+		noDuplicates("adths", s.Axes.AdTHs),
+	} {
+		if err != nil {
+			return fail("%v", err)
+		}
 	}
-	if err := noDuplicates("flipths", s.Axes.FlipTHs); err != nil {
-		return fail("%v", err)
+	for _, f := range s.Axes.FlipTHs {
+		if f <= 0 {
+			return fail("flipths: FlipTH %d must be positive", f)
+		}
 	}
-	if err := noDuplicates("workloads", s.Axes.Workloads); err != nil {
-		return fail("%v", err)
-	}
-	if err := validateAttackAxis(s.Axes.Attacks); err != nil {
-		return fail("%v", err)
-	}
-	if err := noDuplicates("seeds", s.Axes.Seeds); err != nil {
-		return fail("%v", err)
-	}
-	if err := noDuplicates("adths", s.Axes.AdTHs); err != nil {
-		return fail("%v", err)
+	for _, ad := range s.Axes.AdTHs {
+		if ad < 0 {
+			return fail("adths: AdTH %d must not be negative (0 disables adaptive refresh)", ad)
+		}
 	}
 	for _, sch := range s.Axes.Schemes {
 		if !knownScheme(sch) {
 			return fail("unknown scheme %q (known: %v)", sch, mitigation.Names())
 		}
 	}
-	switch s.Kind {
-	case Comparison:
-		if len(s.Axes.Schemes) == 0 {
-			return fail("comparison needs a non-empty schemes axis")
-		}
-		if len(s.Axes.Workloads) == 0 && len(s.Axes.Attacks) == 0 && !s.Axes.Adversarial {
-			return fail("comparison needs a non-empty workloads or attacks axis (or adversarial: true)")
-		}
-		for _, w := range s.Axes.Workloads {
-			if err := validateComparisonWorkload(w); err != nil {
-				return fail("%v", err)
-			}
-		}
-		for _, a := range s.Axes.Attacks {
-			// Comparison attack workloads are built before any scheme
-			// exists, so no collision oracle can be wired in; silently
-			// running the oracle-less fallback would measure the wrong
-			// thing, so oracle-only patterns are rejected here.
-			if attack.NeedsOracle(a) {
-				return fail("attack %q needs the deployed scheme's collision oracle; use \"adversarial\": true for the per-scheme adversarial workload", a)
-			}
-		}
-		if len(s.Axes.Grid) > 0 || len(s.Axes.Configs) > 0 || len(s.Axes.AdTHs) > 0 {
-			return fail("grid/configs/adths axes apply only to configgrid/adth kinds")
-		}
-	case SafetyKind:
-		if len(s.Axes.Schemes) == 0 {
-			return fail("safety needs a non-empty schemes axis")
-		}
-		if len(s.Axes.FlipTHs) == 0 {
-			return fail("safety needs a non-empty flipths axis")
-		}
-		if len(s.Axes.Workloads) > 0 {
-			return fail("safety takes no workloads axis — name its attack patterns on the attacks axis (known: %v)", attack.Names())
-		}
-		if len(s.Axes.Attacks) == 0 {
-			return fail("safety needs a non-empty attacks axis (known: %v)", attack.Names())
-		}
-		if s.Axes.Adversarial || len(s.Axes.Grid) > 0 || len(s.Axes.Configs) > 0 || len(s.Axes.AdTHs) > 0 {
-			return fail("safety accepts only schemes/flipths/attacks/seeds axes")
-		}
-	case ConfigGrid:
-		if len(s.Axes.Grid) == 0 {
-			return fail("configgrid needs a non-empty grid axis")
-		}
-		seenTH := map[int]bool{}
-		for _, lvl := range s.Axes.Grid {
-			if seenTH[lvl.FlipTH] {
-				return fail("grid: duplicate flipth %d", lvl.FlipTH)
-			}
-			seenTH[lvl.FlipTH] = true
-			if len(lvl.RFMTHs) == 0 {
-				return fail("grid: flipth %d has an empty rfmths list", lvl.FlipTH)
-			}
-			if err := noDuplicates(fmt.Sprintf("grid[flipth=%d].rfmths", lvl.FlipTH), lvl.RFMTHs); err != nil {
-				return fail("%v", err)
-			}
-		}
-		if len(s.Axes.Workloads) != 1 {
-			return fail("configgrid needs exactly one benign workload")
-		}
-		if err := trace.ValidateWorkloadName(s.Axes.Workloads[0]); err != nil {
-			return fail("%v", err)
-		}
-		if len(s.Axes.Schemes) > 0 || len(s.Axes.FlipTHs) > 0 || s.Axes.Adversarial || len(s.Axes.Attacks) > 0 || len(s.Axes.Configs) > 0 || len(s.Axes.AdTHs) > 0 {
-			return fail("configgrid pairs mithril/mithril+ implicitly; only grid/workloads/seeds axes apply")
-		}
-	case AdTHSweep:
-		if len(s.Axes.Configs) == 0 {
-			return fail("adth needs a non-empty configs axis")
-		}
-		if len(s.Axes.AdTHs) == 0 {
-			return fail("adth needs a non-empty adths axis")
-		}
-		if len(s.Axes.Workloads) == 0 {
-			return fail("adth needs a non-empty workloads axis")
-		}
-		for _, w := range s.Axes.Workloads {
-			if _, ok := adthWorkloads[w]; !ok {
-				return fail("unknown workload %q (known: %v)", w, adthWorkloadNames())
-			}
-		}
-		if len(s.Axes.Schemes) > 0 || len(s.Axes.FlipTHs) > 0 || s.Axes.Adversarial || len(s.Axes.Attacks) > 0 || len(s.Axes.Grid) > 0 {
-			return fail("adth accepts only configs/adths/workloads/seeds axes")
-		}
-	default:
+	k, ok := kindTable[s.Kind]
+	if !ok {
 		return fail("unknown kind %q (want one of %v)", s.Kind, kinds)
+	}
+	if err := k.validate(&s.Axes); err != nil {
+		return fail("%v", err)
 	}
 	if _, err := s.columns(); err != nil {
 		return fail("%v", err)
+	}
+	return nil
+}
+
+// positivePoint rejects a non-positive FlipTH or RFMTH on a grid/configs
+// operating point: the simulator would refuse the one and silently
+// substitute the paper's value for the other.
+func positivePoint(axis string, flipTH, rfmTH int) error {
+	if flipTH <= 0 || rfmTH <= 0 {
+		return fmt.Errorf("%s: flipth %d, rfmth %d: FlipTH and RFMTH must be positive", axis, flipTH, rfmTH)
 	}
 	return nil
 }
@@ -419,65 +421,21 @@ type Cell struct {
 // cells pair one-to-one with the rows a run emits). Expansion is pure:
 // expanding twice yields identical slices.
 func (s *Spec) Expand(sc Scale) []Cell {
-	seeds := s.Axes.Seeds
-	if len(seeds) == 0 {
-		seeds = []uint64{sc.Seed}
+	k, ok := kindTable[s.Kind]
+	if !ok {
+		return nil
 	}
 	var cells []Cell
-	switch s.Kind {
-	case Comparison:
-		flipths := s.Axes.FlipTHs
-		if len(flipths) == 0 {
-			flipths = sc.FlipTHs
-		}
-		for _, seed := range seeds {
-			for _, flipTH := range flipths {
-				for _, scheme := range s.Axes.Schemes {
-					for _, w := range s.Axes.Workloads {
-						cells = append(cells, Cell{Seed: seed, FlipTH: flipTH, Scheme: scheme, Workload: w})
-					}
-					for _, a := range s.Axes.Attacks {
-						cells = append(cells, Cell{Seed: seed, FlipTH: flipTH, Scheme: scheme, Attack: a})
-					}
-					if s.Axes.Adversarial {
-						cells = append(cells, Cell{Seed: seed, FlipTH: flipTH, Scheme: scheme, Adversarial: true,
-							Workload: "bh-adversarial/" + scheme})
-					}
-				}
-			}
-		}
-	case SafetyKind:
-		for _, seed := range seeds {
-			for _, flipTH := range s.Axes.FlipTHs {
-				for _, a := range s.Axes.Attacks {
-					for _, scheme := range s.Axes.Schemes {
-						cells = append(cells, Cell{Seed: seed, FlipTH: flipTH, Scheme: scheme, Attack: a})
-					}
-				}
-			}
-		}
-	case ConfigGrid:
-		for _, seed := range seeds {
-			for _, lvl := range s.Axes.Grid {
-				for _, rfmTH := range lvl.RFMTHs {
-					// The feasibility check is analytic (no simulation):
-					// Theorem 1 has no table size for some declared points.
-					if _, ok := analysis.Configure(sc.Params(), lvl.FlipTH, rfmTH, mitigation.DefaultAdTH, analysis.DoubleSidedBlast); !ok {
-						continue
-					}
-					cells = append(cells, Cell{Seed: seed, FlipTH: lvl.FlipTH, RFMTH: rfmTH,
-						Workload: s.Axes.Workloads[0]})
-				}
-			}
-		}
-	case AdTHSweep:
-		for _, seed := range seeds {
-			for _, cfg := range s.Axes.Configs {
-				for _, adTH := range s.Axes.AdTHs {
-					cells = append(cells, Cell{Seed: seed, FlipTH: cfg.FlipTH, RFMTH: cfg.RFMTH, AdTH: adTH})
-				}
-			}
-		}
+	for _, seed := range s.seeds(sc) {
+		cells = k.expand(s, sc, seed, cells)
 	}
 	return cells
+}
+
+// seeds resolves the seed axis (empty: the scale's single seed).
+func (s *Spec) seeds(sc Scale) []uint64 {
+	if len(s.Axes.Seeds) > 0 {
+		return s.Axes.Seeds
+	}
+	return []uint64{sc.Seed}
 }

@@ -2,6 +2,7 @@ package expspec
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"os"
 	"path/filepath"
@@ -10,11 +11,15 @@ import (
 )
 
 // FuzzParseSpec drives the spec parser with arbitrary byte streams,
-// mirroring trace's FuzzParseTrace. Two properties must hold on every
-// input: Parse never panics, and every accepted spec survives a
-// json.Marshal round trip — the re-parsed spec validates again and
-// marshals to identical bytes (the canonical-form property the CLI's
-// spec-echoing endpoints rely on).
+// mirroring trace's FuzzParseTrace. Three properties must hold on every
+// input: Parse never panics; every accepted spec survives a json.Marshal
+// round trip — the re-parsed spec validates again and marshals to
+// identical bytes (the canonical-form property the CLI's spec-echoing
+// endpoints rely on); and an accepted spec's execution constructs and
+// prepares its rows at the spec's own scale (NewExecution, then Local)
+// without panicking — anything wrong must surface as an error there, not
+// inside the sweep. The sequence Local returns is not ranged, so no row
+// simulates.
 func FuzzParseSpec(f *testing.F) {
 	files, err := filepath.Glob(filepath.Join("..", "..", "specs", "*.json"))
 	if err != nil || len(files) == 0 {
@@ -59,5 +64,18 @@ func FuzzParseSpec(f *testing.F) {
 		if !bytes.Equal(out, out2) {
 			t.Fatalf("marshal round trip is not canonical:\nfirst:  %s\nsecond: %s", out, out2)
 		}
+		sc, err := sp.Scale.Resolve()
+		if err != nil {
+			t.Fatalf("accepted spec has an unresolvable scale: %v", err)
+		}
+		x, err := sp.NewExecution(sc, nil, nil)
+		if err != nil {
+			return
+		}
+		rows := make([]int, len(x.Cells()))
+		for i := range rows {
+			rows[i] = i
+		}
+		_, _ = x.Local(context.Background(), rows)
 	})
 }

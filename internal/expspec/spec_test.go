@@ -119,6 +119,33 @@ func TestValidateErrors(t *testing.T) {
 			s.Axes = Axes{Configs: []ConfigPoint{{FlipTH: 6250, RFMTH: 64}}, AdTHs: []int{0},
 				Workloads: []string{"mix-high"}}
 		}, "unknown workload"},
+		// Out-of-range operating points fail here, not as a silently
+		// substituted threshold, a mislabelled row, or a mid-sweep error.
+		{"non-positive flipth", func(s *Spec) { s.Axes.FlipTHs = []int{6250, -5} }, "FlipTH -5 must be positive"},
+		{"zero flipth", func(s *Spec) { s.Axes.FlipTHs = []int{0} }, "FlipTH 0 must be positive"},
+		{"negative adth", func(s *Spec) {
+			s.Kind = AdTHSweep
+			s.Axes = Axes{Configs: []ConfigPoint{{FlipTH: 6250, RFMTH: 64}}, AdTHs: []int{0, -7},
+				Workloads: []string{"multi-programmed"}}
+		}, "AdTH -7 must not be negative"},
+		{"configgrid zero flipth", func(s *Spec) {
+			s.Kind = ConfigGrid
+			s.Axes = Axes{Workloads: []string{"mix-high"}, Grid: []GridLevel{{FlipTH: 0, RFMTHs: []int{64}}}}
+		}, "must be positive"},
+		{"configgrid non-positive rfmths", func(s *Spec) {
+			s.Kind = ConfigGrid
+			s.Axes = Axes{Workloads: []string{"mix-high"}, Grid: []GridLevel{{FlipTH: 6250, RFMTHs: []int{0, -3}}}}
+		}, "rfmth 0: FlipTH and RFMTH must be positive"},
+		{"adth zero rfmth", func(s *Spec) {
+			s.Kind = AdTHSweep
+			s.Axes = Axes{Configs: []ConfigPoint{{FlipTH: 6250, RFMTH: 0}}, AdTHs: []int{0},
+				Workloads: []string{"multi-programmed"}}
+		}, "rfmth 0: FlipTH and RFMTH must be positive"},
+		{"adth zero flipth", func(s *Spec) {
+			s.Kind = AdTHSweep
+			s.Axes = Axes{Configs: []ConfigPoint{{FlipTH: 0, RFMTH: 64}}, AdTHs: []int{0},
+				Workloads: []string{"multi-programmed"}}
+		}, "flipth 0"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -144,6 +171,39 @@ func TestSafetyAttackCoordinatesFailBeforeSweep(t *testing.T) {
 	_, err := s.RunAtContext(context.Background(), QuickScale(), nil)
 	if err == nil || !strings.Contains(err.Error(), "outside bank") {
 		t.Errorf("RunAtContext = %v, want an outside-bank error before any simulation", err)
+	}
+}
+
+// A Mithril operating point Theorem 1 cannot size a table for is rejected
+// when the execution prepares its rows — before the first yield, as an
+// error — instead of panicking inside the sweep when the scheme is built.
+func TestInfeasibleMithrilFailsBeforeSweep(t *testing.T) {
+	tinyScale := ScaleSpec{Preset: "quick", Cores: 2, InstrPerCore: 400}
+	for name, s := range map[string]*Spec{
+		"comparison": {Kind: Comparison, Axes: Axes{Schemes: []string{"none", "mithril"}, FlipTHs: []int{20},
+			Workloads: []string{"mix-high"}}},
+		"safety": {Kind: SafetyKind, Axes: Axes{Schemes: []string{"mithril+"}, FlipTHs: []int{20},
+			Attacks: []string{"double"}}},
+		"adth": {Kind: AdTHSweep, Axes: Axes{Configs: []ConfigPoint{{FlipTH: 20, RFMTH: 64}}, AdTHs: []int{0},
+			Workloads: []string{"multi-programmed"}}},
+	} {
+		t.Run(name, func(t *testing.T) {
+			s.Name, s.Scale = name, tinyScale
+			sc, err := s.Scale.Resolve()
+			if err != nil {
+				t.Fatal(err)
+			}
+			seq, err := s.StreamRowsAt(context.Background(), sc, nil, nil)
+			if err == nil || seq != nil || !strings.Contains(err.Error(), "no feasible Mithril config for FlipTH=20") {
+				t.Fatalf("StreamRowsAt = %v (seq %v), want the infeasible-config error before the first yield", err, seq != nil)
+			}
+			// A subset that names no Mithril cell has nothing to reject.
+			if name == "comparison" {
+				if _, err := s.StreamRowsAt(context.Background(), sc, []int{0}, nil); err != nil {
+					t.Fatalf("unprotected row alone: %v", err)
+				}
+			}
+		})
 	}
 }
 
@@ -279,12 +339,12 @@ func TestExpandOtherKinds(t *testing.T) {
 
 func TestDefaultColumnsPerKind(t *testing.T) {
 	adth := &Spec{Kind: AdTHSweep, Axes: Axes{Workloads: []string{"multi-programmed", "multi-threaded"}}}
-	got := adth.defaultColumns()
+	got := kindTable[adth.Kind].defaultColumns(adth)
 	want := []string{"flipth", "rfmth", "adth", "energy:multi-programmed", "energy:multi-threaded", "nentry"}
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("adth defaults = %v, want %v", got, want)
 	}
-	if cols := minimal().defaultColumns(); cols[0] != "scheme" || len(cols) != 7 {
+	if cols := kindTable[Comparison].defaultColumns(minimal()); cols[0] != "scheme" || len(cols) != 7 {
 		t.Errorf("comparison defaults = %v", cols)
 	}
 }

@@ -13,7 +13,6 @@ package expspec
 import (
 	"encoding/json"
 	"fmt"
-	"sort"
 	"strconv"
 	"strings"
 
@@ -65,13 +64,10 @@ func (s *Spec) cellKey(sc Scale, c Cell, stamp string) (key resultstore.Key, cac
 		}
 		comp["attack"] = canon
 	}
-	if s.Kind == AdTHSweep {
-		// An adth row sweeps every workload class in one cell; the sorted
-		// set (not the axis order, which cannot change the map-shaped row)
-		// is part of what the row measures.
-		ws := append([]string(nil), s.Axes.Workloads...)
-		sort.Strings(ws)
-		comp["workloads"] = strings.Join(ws, ",")
+	if k, ok := kindTable[s.Kind]; ok {
+		if name, value := k.keyPart(s); name != "" {
+			comp[name] = value
+		}
 	}
 	return resultstore.HashComponents(comp), true, nil
 }
@@ -106,7 +102,7 @@ type storedRow struct {
 
 // encodeRow serializes a completed row for storage.
 func encodeRow(row Row) (json.RawMessage, error) {
-	payload, err := json.Marshal(storedRow{Perf: row.Perf, Safety: row.Safety, Grid: row.Grid, AdTH: row.AdTH})
+	payload, err := json.Marshal(storedRow{row.Perf, row.Safety, row.Grid, row.AdTH})
 	if err != nil {
 		return nil, fmt.Errorf("expspec: encoding row %d: %w", row.Index, err)
 	}
@@ -114,18 +110,21 @@ func encodeRow(row Row) (json.RawMessage, error) {
 }
 
 // decodeRow deserializes a stored payload into the row's point field.
-// ok is false for any mismatch — undecodable payload, a missing point or
-// one of another kind — which callers treat as a cache miss (the row
-// re-simulates and the record is overwritten), never an error.
+// ok is false for any mismatch — undecodable payload, a missing point,
+// one of another kind or more than one — which callers treat as a cache
+// miss (the row re-simulates and the record is overwritten), never an
+// error.
 func decodeRow(kind Kind, payload json.RawMessage, row *Row) bool {
 	var sr storedRow
-	if err := json.Unmarshal(payload, &sr); err != nil {
+	k, ok := kindTable[kind]
+	if !ok || json.Unmarshal(payload, &sr) != nil {
 		return false
 	}
-	stored := Row{Perf: sr.Perf, Safety: sr.Safety, Grid: sr.Grid, AdTH: sr.AdTH}
-	if stored.pointKind() != kind {
+	stored := *row
+	stored.Perf, stored.Safety, stored.Grid, stored.AdTH = sr.Perf, sr.Safety, sr.Grid, sr.AdTH
+	if !k.has(stored) || stored.points() != 1 {
 		return false
 	}
-	row.Perf, row.Safety, row.Grid, row.AdTH = sr.Perf, sr.Safety, sr.Grid, sr.AdTH
+	*row = stored
 	return true
 }

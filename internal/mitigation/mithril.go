@@ -38,18 +38,9 @@ func NewMithrilPlus(opt Options) *MithrilScheme { return newMithril(opt, true) }
 
 func newMithril(opt Options, plus bool) *MithrilScheme {
 	opt.normalize()
-	rfmTH := opt.RFMTH
-	if rfmTH <= 0 {
-		rfmTH = PaperRFMTH(opt.FlipTH)
-	}
-	blast := analysis.DoubleSidedBlast
-	if opt.BlastRadius >= 3 {
-		blast = analysis.NonAdjacentBlast
-	}
-	ac, ok := analysis.Configure(opt.Timing, opt.FlipTH, rfmTH, opt.AdTH, blast)
-	if !ok {
-		panic(fmt.Sprintf("mitigation: no feasible Mithril config for FlipTH=%d RFMTH=%d AdTH=%d",
-			opt.FlipTH, rfmTH, opt.AdTH))
+	rfmTH, ac, err := configureMithril(opt)
+	if err != nil {
+		panic(err.Error())
 	}
 	return &MithrilScheme{
 		opt: opt,
@@ -62,6 +53,35 @@ func newMithril(opt Options, plus bool) *MithrilScheme {
 		plus:    plus,
 		modules: make([]*core.Mithril, opt.banks()),
 	}
+}
+
+// CheckMithril returns the error NewMithril and NewMithrilPlus panic on
+// for opt: no table size keeps the Theorem 1/2 bound below FlipTH at its
+// operating point. It is pure arithmetic and builds no scheme state, so
+// callers can vet a point before anything simulates.
+func CheckMithril(opt Options) error {
+	opt.normalize()
+	_, _, err := configureMithril(opt)
+	return err
+}
+
+// configureMithril sizes the table for a normalized opt, with the paper's
+// per-FlipTH RFMTH standing in for a non-positive one.
+func configureMithril(opt Options) (rfmTH int, ac analysis.Config, err error) {
+	rfmTH = opt.RFMTH
+	if rfmTH <= 0 {
+		rfmTH = PaperRFMTH(opt.FlipTH)
+	}
+	blast := analysis.DoubleSidedBlast
+	if opt.BlastRadius >= 3 {
+		blast = analysis.NonAdjacentBlast
+	}
+	ac, ok := analysis.Configure(opt.Timing, opt.FlipTH, rfmTH, opt.AdTH, blast)
+	if !ok {
+		return 0, ac, fmt.Errorf("mitigation: no feasible Mithril config for FlipTH=%d RFMTH=%d AdTH=%d",
+			opt.FlipTH, rfmTH, opt.AdTH)
+	}
+	return rfmTH, ac, nil
 }
 
 // ModuleConfig exposes the per-bank module configuration.

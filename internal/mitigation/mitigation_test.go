@@ -605,14 +605,23 @@ func TestMithrilAdaptiveSkipsOnUniformTraffic(t *testing.T) {
 	}
 }
 
+// CheckMithril is the panic's error form: it accepts what NewMithril
+// builds and rejects, with the panic's message, what it panics on.
 func TestMithrilPanicsOnInfeasibleConfig(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("infeasible config should panic")
-		}
-	}()
+	if err := CheckMithril(opts(1500)); err != nil {
+		t.Fatalf("CheckMithril rejected the paper's FlipTH=1500 point: %v", err)
+	}
 	o := opts(1500)
 	o.RFMTH = 256 // infeasible per Figure 6
+	err := CheckMithril(o)
+	if err == nil {
+		t.Fatal("CheckMithril accepted an infeasible config")
+	}
+	defer func() {
+		if r := recover(); r != err.Error() {
+			t.Fatalf("panic = %v, want CheckMithril's error %q", r, err)
+		}
+	}()
 	NewMithril(o)
 }
 

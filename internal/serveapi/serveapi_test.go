@@ -233,6 +233,25 @@ func TestErrorEnvelope(t *testing.T) {
 	}
 }
 
+// TestInfeasibleMithrilBadRequest pins that a Mithril operating point no
+// table size can protect is a 400 before the stream header, not a
+// handler panic that drops the connection with an empty reply.
+func TestInfeasibleMithrilBadRequest(t *testing.T) {
+	ts := newServer(t, serveapi.Config{})
+	body := `{"name":"x","kind":"comparison","scale":{"preset":"quick","cores":2,"instr_per_core":400},` +
+		`"axes":{"schemes":["mithril"],"flipths":[20],"workloads":["mix-high"]}}`
+	resp, err := http.Post(ts.URL+"/v1/run", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("status = %d, want 400 before the stream header", resp.StatusCode)
+	}
+	if code, msg := decodeEnvelope(t, resp); code != "bad_request" || !strings.Contains(msg, "no feasible Mithril config") {
+		t.Errorf("envelope = %s %q, want bad_request naming the infeasible config", code, msg)
+	}
+}
+
 // TestV1RunStream pins the /v1 sweep stream: display rows with grid
 // indices, one terminal summary, and the trailer split.
 func TestV1RunStream(t *testing.T) {

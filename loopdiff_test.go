@@ -7,7 +7,9 @@ package mithril
 // calendar — and the full-precision golden renderings must match byte for
 // byte. The tick loop computes nothing lazily, so any divergence indicts
 // a calendar skip or deadline-cache decision, with the row-level diff
-// pointing at the first affected cell.
+// pointing at the first affected cell. The calendar rendering is also
+// pinned in testdata/golden_<spec>.txt (regenerate with -update), so a
+// change that moves both loops alike still fails.
 
 import (
 	"context"
@@ -57,6 +59,7 @@ func TestLoopEquivalence(t *testing.T) {
 				t.Errorf("calendar loop diverges from tick loop on %s; diff (-tick +calendar):\n%s",
 					name, stats.DiffLines(legacy, calendar))
 			}
+			checkGolden(t, "golden_"+name+".txt", calendar)
 		})
 	}
 }
