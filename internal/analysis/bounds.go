@@ -34,8 +34,12 @@ func BoundM(p timing.Params, nEntry, rfmTH int) float64 {
 	if nEntry <= 0 || rfmTH <= 0 {
 		return math.Inf(1)
 	}
-	w := p.RFMIntervalsPerREFW(rfmTH)
-	return float64(rfmTH)*Harmonic(nEntry) + float64(rfmTH)*float64(w-2)/float64(nEntry)
+	return boundM(p.RFMIntervalsPerREFW(rfmTH), nEntry, rfmTH, Harmonic(nEntry))
+}
+
+// boundM is BoundM from W and h = H_N.
+func boundM(w, nEntry, rfmTH int, h float64) float64 {
+	return float64(rfmTH)*h + float64(rfmTH)*float64(w-2)/float64(nEntry)
 }
 
 // BoundMPrime computes Theorem 2's bound M′ when the adaptive refresh policy
@@ -49,20 +53,24 @@ func BoundMPrime(p timing.Params, nEntry, rfmTH, adTH int) float64 {
 	if nEntry <= 0 || rfmTH <= 0 || adTH < 0 {
 		return math.Inf(1)
 	}
+	return boundMPrime(p.RFMIntervalsPerREFW(rfmTH), nEntry, rfmTH, adTH, Harmonic(nStar(nEntry, rfmTH, adTH)))
+}
+
+// nStar is Theorem 2's n*, clamped to [1, N]; it is N when AdTH is 0, and
+// it grows by at most 1 when N does.
+func nStar(nEntry, rfmTH, adTH int) int {
+	n := (nEntry*rfmTH + rfmTH + adTH - 1) / (rfmTH + adTH) // ceil
+	return max(1, min(n, nEntry))
+}
+
+// boundMPrime is BoundMPrime from W and h = H_{n*}.
+func boundMPrime(w, nEntry, rfmTH, adTH int, h float64) float64 {
 	if adTH == 0 {
-		return BoundM(p, nEntry, rfmTH)
+		return boundM(w, nEntry, rfmTH, h)
 	}
-	w := p.RFMIntervalsPerREFW(rfmTH)
-	nStar := (nEntry*rfmTH + rfmTH + adTH - 1) / (rfmTH + adTH) // ceil
-	if nStar < 1 {
-		nStar = 1
-	}
-	if nStar > nEntry {
-		nStar = nEntry
-	}
-	sum := float64(rfmTH) * Harmonic(nStar)
-	tail := (float64(w-nStar+nEntry-2)*float64(rfmTH) + float64(nEntry-nStar)*float64(adTH)) / float64(nEntry)
-	return sum + tail
+	ns := nStar(nEntry, rfmTH, adTH)
+	tail := (float64(w-ns+nEntry-2)*float64(rfmTH) + float64(nEntry-ns)*float64(adTH)) / float64(nEntry)
+	return float64(rfmTH)*h + tail
 }
 
 // DoubleSidedBlast is the aggregated RH effect of a double-sided attack
@@ -77,16 +85,24 @@ const NonAdjacentBlast = 3.5
 // MinNEntry returns the smallest table size N such that the (adaptive)
 // bound stays below FlipTH/blast for the given RFMTH. ok is false when no
 // N achieves it (the bound's harmonic term eventually grows with N, so
-// feasibility is decidable by scanning up to N ≈ W).
+// feasibility is decidable by scanning up to N ≈ W). The scan is O(W): the
+// harmonic sum H_{n*} is carried from one N to the next, adding 1/k in
+// Harmonic's order, so every bound it compares equals BoundMPrime's bit
+// for bit.
 func MinNEntry(p timing.Params, flipTH, rfmTH, adTH int, blast float64) (n int, ok bool) {
-	if flipTH <= 0 || rfmTH <= 0 || blast <= 0 {
+	if flipTH <= 0 || rfmTH <= 0 || adTH < 0 || blast <= 0 {
 		return 0, false
 	}
 	target := float64(flipTH) / blast
 	w := p.RFMIntervalsPerREFW(rfmTH)
 	limit := w + 16 // M is increasing in N beyond N ≈ W−2
+	h, k := 0.0, 0  // h = H_k
 	for n := 1; n <= limit; n++ {
-		if BoundMPrime(p, n, rfmTH, adTH) < target {
+		for ns := nStar(n, rfmTH, adTH); k < ns; {
+			k++
+			h += 1 / float64(k)
+		}
+		if boundMPrime(w, n, rfmTH, adTH, h) < target {
 			return n, true
 		}
 	}
@@ -112,16 +128,20 @@ func LossyBoundM(p timing.Params, nEntry, rfmTH int) float64 {
 	return BoundM(p, nEntry, rfmTH) + s/float64(nEntry)
 }
 
-// MinNEntryLossy is MinNEntry for the Lossy-Counting variant.
+// MinNEntryLossy is MinNEntry for the Lossy-Counting variant, with the
+// same O(W) running harmonic sum.
 func MinNEntryLossy(p timing.Params, flipTH, rfmTH int, blast float64) (n int, ok bool) {
 	if flipTH <= 0 || rfmTH <= 0 || blast <= 0 {
 		return 0, false
 	}
 	target := float64(flipTH) / blast
 	w := p.RFMIntervalsPerREFW(rfmTH)
+	s := float64(p.ACTsPerREFW())
 	limit := 4*w + 64
+	h := 0.0 // H_n
 	for n := 1; n <= limit; n++ {
-		if LossyBoundM(p, n, rfmTH) < target {
+		h += 1 / float64(n)
+		if boundM(w, n, rfmTH, h)+s/float64(n) < target {
 			return n, true
 		}
 	}

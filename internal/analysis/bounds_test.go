@@ -247,3 +247,83 @@ func TestConfigString(t *testing.T) {
 		t.Fatal("String() should not be empty")
 	}
 }
+
+// minNEntryScan and minNEntryLossyScan are the O(W²) scans MinNEntry and
+// MinNEntryLossy replaced: every candidate N recomputes its bound, harmonic
+// sum included, from scratch.
+func minNEntryScan(p timing.Params, flipTH, rfmTH, adTH int, blast float64) (int, bool) {
+	if flipTH <= 0 || rfmTH <= 0 || blast <= 0 {
+		return 0, false
+	}
+	target := float64(flipTH) / blast
+	for n := 1; n <= p.RFMIntervalsPerREFW(rfmTH)+16; n++ {
+		if BoundMPrime(p, n, rfmTH, adTH) < target {
+			return n, true
+		}
+	}
+	return 0, false
+}
+
+func minNEntryLossyScan(p timing.Params, flipTH, rfmTH int, blast float64) (int, bool) {
+	if flipTH <= 0 || rfmTH <= 0 || blast <= 0 {
+		return 0, false
+	}
+	target := float64(flipTH) / blast
+	for n := 1; n <= 4*p.RFMIntervalsPerREFW(rfmTH)+64; n++ {
+		if LossyBoundM(p, n, rfmTH) < target {
+			return n, true
+		}
+	}
+	return 0, false
+}
+
+// TestMinNEntryMatchesScan holds the running-sum searches to the
+// from-scratch scans over a FlipTH × RFMTH × AdTH grid with feasible and
+// infeasible points, at quick-scale (tREFW / 8) and full timing: N and
+// feasibility must match exactly. The grid keeps W (RFM intervals per
+// tREFW) at or below about 4,700, and the Lossy comparison at or below
+// 2,500, so the quadratic references prove infeasibility in milliseconds.
+func TestMinNEntryMatchesScan(t *testing.T) {
+	quick := timing.DDR5()
+	quick.TREFW /= 8
+	quick.RefreshGroups /= 8
+	infeasible := 0
+	for _, tc := range []struct {
+		name   string
+		p      timing.Params
+		rfmTHs []int
+	}{
+		{"quick", quick, []int{16, 64, 256}},
+		{"full", timing.DDR5(), []int{128, 256}},
+	} {
+		for _, flipTH := range []int{20, 1500, 6250, 50000} {
+			for _, rfmTH := range tc.rfmTHs {
+				for _, adTH := range []int{-1, 0, 50, 200} {
+					for _, blast := range []float64{DoubleSidedBlast, NonAdjacentBlast} {
+						gotN, gotOK := MinNEntry(tc.p, flipTH, rfmTH, adTH, blast)
+						wantN, wantOK := minNEntryScan(tc.p, flipTH, rfmTH, adTH, blast)
+						if gotN != wantN || gotOK != wantOK {
+							t.Errorf("%s FlipTH=%d RFMTH=%d AdTH=%d blast=%v: MinNEntry = %d,%v, scan = %d,%v",
+								tc.name, flipTH, rfmTH, adTH, blast, gotN, gotOK, wantN, wantOK)
+						}
+						if !wantOK && adTH >= 0 {
+							infeasible++
+						}
+					}
+				}
+				if tc.p.RFMIntervalsPerREFW(rfmTH) > 2500 {
+					continue
+				}
+				gotN, gotOK := MinNEntryLossy(tc.p, flipTH, rfmTH, DoubleSidedBlast)
+				wantN, wantOK := minNEntryLossyScan(tc.p, flipTH, rfmTH, DoubleSidedBlast)
+				if gotN != wantN || gotOK != wantOK {
+					t.Errorf("%s FlipTH=%d RFMTH=%d: MinNEntryLossy = %d,%v, scan = %d,%v",
+						tc.name, flipTH, rfmTH, gotN, gotOK, wantN, wantOK)
+				}
+			}
+		}
+	}
+	if infeasible == 0 {
+		t.Fatal("the grid has no infeasible point")
+	}
+}

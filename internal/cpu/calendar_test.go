@@ -25,8 +25,8 @@ func TestNextDeadlineClampsNextReady(t *testing.T) {
 
 	// Run until the MSHR limit stalls the core: now completion-driven.
 	c.Advance(timing.PicoSeconds(1_000_000))
-	if got := c.NextReady(); got != timing.Never {
-		t.Fatalf("MSHR-stalled core NextReady = %v, want Never", got)
+	if got := c.nextReady(); got != timing.Never {
+		t.Fatalf("MSHR-stalled core nextReady = %v, want Never", got)
 	}
 	if got := c.NextDeadline(0); got != timing.Never {
 		t.Fatalf("MSHR-stalled core NextDeadline = %v, want Never", got)

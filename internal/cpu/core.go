@@ -179,21 +179,9 @@ func (c *Core) Complete(reqID uint64, at timing.PicoSeconds) {
 	panic(fmt.Sprintf("cpu: completion for unknown request %d on core %d", reqID, c.id))
 }
 
-// NextReady reports the earliest time this core could take another action
-// on its own, or a far-future sentinel when it is purely completion-driven
-// (MSHRs full, ROB blocked, or serialized behind a miss). The legacy tick
-// loop uses it to fast-forward idle stretches.
-//
-// Deprecated: use NextDeadline, which carries the same information under
-// the calendar contract (clamped to now, timing.Never as the sentinel).
-//
-//mithril:hotpath
-func (c *Core) NextReady() timing.PicoSeconds {
-	return c.nextReady()
-}
-
-// nextReady is the raw (unclamped) deadline shared by the deprecated
-// NextReady and the calendar-facing NextDeadline/NextWake.
+// nextReady is the raw (unclamped) deadline behind NextDeadline and
+// NextWake: the earliest time this core could take another action on its
+// own, or timing.Never when it is purely completion-driven.
 //
 //mithril:hotpath
 func (c *Core) nextReady() timing.PicoSeconds {
@@ -204,7 +192,8 @@ func (c *Core) nextReady() timing.PicoSeconds {
 		// Retried on every iteration until the controller accepts it. The
 		// retry cannot succeed before the next serve on the request's
 		// channel, so the event calendar parks the core until then (see
-		// BlockedChannel) but still steps the clock by one tick, as here.
+		// BlockedChannel) but still steps the clock by one tick, as this
+		// deadline does.
 		return 0
 	}
 	if c.instrIssued >= c.target {
@@ -254,9 +243,10 @@ func (c *Core) NextDeadline(now timing.PicoSeconds) timing.PicoSeconds {
 // NextDeadline in exactly one case: a core that has issued its full
 // instruction target with no outstanding misses still needs one Advance at
 // its front-end fetch time to latch Finished, but contributes no deadline
-// of its own (the tick loop discovered that transition on whatever
-// iteration came next, and the calendar must not add iterations the tick
-// loop never ran).
+// of its own. A loop that advances every core on every iteration latches
+// that transition on whatever iteration comes next, so a jump deadline
+// here would add iterations that loop never runs; the simulator's tests
+// compare the calendar against such a loop on whole Results.
 //
 //mithril:hotpath
 func (c *Core) NextWake(now timing.PicoSeconds) timing.PicoSeconds {

@@ -350,8 +350,8 @@ type Execution struct {
 // NewExecution validates the spec and scale, expands the grid, checks the
 // row subset (nil: every expanded cell; otherwise in-range and free of
 // duplicates — a duplicated row would double-count in every consumer and
-// a wild index has no cell to realize), and keys the covered rows for the
-// store.
+// a wild index has no cell to realize), vets the Mithril operating point
+// of every covered row, and keys the covered rows for the store.
 func (s *Spec) NewExecution(sc Scale, rows []int, opts *ExecOptions) (*Execution, error) {
 	if err := s.Validate(); err != nil {
 		return nil, err
@@ -383,6 +383,17 @@ func (s *Spec) NewExecution(sc Scale, rows []int, opts *ExecOptions) (*Execution
 			seen[i] = true
 		}
 		x.rows = append([]int(nil), rows...)
+	}
+	// NewMithril panics on a point no table size can protect; reject it
+	// here, before a local row runs or a coordinator dispatches one.
+	kind := kindTable[s.Kind]
+	vetted := memo[mitigation.Options, bool]{}
+	for _, i := range x.rows {
+		if opt, ok := kind.mithrilPoint(sc, x.cells[i]); ok {
+			if _, err := vetted.get(opt, func() (bool, error) { return true, mitigation.CheckMithril(opt) }); err != nil {
+				return nil, err
+			}
+		}
 	}
 	if x.store != nil {
 		x.stamp = StoreStamp()
@@ -554,16 +565,10 @@ func workloadKeyOf(c Cell) workloadKey {
 	return workloadKey{c.Seed, c.Workload, c.Attack}
 }
 
-// checkMithril fails, before any row runs, on a Mithril/Mithril+ cell
-// whose operating point (opt at the execution's timing) NewMithril would
-// panic on mid-sweep. checked remembers the points already vetted.
-func (x *Execution) checkMithril(checked memo[mitigation.Options, bool], scheme string, opt mitigation.Options) error {
-	if scheme != "mithril" && scheme != "mithril+" {
-		return nil
-	}
-	opt.Timing = x.sc.Params()
-	_, err := checked.get(opt, func() (bool, error) { return true, mitigation.CheckMithril(opt) })
-	return err
+// schemeMithrilPoint is the operating point of a cell deploying Mithril or
+// Mithril+: its FlipTH at the paper's RFMTH.
+func schemeMithrilPoint(sc Scale, c Cell) (mitigation.Options, bool) {
+	return mitigation.Options{Timing: sc.Params(), FlipTH: c.FlipTH}, c.Scheme == "mithril" || c.Scheme == "mithril+"
 }
 
 // buildScheme constructs a fresh scheme instance for one simulation. Every

@@ -71,23 +71,17 @@ func (adthKind) expand(s *Spec, _ Scale, seed uint64, cells []Cell) []Cell {
 	return cells
 }
 
-// operatingPoint is the Mithril configuration of an adth cell; AdTH 0
+// mithrilPoint is the Mithril configuration of every adth cell; AdTH 0
 // maps to the mitigation package's "disabled" encoding.
-func (adthKind) operatingPoint(x *Execution, c Cell) mitigation.Options {
+func (adthKind) mithrilPoint(sc Scale, c Cell) (mitigation.Options, bool) {
 	ad := c.AdTH
 	if ad == 0 {
 		ad = -1
 	}
-	return mitigation.Options{Timing: x.sc.Params(), FlipTH: c.FlipTH, RFMTH: c.RFMTH, AdTH: ad}
+	return mitigation.Options{Timing: sc.Params(), FlipTH: c.FlipTH, RFMTH: c.RFMTH, AdTH: ad}, true
 }
 
-func (k adthKind) prepare(x *Execution, rows []int) (rowFunc, error) {
-	feasible := memo[mitigation.Options, bool]{}
-	for _, i := range rows {
-		if err := x.checkMithril(feasible, "mithril", k.operatingPoint(x, x.cells[i])); err != nil {
-			return nil, err
-		}
-	}
+func (k adthKind) prepare(x *Execution, _ []int) (rowFunc, error) {
 	return func(ctx context.Context, c Cell) (Row, error) { return k.row(ctx, x, c) }, nil
 }
 
@@ -99,7 +93,7 @@ func (k adthKind) row(ctx context.Context, x *Execution, c Cell) (Row, error) {
 	if pct, ok := analysis.AdditionalNEntryPercent(x.sc.Params(), c.FlipTH, c.RFMTH, c.AdTH); ok {
 		pt.AdditionalNEntryPct = pct
 	}
-	opt := k.operatingPoint(x, c)
+	opt, _ := k.mithrilPoint(x.sc, c)
 	opt.Seed = c.Seed
 	for _, wName := range x.spec.Axes.Workloads {
 		w := adthWorkloads[wName].build(x.sc.Cores, c.Seed)

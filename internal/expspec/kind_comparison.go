@@ -120,14 +120,14 @@ type comparisonRows struct {
 	workloads memo[workloadKey, []trace.Workload]
 }
 
+func (comparisonKind) mithrilPoint(sc Scale, c Cell) (mitigation.Options, bool) {
+	return schemeMithrilPoint(sc, c)
+}
+
 func (comparisonKind) prepare(x *Execution, rows []int) (rowFunc, error) {
 	cr := &comparisonRows{x: x, workloads: memo[workloadKey, []trace.Workload]{}}
-	feasible := memo[mitigation.Options, bool]{}
 	for _, i := range rows {
 		c := x.cells[i]
-		if err := x.checkMithril(feasible, c.Scheme, mitigation.Options{FlipTH: c.FlipTH}); err != nil {
-			return nil, err
-		}
 		if c.Adversarial {
 			continue
 		}

@@ -59,18 +59,18 @@ func (safetyKind) expand(s *Spec, _ Scale, seed uint64, cells []Cell) []Cell {
 	return cells
 }
 
+func (safetyKind) mithrilPoint(sc Scale, c Cell) (mitigation.Options, bool) {
+	return schemeMithrilPoint(sc, c)
+}
+
 // prepare trial-builds every pattern the rows name (sans oracle), so bad
 // coordinates — an out-of-bank multi:<n>, say — fail before the sweep,
 // exactly as comparison specs fail in attackWorkload.
 func (safetyKind) prepare(x *Execution, rows []int) (rowFunc, error) {
 	mapper := mc.NewAddressMapper(x.sc.Params())
 	built := memo[string, bool]{}
-	feasible := memo[mitigation.Options, bool]{}
 	for _, i := range rows {
 		c := x.cells[i]
-		if err := x.checkMithril(feasible, c.Scheme, mitigation.Options{FlipTH: c.FlipTH}); err != nil {
-			return nil, err
-		}
 		if _, err := built.get(c.Attack, func() (bool, error) {
 			_, err := attack.Build(c.Attack, attack.Params{Mapper: mapper})
 			return true, err

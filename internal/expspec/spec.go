@@ -65,6 +65,9 @@ type rowKind interface {
 	// any input that would otherwise fail mid-sweep. It returns the
 	// function computing one row, safe for concurrent calls.
 	prepare(x *Execution, rows []int) (rowFunc, error)
+	// mithrilPoint reports the Mithril operating point a cell deploys at
+	// the scale's timing, if any, for NewExecution to vet.
+	mithrilPoint(sc Scale, c Cell) (mitigation.Options, bool)
 	// defaultColumns mirrors the CLI table; columns lists every column
 	// the kind can emit, in canonical order.
 	defaultColumns(s *Spec) []string
@@ -107,6 +110,8 @@ func (p points[T]) collect(r *Result, rows []Row) {
 
 func (points[T]) sortTable(*Result, []int)    {}
 func (points[T]) keyPart(*Spec) (_, _ string) { return "", "" }
+
+func (points[T]) mithrilPoint(Scale, Cell) (_ mitigation.Options, _ bool) { return }
 
 // ScaleSpec names the simulation scale a spec runs at: a required preset
 // plus optional field overrides (0 keeps the preset's value).

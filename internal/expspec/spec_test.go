@@ -175,7 +175,7 @@ func TestSafetyAttackCoordinatesFailBeforeSweep(t *testing.T) {
 }
 
 // A Mithril operating point Theorem 1 cannot size a table for is rejected
-// when the execution prepares its rows — before the first yield, as an
+// when the execution is built — before the first yield, as an
 // error — instead of panicking inside the sweep when the scheme is built.
 func TestInfeasibleMithrilFailsBeforeSweep(t *testing.T) {
 	tinyScale := ScaleSpec{Preset: "quick", Cores: 2, InstrPerCore: 400}

@@ -249,20 +249,6 @@ func (c *Controller) clearRFMDue(channel, g int) {
 	c.rfmDueCount[channel]--
 }
 
-// Tick advances every channel by one command slot at time now.
-//
-// Deprecated: use TickDue, which skips channels with nothing actionable at
-// now and is state-identical on any instant (every skipped tickChannel is a
-// proven no-op). Tick remains for the legacy tick loop and older callers.
-//
-//mithril:hotpath
-func (c *Controller) Tick(now timing.PicoSeconds) {
-	//mithril:allow hotpathalloc deprecated shim retained for the legacy tick loop
-	for _, cc := range c.channels {
-		c.tickChannel(cc, now)
-	}
-}
-
 // TickDue advances only the channels that can make progress at now: a bank
 // awaiting its RFM (whose MRR skip flag is polled every iteration), an
 // auto-refresh deadline that has arrived, or a matured work candidate.
@@ -270,16 +256,15 @@ func (c *Controller) Tick(now timing.PicoSeconds) {
 // due, no RFM-due bank, and every work candidate in the future, every
 // branch of tickChannel exits before its first side effect (banks report
 // unavailable or requests are blocked before the throttle hook runs), so
-// the skipped call could only have burned cycles.
+// the skipped call could only have burned cycles. The package tests hold
+// it to a reference that ticks every channel on every call.
 //
 //mithril:hotpath
 func (c *Controller) TickDue(now timing.PicoSeconds) {
 	for _, cc := range c.channels {
 		// A dirty channel ticks without a rescan: ticking is exact on any
-		// instant (the legacy loop ticked every channel every iteration),
-		// so conservatively including a channel costs at most the no-op
-		// call the legacy loop always made. Only a SKIP requires knowing
-		// nothing is actionable.
+		// instant, so conservatively including a channel costs at most a
+		// no-op call. Only a SKIP requires knowing nothing is actionable.
 		if cc.workDirty || c.rfmDueCount[cc.id] > 0 || cc.refNext <= now || cc.workNext <= now {
 			c.tickChannel(cc, now)
 		}
@@ -466,10 +451,11 @@ func (c *Controller) PendingWork() bool {
 // NextDeadline reports the earliest instant at or after now at which the
 // controller has time-driven work of its own: an auto-refresh deadline, a
 // matured queued request or maintenance job, or a scheme-originated
-// deadline. It subsumes the deprecated NextWork/NextRefresh pair and is
-// what the event calendar folds into its jump computation. Reads come from
-// the per-channel caches, so iterations that mutate nothing (waiting out
-// an RFM window) cost O(channels) instead of a queue rescan.
+// deadline; the event calendar folds it into its jump computation. Reads
+// come from the per-channel caches, so iterations that mutate nothing
+// (waiting out an RFM window) cost O(channels) instead of a queue rescan.
+// The package tests hold it, under the loop's max(now+tick, next) jump
+// rule, to a from-scratch scan of every candidate.
 //
 //mithril:hotpath
 func (c *Controller) NextDeadline(now timing.PicoSeconds) timing.PicoSeconds {
@@ -502,9 +488,10 @@ func (c *Controller) NextDeadline(now timing.PicoSeconds) timing.PicoSeconds {
 }
 
 // rescanWork rebuilds a channel's cached raw work minimum after mutations
-// flagged it dirty. Candidates mirror the deprecated NextWork: queued
-// requests' max(throttle release, bank busy), pending-ARR banks' busy
-// horizons, and RFM-due banks' busy horizons. The scan aborts — reporting
+// flagged it dirty. Candidates are queued requests' max(throttle release,
+// bank busy), pending-ARR banks' busy horizons, and RFM-due banks' busy
+// horizons — the same set the tests' from-scratch reference scans on every
+// call. The scan aborts — reporting
 // true and leaving the cache dirty — as soon as it sees a candidate at or
 // before now: the caller's clamped minimum is then exactly now, and busy
 // phases (where almost every iteration serves and dirties) touch a short
@@ -558,76 +545,6 @@ func minREF(nextREF []timing.PicoSeconds) timing.PicoSeconds {
 		if t < next {
 			next = t
 		}
-	}
-	return next
-}
-
-// NextRefresh reports the earliest scheduled auto-refresh across ranks —
-// the only time-driven controller event, used by the simulator's idle
-// fast-forward.
-//
-// Deprecated: use NextDeadline, which folds refresh deadlines together
-// with queued work and scheme deadlines under the calendar contract.
-//
-//mithril:hotpath
-func (c *Controller) NextRefresh() timing.PicoSeconds {
-	var next timing.PicoSeconds = 1 << 62
-	for _, cc := range c.channels {
-		for _, t := range cc.nextREF {
-			if t < next {
-				next = t
-			}
-		}
-	}
-	return next
-}
-
-// NextWork conservatively reports the earliest time any queued request or
-// pending maintenance might become actionable (a far-future sentinel when
-// the controller is idle). Throttle-blocked requests contribute their
-// release times, which lets the simulator fast-forward BlockHammer delays.
-//
-// Deprecated: use NextDeadline, which returns the same minimum from
-// incrementally maintained caches instead of rescanning every queue.
-//
-//mithril:hotpath
-func (c *Controller) NextWork(now timing.PicoSeconds) timing.PicoSeconds {
-	var next timing.PicoSeconds = 1 << 62
-	for _, cc := range c.channels {
-		for _, job := range cc.pendingARR {
-			next = earliest(next, c.dev.Bank(job.bank).BusyUntil(), now)
-		}
-		for _, r := range cc.queue {
-			t := r.blocked
-			if bu := c.dev.Bank(r.Loc.GlobalBank).BusyUntil(); bu > t {
-				t = bu
-			}
-			next = earliest(next, t, now)
-		}
-	}
-	for ch, n := range c.rfmDueCount {
-		if n == 0 {
-			continue
-		}
-		base := ch * c.p.Ranks * c.p.Banks
-		for g := base; g < base+c.p.Ranks*c.p.Banks; g++ {
-			if c.rfmDue[g] {
-				next = earliest(next, c.dev.Bank(g).BusyUntil(), now)
-			}
-		}
-	}
-	return next
-}
-
-// earliest folds candidate time t (clamped to now) into the running minimum.
-//
-//mithril:hotpath
-func earliest(next, t, now timing.PicoSeconds) timing.PicoSeconds {
-	if t < now {
-		t = now
-	}
-	if t < next {
-		return t
 	}
 	return next
 }

@@ -19,7 +19,7 @@ func runTicks(c *Controller, from timing.PicoSeconds, n int) timing.PicoSeconds 
 	p := c.p
 	now := from
 	for i := 0; i < n; i++ {
-		c.Tick(now)
+		c.tickAll(now)
 		now += p.TCK
 	}
 	return now
@@ -374,7 +374,7 @@ func TestRawActivateCountsTowardRAA(t *testing.T) {
 	if !c.RFMDue(0) {
 		t.Fatal("RFM should be due after RFMTH raw activations")
 	}
-	c.Tick(timing.PicoSeconds(10) * p.TRC)
+	c.tickAll(timing.PicoSeconds(10) * p.TRC)
 	if c.RFMDue(0) || probe.rfmSeen != 1 {
 		t.Fatalf("RFM not drained: due=%v seen=%d", c.RFMDue(0), probe.rfmSeen)
 	}

@@ -10,6 +10,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"mithril/internal/distrib"
@@ -249,6 +250,41 @@ func TestInfeasibleMithrilBadRequest(t *testing.T) {
 	}
 	if code, msg := decodeEnvelope(t, resp); code != "bad_request" || !strings.Contains(msg, "no feasible Mithril config") {
 		t.Errorf("envelope = %s %q, want bad_request naming the infeasible config", code, msg)
+	}
+}
+
+// TestCoordinatorInfeasibleMithrilBadRequest pins the same 400 on a
+// coordinator front: the feasibility check runs before the first
+// dispatch, so the worker never sees a /v1/run request and the client
+// never gets a mid-stream run_failed.
+func TestCoordinatorInfeasibleMithrilBadRequest(t *testing.T) {
+	var runs atomic.Int64
+	worker := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == "/v1/run" {
+			runs.Add(1)
+		}
+		serveapi.NewHandler(serveapi.Config{Jobs: 1}).ServeHTTP(w, r)
+	}))
+	t.Cleanup(worker.Close)
+	coord, err := distrib.New([]string{worker.URL}, distrib.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	front := newServer(t, serveapi.Config{Coordinator: coord})
+	body := `{"name":"x","kind":"comparison","scale":{"preset":"quick","cores":2,"instr_per_core":400},` +
+		`"axes":{"schemes":["mithril"],"flipths":[20],"workloads":["mix-high"]}}`
+	resp, err := http.Post(front.URL+"/v1/run", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("status = %d, want 400 before the stream header", resp.StatusCode)
+	}
+	if code, msg := decodeEnvelope(t, resp); code != "bad_request" || !strings.Contains(msg, "no feasible Mithril config") {
+		t.Errorf("envelope = %s %q, want bad_request naming the infeasible config", code, msg)
+	}
+	if n := runs.Load(); n != 0 {
+		t.Errorf("the worker received %d /v1/run requests, want none", n)
 	}
 }
 

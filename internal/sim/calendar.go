@@ -18,11 +18,11 @@ import (
 //   - wake: earliest instant Advance would change any state — the advance
 //     gate. Skipping a core with wake > now is exact, not heuristic: every
 //     early-return path in Advance mutates nothing.
-//   - ready: the core's contribution to the clock jump, identical to what
-//     the tick loop folded in via NextReady. A core that only needs one
-//     Advance to latch Finished has a wake time but no ready deadline;
-//     folding its wake into the jump would create iterations the tick loop
-//     never ran and change observable interleavings.
+//   - ready: the core's contribution to the clock jump (Core.NextDeadline).
+//     A core that only needs one Advance to latch Finished has a wake time
+//     but no ready deadline; folding its wake into the jump would add
+//     iterations that a loop advancing every core never runs, and change
+//     observable interleavings.
 //
 // Both caches stay valid while a core is skipped because its state is
 // mutated only by Advance and Complete, and every Complete delivery resets
@@ -31,12 +31,12 @@ import (
 // A core whose request a full channel queue turned away is parked on that
 // channel: wake is Never, because its retry fails until the channel serves
 // (queues shrink nowhere else), and ready is pinned to the instant it
-// parked, because the tick loop's blocked core still folds "retry now"
-// into every jump and so steps the clock one tick at a time. The
-// controller's complete callback reports every serve through served,
-// which wakes every core parked on that channel. Woken cores retry in core
-// order, so one that loses the freed slot to a lower-indexed core parks
-// again, exactly as its retry in the tick loop would have failed.
+// parked, because a blocked core's deadline is "retry now" and so steps
+// the clock one tick at a time. The controller's complete callback reports
+// every serve through served, which wakes every core parked on that
+// channel. Woken cores retry in core order, so one that loses the freed
+// slot to a lower-indexed core parks again, exactly as a retry on every
+// iteration would have failed.
 //
 // The per-core state is allocated once per run in RunContext, in one
 // slice (the loop itself is allocation-free).
@@ -61,9 +61,9 @@ func newCalendar(cores int) *calendar {
 }
 
 // park takes core i out of the advance pass until channel ch serves. Its
-// jump contribution stays pinned to now: the tick loop's blocked core
-// keeps the clock stepping one tick at a time. A parked core that a
-// completion woke retries against the same full queue and parks again.
+// jump contribution stays pinned to now: a blocked core keeps the clock
+// stepping one tick at a time. A parked core that a completion woke
+// retries against the same full queue and parks again.
 //
 //mithril:hotpath
 func (cal *calendar) park(i, ch int, now timing.PicoSeconds) {
@@ -78,8 +78,8 @@ func (cal *calendar) park(i, ch int, now timing.PicoSeconds) {
 
 // served wakes every core parked on channel ch, whose queue has just freed
 // a slot. The controller serves after the loop's advance pass, so a wake
-// time of zero means "advance on the next iteration", when the tick loop
-// would retry too.
+// time of zero means "advance on the next iteration", the first one on
+// which its retry can succeed.
 //
 //mithril:hotpath
 func (cal *calendar) served(ch int) {
@@ -100,11 +100,13 @@ func (cal *calendar) served(ch int) {
 // exactly the channels with actionable work, then jump the clock to the
 // earliest of request completion, per-bank timing expiry, RFM/REF
 // deadline, and core wake-up. It is iteration-for-iteration equivalent to
-// the legacy tick loop — same time series, same per-iteration side effects
-// — the work skipped is exclusively calls the tick loop made that mutated
-// nothing. TestLoopEquivalence holds the two loops to byte-identical
-// results on every shipped quick spec, and TestLoopEquivalenceBackpressure
-// to identical Results on runs whose channel queues fill.
+// a loop that advances every core on every iteration — same time series,
+// same per-iteration side effects — because the work it skips is
+// exclusively Advance calls that would mutate nothing. The package tests
+// hold it to that loop (legacy_test.go) on whole Results, for every scheme
+// the shipped quick specs use and on runs whose channel queues fill; the
+// repository's testdata/golden_*.quick.txt pin its output on every
+// shipped quick spec.
 //
 //mithril:hotpath
 func runLoopCalendar(ctx context.Context, cfg *Config, cores []*cpu.Core, ctl *mc.Controller, pending *completionQueue, cal *calendar, cancellable bool) (now timing.PicoSeconds, allDone bool, err error) {

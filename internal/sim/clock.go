@@ -2,38 +2,18 @@ package sim
 
 import "mithril/internal/timing"
 
-// Clock is the simulation time source shared by the legacy tick loop and
-// the event-calendar loop: a monotone cursor that can be read and pushed
-// forward, never back. Both loops drive the same concrete tickClock (the
-// interface exists so alternative loop experiments and tests can observe
-// or substitute time handling without touching loop internals); keeping
-// the concrete type in the hot loops avoids interface dispatch per
-// iteration.
-type Clock interface {
-	// Now reports the current simulated instant.
-	Now() timing.PicoSeconds
-	// AdvanceTo moves the clock forward to t; instants at or before Now
-	// are ignored (the clock never moves backward).
-	AdvanceTo(t timing.PicoSeconds)
-}
-
-// tickClock advances in whole command slots (the DRAM clock period) and
-// jumps over idle stretches: Step always charges one tick — matching the
-// one command slot each loop iteration represents — and then fast-forwards
-// to the next known event if that lies further out.
+// tickClock is the simulation time source: a monotone cursor that advances
+// in whole command slots (the DRAM clock period) and jumps over idle
+// stretches. Step always charges one tick — matching the one command slot
+// each loop iteration represents — and then fast-forwards to the next
+// known event if that lies further out.
 type tickClock struct {
 	now  timing.PicoSeconds
 	tick timing.PicoSeconds
 }
 
-var _ Clock = (*tickClock)(nil)
-
-// Now implements Clock.
-//
-//mithril:hotpath
-func (c *tickClock) Now() timing.PicoSeconds { return c.now }
-
-// AdvanceTo implements Clock.
+// AdvanceTo moves the clock forward to t; instants at or before now are
+// ignored (the clock never moves backward).
 //
 //mithril:hotpath
 func (c *tickClock) AdvanceTo(t timing.PicoSeconds) {
@@ -43,10 +23,11 @@ func (c *tickClock) AdvanceTo(t timing.PicoSeconds) {
 }
 
 // Step performs one loop iteration's time update: advance one command
-// slot, then jump to next when it is later. Both loops use exactly this
-// sequence, which is why they produce identical time series: the jump
-// target is a max over per-subsystem deadlines, and clamping any deadline
-// anywhere in [0, now+tick] cannot change the outcome of the max.
+// slot, then jump to next when it is later. Because the jump target is a
+// max over per-subsystem deadlines, clamping any deadline anywhere in
+// [0, now+tick] cannot change where the clock lands; the calendar loop and
+// the tests' tick-all reference loop rely on that to fold deadlines cached
+// at different instants.
 //
 //mithril:hotpath
 func (c *tickClock) Step(next timing.PicoSeconds) {

@@ -8,21 +8,21 @@ import (
 
 func TestTickClockStepClampsToOneTick(t *testing.T) {
 	clk := tickClock{tick: 625}
-	if clk.Now() != 0 {
-		t.Fatalf("fresh clock at %v, want 0", clk.Now())
+	if clk.now != 0 {
+		t.Fatalf("fresh clock at %v, want 0", clk.now)
 	}
 	// A far-future target jumps the clock directly there.
 	clk.Step(10_000)
-	if clk.Now() != 10_000 {
-		t.Fatalf("Step(10000) left clock at %v", clk.Now())
+	if clk.now != 10_000 {
+		t.Fatalf("Step(10000) left clock at %v", clk.now)
 	}
 	// A target at or before now+tick still advances by exactly one tick:
 	// the loop must always make progress.
 	for _, target := range []timing.PicoSeconds{0, 5_000, 10_000, 10_625} {
-		before := clk.Now()
+		before := clk.now
 		clk.Step(target)
-		if want := before + 625; clk.Now() != want {
-			t.Fatalf("Step(%v) from %v moved clock to %v, want %v", target, before, clk.Now(), want)
+		if want := before + 625; clk.now != want {
+			t.Fatalf("Step(%v) from %v moved clock to %v, want %v", target, before, clk.now, want)
 		}
 	}
 }
@@ -30,12 +30,12 @@ func TestTickClockStepClampsToOneTick(t *testing.T) {
 func TestTickClockAdvanceToNeverRewinds(t *testing.T) {
 	clk := tickClock{tick: 625}
 	clk.AdvanceTo(900)
-	if clk.Now() != 900 {
-		t.Fatalf("AdvanceTo(900) left clock at %v", clk.Now())
+	if clk.now != 900 {
+		t.Fatalf("AdvanceTo(900) left clock at %v", clk.now)
 	}
 	clk.AdvanceTo(100)
-	if clk.Now() != 900 {
-		t.Fatalf("AdvanceTo(100) rewound clock to %v", clk.Now())
+	if clk.now != 900 {
+		t.Fatalf("AdvanceTo(100) rewound clock to %v", clk.now)
 	}
 }
 

@@ -1,61 +1,11 @@
 package sim
 
 import (
-	"context"
-	"fmt"
 	"reflect"
 	"testing"
 
-	"mithril/internal/mc"
-	"mithril/internal/mitigation"
 	"mithril/internal/timing"
-	"mithril/internal/trace"
 )
-
-// TestLoopEquivalenceBackpressure holds the calendar loop to the tick loop
-// on runs whose channel queues fill, where the calendar parks blocked
-// cores instead of retrying their requests every tick: 16 mix-high cores
-// on full-scale DDR5 timing under Mithril, with the default queue and a
-// shallow one, for both row-hit-first schedulers. The whole Result must
-// match, controller stats and the safety report included.
-func TestLoopEquivalenceBackpressure(t *testing.T) {
-	p := timing.DDR5()
-	for _, sched := range []mc.SchedulerKind{mc.FRFCFS, mc.BLISS} {
-		for _, depth := range []int{0, 8} {
-			t.Run(fmt.Sprintf("%v/depth=%d", sched, depth), func(t *testing.T) {
-				run := func(legacy bool) Result {
-					t.Helper()
-					defer SetLegacyTickLoop(SetLegacyTickLoop(legacy))
-					scheme, err := mitigation.Build("mithril", mitigation.Options{Timing: p, FlipTH: 1500, Seed: 1})
-					if err != nil {
-						t.Fatal(err)
-					}
-					res, err := RunContext(context.Background(), Config{
-						Params:       p,
-						FlipTH:       1500,
-						Scheduler:    sched,
-						Policy:       mc.MinimalistOpen,
-						Scheme:       scheme,
-						queueDepth:   depth,
-						Workload:     trace.MixHigh(16, 1).Fresh(),
-						InstrPerCore: 10_000,
-					})
-					if err != nil {
-						t.Fatal(err)
-					}
-					return res
-				}
-				tick, cal := run(true), run(false)
-				if tick.MC.Rejected == 0 {
-					t.Fatal("no request was rejected: the run never back-pressured its cores")
-				}
-				if !reflect.DeepEqual(tick, cal) {
-					t.Errorf("calendar loop diverges from tick loop\ntick:     %+v\ncalendar: %+v", tick, cal)
-				}
-			})
-		}
-	}
-}
 
 func TestServedWakesOnlyCoresParkedOnItsChannel(t *testing.T) {
 	const chA, chB = 1, 0

@@ -4,15 +4,14 @@
 // evaluation figures. The core is a next-event calendar (calendar.go): each
 // iteration advances only the cores and channels with actionable work,
 // then jumps the clock to the earliest of request completion, per-bank
-// timing expiry, RFM/REF deadline, and core wake-up. The pre-calendar
-// tick loop survives in legacy.go as the reference implementation the
-// differential-equivalence tests compare against.
+// timing expiry, RFM/REF deadline, and core wake-up. The package tests
+// hold it to a tick-all reference loop (legacy_test.go) on whole Results,
+// and the repository's quick-spec goldens pin its output.
 package sim
 
 import (
 	"context"
 	"fmt"
-	"sync/atomic"
 
 	"mithril/internal/cpu"
 	"mithril/internal/dram"
@@ -213,40 +212,8 @@ func RunContext(ctx context.Context, cfg Config) (Result, error) {
 	if err := cfg.normalize(); err != nil {
 		return Result{}, err
 	}
-	scheme := cfg.Scheme
-	if scheme == nil {
-		scheme = mc.NoProtection{}
-	}
-	// Device and LLC come from free-list pools: building a device means a
-	// bank and a checker object per bank, and the 16 MB LLC's tag array is
-	// a megabyte, so a recycled pair spares a short run that allocation.
-	// Nothing a Result carries aliases either object, so they are safe to
-	// recycle the moment RunContext returns (the reset on reacquisition
-	// erases any state, including that of a cancelled run).
-	dev := dram.AcquireDevice(cfg.Params, cfg.FlipTH, cfg.Weights)
-	defer dram.ReleaseDevice(dev)
-	var pending completionQueue
-	// Every serve frees a slot in its channel's queue, so the completion
-	// callback also wakes the cores the calendar parked on that channel
-	// (the tick loop parks none, making the call a no-op there).
-	cal := newCalendar(len(cfg.Workload))
-	ctl := mc.NewController(dev, mc.Config{
-		Scheduler:  cfg.Scheduler,
-		Policy:     cfg.Policy,
-		Scheme:     scheme,
-		QueueDepth: cfg.queueDepth,
-	}, func(r *mc.Request, at timing.PicoSeconds) {
-		pending.push(completion{at: at, reqID: r.ID})
-		cal.served(r.Loc.Channel)
-	})
-	llc := cpu.AcquireLLC(cfg.LLCBytes, cfg.LLCWays)
-	defer cpu.ReleaseLLC(llc)
-	space := ctl.Mapper().AddressSpace()
-	cores := make([]*cpu.Core, len(cfg.Workload))
-	for i, g := range cfg.Workload {
-		cores[i] = cpu.NewCore(i, cfg.CoreCfg, genSource{g, space - 1}, llc, cfg.InstrPerCore, ctl.Enqueue)
-	}
-
+	s := assemble(&cfg)
+	defer s.release()
 	cancellable := ctx.Done() != nil
 	if cancellable {
 		// Short runs can finish inside one check interval; an already-
@@ -255,46 +222,80 @@ func RunContext(ctx context.Context, cfg Config) (Result, error) {
 			return Result{}, err
 		}
 	}
-	var now timing.PicoSeconds
-	var allDone bool
-	var err error
-	if useLegacyTickLoop.Load() {
-		now, allDone, err = runLoopTicked(ctx, &cfg, cores, ctl, &pending, cancellable)
-	} else {
-		now, allDone, err = runLoopCalendar(ctx, &cfg, cores, ctl, &pending, cal, cancellable)
-	}
+	now, allDone, err := runLoopCalendar(ctx, &cfg, s.cores, s.ctl, s.pending, s.cal, cancellable)
 	if err != nil {
 		return Result{}, err
 	}
-	res := collect(cfg, scheme, cores, dev, ctl, llc, now)
-	res.Finished = allDone
-	return res, nil
+	return s.collect(now, allDone), nil
 }
 
-// useLegacyTickLoop routes RunContext through the deprecated tick loop
-// (legacy.go) instead of the event calendar. Test-only: the differential-
-// equivalence suite flips it to prove both loops produce byte-identical
-// results on every shipped quick spec.
-var useLegacyTickLoop atomic.Bool
-
-// SetLegacyTickLoop selects the simulator loop for subsequent runs and
-// reports the previous setting (restore it with a deferred call). It
-// exists solely for the differential-equivalence tests; production code
-// always runs the calendar loop.
-func SetLegacyTickLoop(v bool) (prev bool) {
-	return useLegacyTickLoop.Swap(v)
+// system is the machine a Config describes, as a simulation loop drives
+// it. RunContext drives it with the event calendar; the package tests
+// drive the same assembly with their tick-all reference loop.
+type system struct {
+	scheme  mc.Scheme
+	dev     *dram.Device
+	llc     *cpu.LLC
+	ctl     *mc.Controller
+	cores   []*cpu.Core
+	pending *completionQueue
+	cal     *calendar
 }
 
-func collect(cfg Config, scheme mc.Scheme, cores []*cpu.Core, dev *dram.Device, ctl *mc.Controller, llc *cpu.LLC, now timing.PicoSeconds) Result {
-	res := Result{
-		SchemeName:    scheme.Name(),
-		SimulatedTime: now,
-		Device:        dev.TotalStats(),
-		MC:            ctl.Stats(),
-		Safety:        dev.SafetyReport(),
-		LLCHitRate:    llc.HitRate(),
+// assemble builds the system a normalized cfg describes. Its device and
+// LLC come from free-list pools (release returns them): building a device
+// means a bank and a checker object per bank, and the 16 MB LLC's tag
+// array is a megabyte, so a recycled pair spares a short run that
+// allocation. Nothing a Result carries aliases either object, so they are
+// safe to recycle once the Result is collected (the reset on reacquisition
+// erases any state, including that of a cancelled run).
+func assemble(cfg *Config) system {
+	s := system{scheme: cfg.Scheme}
+	if s.scheme == nil {
+		s.scheme = mc.NoProtection{}
 	}
-	for _, c := range cores {
+	s.dev = dram.AcquireDevice(cfg.Params, cfg.FlipTH, cfg.Weights)
+	// Every serve frees a slot in its channel's queue, so the completion
+	// callback also wakes the cores the calendar parked on that channel.
+	pending, cal := &completionQueue{}, newCalendar(len(cfg.Workload))
+	s.pending, s.cal = pending, cal
+	s.ctl = mc.NewController(s.dev, mc.Config{
+		Scheduler:  cfg.Scheduler,
+		Policy:     cfg.Policy,
+		Scheme:     s.scheme,
+		QueueDepth: cfg.queueDepth,
+	}, func(r *mc.Request, at timing.PicoSeconds) {
+		pending.push(completion{at: at, reqID: r.ID})
+		cal.served(r.Loc.Channel)
+	})
+	s.llc = cpu.AcquireLLC(cfg.LLCBytes, cfg.LLCWays)
+	space := s.ctl.Mapper().AddressSpace()
+	s.cores = make([]*cpu.Core, len(cfg.Workload))
+	for i, g := range cfg.Workload {
+		s.cores[i] = cpu.NewCore(i, cfg.CoreCfg, genSource{g, space - 1}, s.llc, cfg.InstrPerCore, s.ctl.Enqueue)
+	}
+	return s
+}
+
+// release returns the device and LLC to their pools.
+func (s *system) release() {
+	cpu.ReleaseLLC(s.llc)
+	dram.ReleaseDevice(s.dev)
+}
+
+// collect reads the Result of a run that stopped at now; allDone reports
+// whether the required cores reached their instruction target.
+func (s *system) collect(now timing.PicoSeconds, allDone bool) Result {
+	res := Result{
+		SchemeName:    s.scheme.Name(),
+		SimulatedTime: now,
+		Device:        s.dev.TotalStats(),
+		MC:            s.ctl.Stats(),
+		Safety:        s.dev.SafetyReport(),
+		LLCHitRate:    s.llc.HitRate(),
+		Finished:      allDone,
+	}
+	for _, c := range s.cores {
 		ipc := c.IPC()
 		res.IPCs = append(res.IPCs, ipc)
 		res.AggregateIPC += ipc

@@ -1,15 +1,13 @@
 package mithril
 
-// Differential equivalence for the PR 8 event calendar: every shipped
-// quick spec runs twice in-process — once through the legacy tick loop
-// (sim.SetLegacyTickLoop, the pre-calendar reference implementation that
-// polls every subsystem every iteration) and once through the next-event
-// calendar — and the full-precision golden renderings must match byte for
-// byte. The tick loop computes nothing lazily, so any divergence indicts
-// a calendar skip or deadline-cache decision, with the row-level diff
-// pointing at the first affected cell. The calendar rendering is also
-// pinned in testdata/golden_<spec>.txt (regenerate with -update), so a
-// change that moves both loops alike still fails.
+// Quick-spec goldens for the simulator loop: every shipped quick spec runs
+// at the golden scale and its full-precision golden rendering must match
+// testdata/golden_<spec>.txt byte for byte (regenerate with -update). The
+// files were recorded while the event calendar and the tick-all loop it
+// replaced still ran side by side and agreed on every spec, so they carry
+// that equivalence forward as data. internal/sim holds the calendar to its
+// tick-all reference loop on whole Results, and internal/mc holds the
+// controller's skip and deadline caches to a from-scratch rescan.
 
 import (
 	"context"
@@ -17,9 +15,6 @@ import (
 	"path"
 	"strings"
 	"testing"
-
-	"mithril/internal/sim"
-	"mithril/internal/stats"
 )
 
 func TestLoopEquivalence(t *testing.T) {
@@ -34,8 +29,7 @@ func TestLoopEquivalence(t *testing.T) {
 		t.Fatal("no shipped quick specs found")
 	}
 	// The goldens' instruction budget: large enough that refresh windows,
-	// RFM pacing, and throttling all fire, so the loops can actually
-	// disagree if a skip decision is wrong.
+	// RFM pacing, and throttling all fire, so a wrong skip decision shows.
 	sc := goldenScale()
 	for _, specPath := range names {
 		name := strings.TrimSuffix(path.Base(specPath), ".json")
@@ -44,22 +38,11 @@ func TestLoopEquivalence(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			prev := sim.SetLegacyTickLoop(true)
-			legacyRes, err := sp.RunAtContext(context.Background(), sc, nil)
-			sim.SetLegacyTickLoop(prev)
+			res, err := sp.RunAtContext(context.Background(), sc, nil)
 			if err != nil {
-				t.Fatalf("legacy tick loop: %v", err)
+				t.Fatal(err)
 			}
-			calRes, err := sp.RunAtContext(context.Background(), sc, nil)
-			if err != nil {
-				t.Fatalf("calendar loop: %v", err)
-			}
-			legacy, calendar := legacyRes.Golden(), calRes.Golden()
-			if legacy != calendar {
-				t.Errorf("calendar loop diverges from tick loop on %s; diff (-tick +calendar):\n%s",
-					name, stats.DiffLines(legacy, calendar))
-			}
-			checkGolden(t, "golden_"+name+".txt", calendar)
+			checkGolden(t, "golden_"+name+".txt", res.Golden())
 		})
 	}
 }
