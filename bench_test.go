@@ -14,18 +14,13 @@ import (
 	"mithril/internal/attack"
 	"mithril/internal/core"
 	"mithril/internal/dram"
+	"mithril/internal/expspec"
 	"mithril/internal/mc"
 	"mithril/internal/mitigation"
 	"mithril/internal/sim"
 	"mithril/internal/streaming"
 	"mithril/internal/timing"
 )
-
-func benchScale() Scale {
-	sc := QuickScale()
-	sc.InstrPerCore = 10_000
-	return sc
-}
 
 // BenchmarkFigure2 regenerates the ARR-vs-RFM Graphene incompatibility
 // curves (analytic).
@@ -60,7 +55,7 @@ func BenchmarkFigure6(b *testing.B) {
 
 // BenchmarkFigure7 runs the adaptive-refresh AdTH sweep (simulation).
 func BenchmarkFigure7(b *testing.B) {
-	sc := benchScale()
+	sc := expspec.GoldenScale()
 	for i := 0; i < b.N; i++ {
 		pts, err := Figure7Data(sc)
 		if err != nil {
@@ -89,7 +84,7 @@ func BenchmarkFigure8(b *testing.B) {
 // BenchmarkFigure9 compares Mithril and Mithril+ across the (FlipTH, RFMTH)
 // grid (simulation).
 func BenchmarkFigure9(b *testing.B) {
-	sc := benchScale()
+	sc := expspec.GoldenScale()
 	for i := 0; i < b.N; i++ {
 		pts, err := Figure9Data(sc)
 		if err != nil {
@@ -107,7 +102,7 @@ func BenchmarkFigure9(b *testing.B) {
 // BenchmarkFigure10Perf runs the RFM-compatible comparison (simulation):
 // normal, multi-sided RH, and BlockHammer-adversarial workloads.
 func BenchmarkFigure10Perf(b *testing.B) {
-	sc := benchScale()
+	sc := expspec.GoldenScale()
 	sc.FlipTHs = []int{1500}
 	for i := 0; i < b.N; i++ {
 		pts, err := Figure10Data(sc)
@@ -135,7 +130,7 @@ func BenchmarkFigure10Perf(b *testing.B) {
 // BenchmarkFigure10Energy reports the dynamic-energy comparison on normal
 // workloads (Figure 10(d)).
 func BenchmarkFigure10Energy(b *testing.B) {
-	sc := benchScale()
+	sc := expspec.GoldenScale()
 	sc.FlipTHs = []int{1500}
 	for i := 0; i < b.N; i++ {
 		pts, err := Figure10Data(sc)
@@ -171,7 +166,7 @@ func BenchmarkFigure10Area(b *testing.B) {
 
 // BenchmarkFigure11 runs the RFM-non-compatible baseline comparison.
 func BenchmarkFigure11(b *testing.B) {
-	sc := benchScale()
+	sc := expspec.GoldenScale()
 	sc.FlipTHs = []int{6250}
 	for i := 0; i < b.N; i++ {
 		pts, err := Figure11Data(sc)
@@ -207,7 +202,7 @@ func BenchmarkTable4(b *testing.B) {
 
 // BenchmarkSafetySweep runs the end-to-end attack verdict sweep (E11).
 func BenchmarkSafetySweep(b *testing.B) {
-	sc := benchScale()
+	sc := expspec.GoldenScale()
 	for i := 0; i < b.N; i++ {
 		results, err := SafetySweep(sc, 2000)
 		if err != nil {
@@ -291,28 +286,6 @@ func BenchmarkAblationGreedyVsReactive(b *testing.B) {
 		if i == b.N-1 {
 			b.ReportMetric(float64(worstGreedy), "greedy_max_unrefreshed")
 			b.ReportMetric(float64(worstReactive), "reactive_max_unrefreshed")
-		}
-	}
-}
-
-// BenchmarkAblationScanTable measures the scan-based reference CbS.
-func BenchmarkAblationScanTable(b *testing.B) {
-	benchTable(b, true)
-}
-
-// BenchmarkAblationStreamSummary measures the O(1) Stream-Summary table.
-func BenchmarkAblationStreamSummary(b *testing.B) {
-	benchTable(b, false)
-}
-
-func benchTable(b *testing.B, scan bool) {
-	m := core.New(core.Config{NEntry: 512, RFMTH: 64, UseScanTable: scan})
-	r := streaming.NewRand(9)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		m.OnActivate(uint32(r.Intn(2048)))
-		if i%64 == 63 {
-			m.OnRFM()
 		}
 	}
 }
@@ -416,7 +389,7 @@ func BenchmarkControllerACTPath(b *testing.B) {
 // shape: shared baselines, attack workloads, adversarial cells — at a
 // fixed worker count.
 func benchmarkSweep(b *testing.B, jobs int) {
-	sc := benchScale()
+	sc := expspec.GoldenScale()
 	sc.FlipTHs = []int{1500}
 	sc.Jobs = jobs
 	b.ResetTimer()
@@ -448,7 +421,7 @@ func BenchmarkSweepWarmStore(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	sc := benchScale()
+	sc := expspec.GoldenScale()
 	st := NewMemResultStore()
 	eng := NewEngine(DDR5(), WithResultStore(st))
 	ctx := context.Background()
@@ -473,7 +446,7 @@ func BenchmarkSweepWarmStore(b *testing.B) {
 // BenchmarkSimulatorThroughput measures raw simulation speed (ticks are
 // dominated by controller work), the practical limit on experiment scale.
 func BenchmarkSimulatorThroughput(b *testing.B) {
-	sc := benchScale()
+	sc := expspec.GoldenScale()
 	eng := NewEngine(DDR5())
 	for i := 0; i < b.N; i++ {
 		cfg := baseSimConfig(6250, sc)
@@ -512,7 +485,7 @@ func BenchmarkSimRun(b *testing.B) {
 			return cfg, nil
 		}},
 		{"attack", func() (sim.Config, error) {
-			sc := goldenScale()
+			sc := expspec.GoldenScale()
 			cfg := baseSimConfig(1500, sc)
 			gens := MixHigh(4, sc.Seed).Fresh()
 			gens[3] = attack.NewMultiSided(mc.NewAddressMapper(cfg.Params), 1, 7, 4000, 8)

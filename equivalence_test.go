@@ -16,19 +16,11 @@ import (
 	"strings"
 	"testing"
 
+	"mithril/internal/expspec"
 	"mithril/internal/stats"
 )
 
 var update = flag.Bool("update", false, "rewrite golden testdata files")
-
-// goldenScale is QuickScale with the benchmark instruction budget, small
-// enough to run in CI on every push yet large enough to exercise refresh
-// windows, RFM pacing, and the attack workloads.
-func goldenScale() Scale {
-	sc := QuickScale()
-	sc.InstrPerCore = 10_000
-	return sc
-}
 
 func checkGolden(t *testing.T, name, got string) {
 	t.Helper()
@@ -67,7 +59,7 @@ func TestGoldenFigure9(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation sweep")
 	}
-	pts, err := Figure9Data(goldenScale())
+	pts, err := Figure9Data(expspec.GoldenScale())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,7 +75,7 @@ func TestGoldenFigure10(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation sweep")
 	}
-	pts, err := Figure10Data(goldenScale())
+	pts, err := Figure10Data(expspec.GoldenScale())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,7 +86,7 @@ func TestGoldenSafetySweep(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation sweep")
 	}
-	results, err := SafetySweep(goldenScale(), 2000)
+	results, err := SafetySweep(expspec.GoldenScale(), 2000)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -58,7 +58,7 @@ func TestShippedSpecsValidate(t *testing.T) {
 			t.Errorf("%s: %v", name, err)
 			continue
 		}
-		if g := goldenScale(); sc.Cores != g.Cores || sc.InstrPerCore != g.InstrPerCore || sc.TimeScale != g.TimeScale {
+		if g := expspec.GoldenScale(); sc.Cores != g.Cores || sc.InstrPerCore != g.InstrPerCore || sc.TimeScale != g.TimeScale {
 			t.Errorf("%s resolves to %+v, want golden scale %+v", name, sc, g)
 		}
 	}

@@ -1,8 +1,10 @@
 // Package core implements the paper's primary contribution: the per-bank
 // Mithril module (Section IV) — a Counter-based Summary table driven by ACT
 // and RFM commands, greedy victim selection at every RFM, the adaptive
-// refresh policy (Section V-A), the Mithril+ skip flag (Section V-B), and
-// the wrapping-counter table (Section IV-E).
+// refresh policy (Section V-A) and the Mithril+ skip flag (Section V-B).
+// The table is streaming.SpaceSaving; the Section IV-E claim that wrapping
+// counters order entries exactly like unbounded ones is tested in
+// internal/streaming (wrapped_test.go) against the scan-based reference.
 //
 // One Mithril value corresponds to the "Mithril logic" block of Figure 4:
 // it is instantiated once per DRAM bank and observes that bank's command
@@ -29,9 +31,6 @@ type Config struct {
 	// refresh (1 = double-sided neighbours, 3 = non-adjacent model of
 	// Section V-C with six victims).
 	BlastRadius int
-	// UseScanTable selects the scan-based reference table instead of the
-	// O(1) Stream-Summary structure (ablation).
-	UseScanTable bool
 }
 
 // Validate reports a descriptive error for unusable configurations.
@@ -64,7 +63,7 @@ type Stats struct {
 // Mithril is the per-bank protection module.
 type Mithril struct {
 	cfg   Config
-	table streaming.Summary
+	table *streaming.SpaceSaving
 	vbuf  []uint32 // reusable OnRFM victim buffer
 	stats Stats
 }
@@ -78,13 +77,7 @@ func New(cfg Config) *Mithril {
 	if cfg.BlastRadius == 0 {
 		cfg.BlastRadius = 1
 	}
-	var table streaming.Summary
-	if cfg.UseScanTable {
-		table = streaming.NewCbS(cfg.NEntry)
-	} else {
-		table = streaming.NewSpaceSaving(cfg.NEntry)
-	}
-	return &Mithril{cfg: cfg, table: table}
+	return &Mithril{cfg: cfg, table: streaming.NewSpaceSaving(cfg.NEntry)}
 }
 
 // Config returns the module's configuration.

@@ -34,29 +34,30 @@ func TestConfigValidate(t *testing.T) {
 }
 
 func TestMithrilGreedySelection(t *testing.T) {
-	for _, scan := range []bool{false, true} {
-		m := New(Config{NEntry: 4, RFMTH: 16, UseScanTable: scan})
-		for i := 0; i < 9; i++ {
-			m.OnActivate(0xA0)
-			m.OnActivate(0xB0)
-		}
+	m := New(Config{NEntry: 4, RFMTH: 16})
+	for i := 0; i < 9; i++ {
 		m.OnActivate(0xA0)
-		m.OnActivate(0xC0)
-		aggressor, victims, refreshed := m.OnRFM()
-		if !refreshed {
-			t.Fatalf("scan=%v: RFM should refresh", scan)
-		}
-		if aggressor != 0xA0 {
-			t.Fatalf("scan=%v: selected %#x, want A0 (the max)", scan, aggressor)
-		}
-		if len(victims) != 2 || victims[0] != 0x9F || victims[1] != 0xA1 {
-			t.Fatalf("scan=%v: victims = %v, want [9F A1]", scan, victims)
-		}
-		// Next RFM must pick B0: A0 was decremented to the minimum.
-		aggressor, _, _ = m.OnRFM()
-		if aggressor != 0xB0 {
-			t.Fatalf("scan=%v: second RFM selected %#x, want B0", scan, aggressor)
-		}
+		m.OnActivate(0xB0)
+	}
+	m.OnActivate(0xA0)
+	m.OnActivate(0xC0)
+	aggressor, victims, refreshed := m.OnRFM()
+	if !refreshed {
+		t.Fatal("RFM should refresh")
+	}
+	if aggressor != 0xA0 {
+		t.Fatalf("selected %#x, want A0 (the max)", aggressor)
+	}
+	if len(victims) != 2 || victims[0] != 0x9F || victims[1] != 0xA1 {
+		t.Fatalf("victims = %v, want [9F A1]", victims)
+	}
+	// Next RFM must pick B0: A0 was decremented to the minimum.
+	aggressor, _, _ = m.OnRFM()
+	if aggressor != 0xB0 {
+		t.Fatalf("second RFM selected %#x, want B0", aggressor)
+	}
+	if s := m.Stats(); s.ACTs != 20 || s.RFMs != 2 || s.PreventiveRefreshes != 2 || s.AdaptiveSkips != 0 {
+		t.Fatalf("stats = %+v, want 20 ACTs and 2 refreshing RFMs", s)
 	}
 }
 
@@ -144,8 +145,9 @@ func TestStatsAccounting(t *testing.T) {
 
 // runTheoremHarness replays an adversarial ACT stream with an RFM command
 // every RFMTH activations and reports the maximum actual ACT count any row
-// accumulated since its last selection — the quantity Theorem 1/2 bound.
-func runTheoremHarness(cfg Config, next func(i int) uint32, streamLen int) uint64 {
+// accumulated since its last selection — the quantity Theorem 1/2 bound —
+// and the module's final counters.
+func runTheoremHarness(cfg Config, next func(i int) uint32, streamLen int) (uint64, Stats) {
 	m := New(cfg)
 	acts := map[uint32]uint64{}
 	var maxSeen uint64
@@ -165,7 +167,7 @@ func runTheoremHarness(cfg Config, next func(i int) uint32, streamLen int) uint6
 			}
 		}
 	}
-	return maxSeen
+	return maxSeen, m.Stats()
 }
 
 func TestTheorem1BoundHoldsEmpirically(t *testing.T) {
@@ -182,6 +184,7 @@ func TestTheorem1BoundHoldsEmpirically(t *testing.T) {
 			streamLen = 250000 // sub-window stream: bound holds a fortiori
 		}
 		bound := analysis.BoundM(p, cfg.NEntry, cfg.RFMTH)
+		r := streaming.NewRand(31)
 		patterns := map[string]func(i int) uint32{
 			// Classic CbS adversary: N+1 rows in rotation force constant
 			// eviction and estimate inflation.
@@ -197,12 +200,24 @@ func TestTheorem1BoundHoldsEmpirically(t *testing.T) {
 			},
 			// Many-sided attack (32 aggressors, TRRespass-style).
 			"multiSided": func(i int) uint32 { return uint32(500 + (i%32)*2) },
+			// Random traffic over a row set a little larger than the table.
+			"random": func(int) uint32 { return uint32(r.Intn(cfg.NEntry + cfg.NEntry/2)) },
 		}
 		for name, pattern := range patterns {
-			got := runTheoremHarness(cfg, pattern, streamLen)
+			got, st := runTheoremHarness(cfg, pattern, streamLen)
 			if float64(got) > bound {
 				t.Errorf("cfg %+v pattern %s: max unrefreshed ACTs %d exceeds M=%.0f",
 					cfg, name, got, bound)
+			}
+			// The table's own spread obeys the same bound, and without
+			// AdTH every RFM refreshes.
+			if float64(st.MaxSpreadSeen) > bound {
+				t.Errorf("cfg %+v pattern %s: table spread %d exceeds M=%.0f",
+					cfg, name, st.MaxSpreadSeen, bound)
+			}
+			if rfms := uint64(streamLen / cfg.RFMTH); st.ACTs != uint64(streamLen) || st.RFMs != rfms || st.PreventiveRefreshes != rfms {
+				t.Errorf("cfg %+v pattern %s: stats %+v, want %d ACTs and %d refreshing RFMs",
+					cfg, name, st, streamLen, rfms)
 			}
 		}
 	}
@@ -226,7 +241,7 @@ func TestTheorem2BoundHoldsWithAdaptiveRefresh(t *testing.T) {
 		},
 	}
 	for name, pattern := range patterns {
-		got := runTheoremHarness(cfg, pattern, streamLen)
+		got, _ := runTheoremHarness(cfg, pattern, streamLen)
 		if float64(got) > bound {
 			t.Errorf("pattern %s: max unrefreshed ACTs %d exceeds M'=%.0f", name, got, bound)
 		}
@@ -283,33 +298,5 @@ func TestUnprotectedBankFlipsUnderSameAttack(t *testing.T) {
 	}
 	if checker.Report().Safe() {
 		t.Fatal("unprotected bank should flip — fault model too weak")
-	}
-}
-
-func TestScanAndStreamSummaryTablesAgreeInModule(t *testing.T) {
-	// RFM tie-breaking may select different same-count entries, so the two
-	// table implementations can diverge key-wise; the module-level
-	// guarantees that must agree are the event counts and the theorem
-	// bound (checked per-table in TestTheorem1BoundHoldsEmpirically).
-	a := New(Config{NEntry: 16, RFMTH: 32, UseScanTable: true})
-	b := New(Config{NEntry: 16, RFMTH: 32, UseScanTable: false})
-	r := streaming.NewRand(31)
-	maxSpread := analysis.BoundM(timing.DDR5(), 16, 32)
-	for i := 0; i < 20000; i++ {
-		row := uint32(r.Intn(40))
-		a.OnActivate(row)
-		b.OnActivate(row)
-		if i%32 == 31 {
-			a.OnRFM()
-			b.OnRFM()
-		}
-		if float64(a.Spread()) > maxSpread || float64(b.Spread()) > maxSpread {
-			t.Fatalf("step %d: spread exceeded theorem bound (%d / %d vs %.0f)",
-				i, a.Spread(), b.Spread(), maxSpread)
-		}
-	}
-	sa, sb := a.Stats(), b.Stats()
-	if sa.ACTs != sb.ACTs || sa.RFMs != sb.RFMs || sa.PreventiveRefreshes != sb.PreventiveRefreshes {
-		t.Fatalf("event counts diverge: %+v vs %+v", sa, sb)
 	}
 }

@@ -114,7 +114,8 @@ func (points[T]) keyPart(*Spec) (_, _ string) { return "", "" }
 func (points[T]) mithrilPoint(Scale, Cell) (_ mitigation.Options, _ bool) { return }
 
 // ScaleSpec names the simulation scale a spec runs at: a required preset
-// plus optional field overrides (0 keeps the preset's value).
+// plus optional field overrides (0 keeps the preset's value; a negative
+// override is an error).
 type ScaleSpec struct {
 	// Preset is "quick", "full", or "golden" (QuickScale at the regression
 	// goldens' instruction budget).
@@ -137,6 +138,10 @@ func (ss ScaleSpec) Resolve() (Scale, error) {
 		sc = GoldenScale()
 	default:
 		return Scale{}, fmt.Errorf("scale: unknown preset %q (want quick, full, or golden)", ss.Preset)
+	}
+	if ss.Cores < 0 || ss.InstrPerCore < 0 || ss.TimeScale < 0 {
+		return Scale{}, fmt.Errorf("scale: overrides must not be negative (cores %d, instr_per_core %d, time_scale %d)",
+			ss.Cores, ss.InstrPerCore, ss.TimeScale)
 	}
 	if ss.Cores > 0 {
 		sc.Cores = ss.Cores

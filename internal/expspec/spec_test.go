@@ -55,6 +55,9 @@ func TestValidateErrors(t *testing.T) {
 		{"missing name", func(s *Spec) { s.Name = "" }, "missing name"},
 		{"unknown kind", func(s *Spec) { s.Kind = "heatmap" }, "unknown kind"},
 		{"unknown preset", func(s *Spec) { s.Scale.Preset = "huge" }, "unknown preset"},
+		{"negative cores", func(s *Spec) { s.Scale.Cores = -4 }, "must not be negative"},
+		{"negative instr_per_core", func(s *Spec) { s.Scale.InstrPerCore = -1 }, "must not be negative"},
+		{"negative time_scale", func(s *Spec) { s.Scale.TimeScale = -8 }, "must not be negative"},
 		{"unknown scheme", func(s *Spec) { s.Axes.Schemes = []string{"rowpress"} }, "unknown scheme"},
 		{"unknown workload", func(s *Spec) { s.Axes.Workloads = []string{"spec2017"} }, "unknown workload"},
 		{"empty schemes", func(s *Spec) { s.Axes.Schemes = nil }, "non-empty schemes"},

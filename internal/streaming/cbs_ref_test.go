@@ -2,50 +2,18 @@ package streaming
 
 import "fmt"
 
-// Summary is the interface shared by the two Counter-based Summary
-// implementations (scan-based CbS and bucketed SpaceSaving). It exposes
-// exactly the operations the Mithril control logic needs: on-ACT update,
-// greedy selection, RFM decrement, and the Min/Max/Spread observations used
-// by the adaptive-refresh policy.
-type Summary interface {
-	// Observe records one occurrence of key (one ACT of a row address).
-	Observe(key uint32)
-	// Estimate reports the estimated count for key: the written counter
-	// value when key is on-table, Min() otherwise.
-	Estimate(key uint32) uint64
-	// Min reports the minimum counter value in the table (0 when empty).
-	Min() uint64
-	// Max reports an entry with the maximum counter value. ok is false when
-	// the table is empty.
-	Max() (key uint32, count uint64, ok bool)
-	// DecrementMaxToMin implements the Mithril RFM step: the entry at
-	// MaxPtr is selected, its counter is lowered to Min(), and its key is
-	// returned for preventive refresh. ok is false when the table is empty.
-	DecrementMaxToMin() (key uint32, ok bool)
-	// Spread is Max − Min, the adaptive-refresh attack indicator.
-	Spread() uint64
-	// Len is the number of occupied entries; Cap the table capacity.
-	Len() int
-	Cap() int
-	// Reset clears the table (Graphene-style periodic reset; Mithril does
-	// not need it thanks to wrapping counters but the baseline does).
-	Reset()
-}
-
 // CbS is the scan-based reference implementation of the Counter-based
 // Summary algorithm (Misra–Gries / Space-Saving variant used by Graphene and
 // Mithril). Updates are O(1) via a key index; Min/Max queries scan the table,
-// which is acceptable for the table sizes the paper studies (tens to a few
-// thousand entries) and makes the implementation obviously correct — the
-// O(1) SpaceSaving structure is property-tested against this one.
+// which makes the implementation obviously correct. It is a test reference
+// only: the production SpaceSaving is property-tested against it, and the
+// wrapping-counter table (wrapped_test.go) is held to it exactly.
 type CbS struct {
 	keys   []uint32
 	counts []uint64
 	used   []bool
 	index  map[uint32]int // key -> slot
 }
-
-var _ Summary = (*CbS)(nil)
 
 // NewCbS returns a Counter-based Summary with capacity entries. It panics if
 // capacity is not positive: a zero-entry tracker cannot provide any bound.
@@ -198,10 +166,4 @@ func (c *CbS) Entries() []Entry {
 		}
 	}
 	return out
-}
-
-// Entry is one (address, estimated count) pair of a summary snapshot.
-type Entry struct {
-	Key   uint32
-	Count uint64
 }

@@ -6,10 +6,27 @@ import (
 	"testing/quick"
 )
 
+// summary is the Counter-based Summary surface the production SpaceSaving
+// and the test references (CbS, refSpaceSaving) share: on-ACT update,
+// greedy RFM decrement, and the Min/Max/Spread observations.
+type summary interface {
+	Observe(key uint32)
+	// Estimate is the written counter for an on-table key, Min otherwise.
+	Estimate(key uint32) uint64
+	Min() uint64
+	Max() (key uint32, count uint64, ok bool)
+	// DecrementMaxToMin lowers the MaxPtr entry to Min and returns its key.
+	DecrementMaxToMin() (key uint32, ok bool)
+	Spread() uint64
+	Len() int
+	Reset()
+	Entries() []Entry
+}
+
 // newSummaries returns both CbS implementations so every test exercises the
 // scan-based reference and the O(1) Stream-Summary structure.
-func newSummaries(capacity int) map[string]Summary {
-	return map[string]Summary{
+func newSummaries(capacity int) map[string]summary {
+	return map[string]summary{
 		"CbS":         NewCbS(capacity),
 		"SpaceSaving": NewSpaceSaving(capacity),
 	}
@@ -101,14 +118,7 @@ func TestCbSSumOfCountersEqualsStreamLength(t *testing.T) {
 			s.Observe(uint32(r.Intn(64)))
 		}
 		var sum uint64
-		var entries []Entry
-		switch v := s.(type) {
-		case *CbS:
-			entries = v.Entries()
-		case *SpaceSaving:
-			entries = v.Entries()
-		}
-		for _, e := range entries {
+		for _, e := range s.Entries() {
 			sum += e.Count
 		}
 		if sum != n {
@@ -131,9 +141,9 @@ func TestCbSMinBound(t *testing.T) {
 	}
 }
 
-// inequalityHarness replays a stream against a Summary and exact counts,
+// inequalityHarness replays a stream against a summary and exact counts,
 // asserting inequalities (1) and (2) from Section III-C at every step.
-func inequalityHarness(t *testing.T, name string, s Summary, keys []uint32) {
+func inequalityHarness(t *testing.T, name string, s summary, keys []uint32) {
 	t.Helper()
 	actual := map[uint32]uint64{}
 	for i, k := range keys {
@@ -435,5 +445,25 @@ func TestSpaceSavingDecrementWithFreeSlots(t *testing.T) {
 	}
 	if err := s.checkInvariants(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// BenchmarkAblationScanTable and BenchmarkAblationStreamSummary compare the
+// two Counter-based Summary implementations on Mithril's table workload: a
+// 512-entry table, random ACTs over 2048 rows, and a greedy RFM decrement
+// every 64 ACTs. The scan is O(Nentry) per miss and per RFM, the
+// Stream-Summary O(1).
+func BenchmarkAblationScanTable(b *testing.B) { benchTable(b, NewCbS(512)) }
+
+func BenchmarkAblationStreamSummary(b *testing.B) { benchTable(b, NewSpaceSaving(512)) }
+
+func benchTable(b *testing.B, s summary) {
+	r := NewRand(9)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s.Observe(uint32(r.Intn(2048)))
+		if i%64 == 63 {
+			s.DecrementMaxToMin()
+		}
 	}
 }

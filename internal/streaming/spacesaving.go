@@ -65,8 +65,6 @@ type ssCell struct {
 // range.
 const maxSpaceSavingCapacity = 1 << 29
 
-var _ Summary = (*SpaceSaving)(nil)
-
 // NewSpaceSaving returns a Stream-Summary-backed CbS with capacity entries.
 func NewSpaceSaving(capacity int) *SpaceSaving {
 	if capacity <= 0 || capacity > maxSpaceSavingCapacity {
@@ -367,6 +365,12 @@ func (s *SpaceSaving) Entries() []Entry {
 		}
 	}
 	return out
+}
+
+// Entry is one (address, estimated count) pair of a summary snapshot.
+type Entry struct {
+	Key   uint32
+	Count uint64
 }
 
 // checkInvariants validates the internal structure; used by tests.

@@ -33,7 +33,7 @@ type refBucket struct {
 	prev, next *refBucket
 }
 
-var _ Summary = (*refSpaceSaving)(nil)
+var _ summary = (*refSpaceSaving)(nil)
 
 // newRefSpaceSaving returns a reference Stream-Summary with capacity entries.
 func newRefSpaceSaving(capacity int) *refSpaceSaving {

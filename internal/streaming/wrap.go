@@ -5,22 +5,9 @@ package streaming
 // the spread Max−Min is bounded by M (Theorem 1). Counters of B bits
 // therefore remain totally ordered under modular arithmetic as long as
 // 2^(B-1) exceeds the maximum spread, removing the periodic table reset
-// (and its two-fold threshold degradation) that Graphene pays for.
-
-// Wrap16 is a 16-bit wrapping counter value.
-type Wrap16 uint16
-
-// WrapLess reports whether a precedes b in modular order, valid while the
-// true difference is below 2^15.
-func WrapLess(a, b Wrap16) bool { return int16(b-a) > 0 }
-
-// WrapDiff returns b − a interpreted as a modular distance; callers must
-// guarantee the true spread fits in 15 bits (Mithril sizes the counter CAM
-// from the Theorem-1 bound to ensure exactly this).
-func WrapDiff(a, b Wrap16) uint16 { return uint16(b - a) }
-
-// WrapAdd advances a counter by delta with wraparound.
-func WrapAdd(a Wrap16, delta uint16) Wrap16 { return a + Wrap16(delta) }
+// (and its two-fold threshold degradation) that Graphene pays for. The
+// claim is tested in wrapped_test.go, where a 16-bit wrapping table is held
+// to the unbounded reference past counter wraparound.
 
 // WrapCounterBits returns the number of counter bits required to keep a
 // wrapping counter totally ordered for a maximum spread: the smallest B with

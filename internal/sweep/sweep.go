@@ -9,18 +9,10 @@ package sweep
 
 import (
 	"context"
-	"errors"
 	"runtime"
 	"sync"
 	"sync/atomic"
 )
-
-// isCancellation reports whether err is a context cancellation/deadline —
-// the error shape a cell aborted by the sweep's own first-error cancel
-// returns, as opposed to a genuine cell failure.
-func isCancellation(err error) bool {
-	return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
-}
 
 // DefaultJobs is the worker count used when a sweep is configured with
 // jobs <= 0: one worker per available core.
@@ -28,114 +20,23 @@ func DefaultJobs() int { return runtime.GOMAXPROCS(0) }
 
 // RunContext executes fn(ctx, i) for every i in [0, n) on up to jobs
 // workers and returns the results in index order, so a parallel sweep
-// emits byte-identical output to the serial path. jobs <= 0 means
-// DefaultJobs(); jobs == 1 runs the plain serial loop. On failure, the
-// error from the lowest-index failing cell that ran is returned (a
-// lower-index cell skipped by cancellation may itself have failed), cells
-// that have not started are cancelled, and in-flight cells finish or
-// abort (their results are discarded).
+// emits byte-identical output to the serial path. It is StreamContext
+// collected: jobs <= 0 means DefaultJobs(), jobs == 1 runs the plain serial
+// loop, and fn sees the same derived context.
 //
-// Cancellation is cooperative: the sweep stops claiming new cells as soon
-// as ctx is done and returns ctx's error. fn receives a context derived
-// from ctx that is additionally cancelled when any cell fails, so a
-// long-running cell can abandon work the sweep will discard anyway. A cell
-// error still wins over the derived cancellation it causes; a parent
-// cancellation wins over errors that cells report because of it. A panic
-// in fn is re-raised on the calling goroutine.
+// On failure it returns one error and no results. A serial run returns the
+// first failing cell's error and runs no later cell. A parallel run returns
+// the error of some failing cell that ran — not necessarily the lowest
+// index, never a fabricated error, and never the cancellation that one
+// cell's failure induced in the others. A parent cancellation returns ctx's
+// error. A panic in fn is re-raised on the calling goroutine.
 func RunContext[T any](ctx context.Context, jobs, n int, fn func(ctx context.Context, i int) (T, error)) ([]T, error) {
-	if jobs <= 0 {
-		jobs = DefaultJobs()
-	}
-	if jobs > n {
-		jobs = n
-	}
-	cctx, cancel := context.WithCancel(ctx)
-	defer cancel()
 	out := make([]T, n)
-	if jobs <= 1 {
-		for i := 0; i < n; i++ {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-			v, err := fn(cctx, i)
-			if err != nil {
-				return nil, sweepErr(ctx, err)
-			}
-			out[i] = v
+	for iv, err := range StreamContext(ctx, jobs, n, fn) {
+		if err != nil {
+			return nil, err
 		}
-		return out, nil
-	}
-
-	var (
-		next      atomic.Int64
-		failed    atomic.Bool
-		mu        sync.Mutex
-		firstErr  error // lowest-index genuine cell error
-		errIdx    = n
-		cancelErr error // first cancellation-shaped cell error, the fallback
-		panicked  any
-		wg        sync.WaitGroup
-	)
-	for w := 0; w < jobs; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			// A panic in fn must stay recoverable by the caller, as it
-			// is on the serial path: capture it, cancel the sweep, and
-			// re-raise on the calling goroutine after Wait.
-			defer func() {
-				if r := recover(); r != nil {
-					mu.Lock()
-					if panicked == nil {
-						panicked = r
-					}
-					mu.Unlock()
-					failed.Store(true)
-					cancel()
-				}
-			}()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= n || failed.Load() || cctx.Err() != nil {
-					return
-				}
-				v, err := fn(cctx, i)
-				if err != nil {
-					mu.Lock()
-					// Cancellation-shaped errors are almost always cells
-					// aborted by another cell's failure (the derived ctx
-					// cancel) — they must not mask the genuine error at
-					// any index. Keep them only as a fallback for the
-					// degenerate sweep whose cells all cancelled
-					// themselves.
-					if isCancellation(err) {
-						if cancelErr == nil {
-							cancelErr = err
-						}
-					} else if i < errIdx {
-						errIdx, firstErr = i, err
-					}
-					mu.Unlock()
-					failed.Store(true)
-					cancel()
-					return
-				}
-				out[i] = v
-			}
-		}()
-	}
-	wg.Wait()
-	if panicked != nil {
-		panic(panicked)
-	}
-	if firstErr != nil {
-		return nil, sweepErr(ctx, firstErr)
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	if cancelErr != nil {
-		return nil, cancelErr
+		out[iv.I] = iv.V
 	}
 	return out, nil
 }
@@ -165,7 +66,11 @@ type Indexed[T any] struct {
 // cancels the remaining cells. However the sequence ends, all worker
 // goroutines have exited by the time it returns — streams do not leak.
 // fn receives a context derived from ctx, cancelled on first error or
-// consumer abandonment, exactly as in RunContext.
+// consumer abandonment, so a long-running cell can abandon work the sweep
+// will discard anyway. A cell error is delivered before the cancellation it
+// induces in other cells; a parent cancellation wins over errors that cells
+// report because of it. A panic in fn is re-raised on the consumer's
+// goroutine.
 func StreamContext[T any](ctx context.Context, jobs, n int, fn func(ctx context.Context, i int) (T, error)) func(yield func(Indexed[T], error) bool) {
 	return func(yield func(Indexed[T], error) bool) {
 		if jobs <= 0 {

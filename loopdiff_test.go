@@ -15,6 +15,8 @@ import (
 	"path"
 	"strings"
 	"testing"
+
+	"mithril/internal/expspec"
 )
 
 func TestLoopEquivalence(t *testing.T) {
@@ -30,7 +32,7 @@ func TestLoopEquivalence(t *testing.T) {
 	}
 	// The goldens' instruction budget: large enough that refresh windows,
 	// RFM pacing, and throttling all fire, so a wrong skip decision shows.
-	sc := goldenScale()
+	sc := expspec.GoldenScale()
 	for _, specPath := range names {
 		name := strings.TrimSuffix(path.Base(specPath), ".json")
 		t.Run(name, func(t *testing.T) {

@@ -17,6 +17,7 @@ import (
 	"strings"
 	"testing"
 
+	"mithril/internal/expspec"
 	"mithril/internal/resultstore"
 	"mithril/internal/stats"
 )
@@ -32,7 +33,7 @@ func TestStoreEquivalence(t *testing.T) {
 	if len(names) == 0 {
 		t.Fatal("no shipped quick specs found")
 	}
-	sc := goldenScale()
+	sc := expspec.GoldenScale()
 	ctx := context.Background()
 	for _, specPath := range names {
 		name := strings.TrimSuffix(path.Base(specPath), ".json")
