@@ -1,12 +1,12 @@
 package mithril
 
 // Quick-spec goldens for the simulator loop: every shipped quick spec runs
-// at the golden scale and its full-precision golden rendering must match
-// testdata/golden_<spec>.txt byte for byte (regenerate with -update). The
-// files were recorded while the event calendar and the tick-all loop it
-// replaced still ran side by side and agreed on every spec, so they carry
-// that equivalence forward as data. internal/sim holds the calendar to its
-// tick-all reference loop on whole Results, and internal/mc holds the
+// at its own scale and its full-precision golden rendering must match
+// testdata/golden_<spec>.txt byte for byte (regenerate with -update), the
+// same check `mithrilsim diff specs/<spec>.json testdata/golden_<spec>.txt`
+// makes from the CLI. The calendar loop they pin was held to the tick-all
+// loop it replaced on every spec; internal/sim keeps holding the calendar
+// to that tick-all reference on whole Results, and internal/mc holds the
 // controller's skip and deadline caches to a from-scratch rescan.
 
 import (
@@ -15,8 +15,6 @@ import (
 	"path"
 	"strings"
 	"testing"
-
-	"mithril/internal/expspec"
 )
 
 func TestLoopEquivalence(t *testing.T) {
@@ -30,13 +28,17 @@ func TestLoopEquivalence(t *testing.T) {
 	if len(names) == 0 {
 		t.Fatal("no shipped quick specs found")
 	}
-	// The goldens' instruction budget: large enough that refresh windows,
-	// RFM pacing, and throttling all fire, so a wrong skip decision shows.
-	sc := expspec.GoldenScale()
 	for _, specPath := range names {
 		name := strings.TrimSuffix(path.Base(specPath), ".json")
 		t.Run(name, func(t *testing.T) {
 			sp, err := LoadShippedSpec(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			// The quick preset's instruction budget is large enough that
+			// refresh windows, RFM pacing, and throttling all fire, so a
+			// wrong skip decision shows.
+			sc, err := sp.Scale.Resolve()
 			if err != nil {
 				t.Fatal(err)
 			}
