@@ -156,8 +156,7 @@ func (c *CbS) Reset() {
 	c.index = make(map[uint32]int, len(c.keys))
 }
 
-// Entries returns a snapshot of (key, count) pairs in slot order, used by
-// diagnostics and tests.
+// Entries returns a snapshot of (key, count) pairs in slot order.
 func (c *CbS) Entries() []Entry {
 	out := make([]Entry, 0, len(c.index))
 	for slot, u := range c.used {

@@ -450,9 +450,10 @@ func TestSpaceSavingDecrementWithFreeSlots(t *testing.T) {
 
 // BenchmarkAblationScanTable and BenchmarkAblationStreamSummary compare the
 // two Counter-based Summary implementations on Mithril's table workload: a
-// 512-entry table, random ACTs over 2048 rows, and a greedy RFM decrement
-// every 64 ACTs. The scan is O(Nentry) per miss and per RFM, the
-// Stream-Summary O(1).
+// 512-entry table, random ACTs over 2048 rows each followed by the spread
+// read core.Mithril.OnActivate makes, and a greedy RFM decrement every 64
+// ACTs. The scan is O(Nentry) per miss, spread read and RFM; the
+// Stream-Summary is O(1).
 func BenchmarkAblationScanTable(b *testing.B) { benchTable(b, NewCbS(512)) }
 
 func BenchmarkAblationStreamSummary(b *testing.B) { benchTable(b, NewSpaceSaving(512)) }
@@ -462,6 +463,7 @@ func benchTable(b *testing.B, s summary) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		s.Observe(uint32(r.Intn(2048)))
+		s.Spread()
 		if i%64 == 63 {
 			s.DecrementMaxToMin()
 		}

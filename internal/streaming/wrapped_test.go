@@ -183,10 +183,13 @@ func TestWrappedTableSurvivesCounterWraparound(t *testing.T) {
 			w.SelectMax()
 			c.DecrementMaxToMin()
 		}
-		if i%1000 == 0 {
-			if w.Spread() != c.Spread() {
-				t.Fatalf("step %d: spread diverged %d vs %d", i, w.Spread(), c.Spread())
-			}
+		// Every step: the wrap itself is a handful of steps, and a
+		// sampled check can step over it.
+		if w.Spread() != c.Spread() {
+			t.Fatalf("step %d: spread diverged %d vs %d", i, w.Spread(), c.Spread())
+		}
+		if rel, _ := w.RelativeCount(k); rel != c.Estimate(k)-c.Min() {
+			t.Fatalf("step %d: relative count of %d = %d, want %d", i, k, rel, c.Estimate(k)-c.Min())
 		}
 	}
 	// Verify per-key relative counts after the wrap.
