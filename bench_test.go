@@ -2,9 +2,10 @@ package mithril
 
 // Benchmark harness: one benchmark per table and figure of the paper's
 // evaluation (run with `go test -bench=. -benchmem`), plus ablation benches
-// for the design choices DESIGN.md calls out. Simulation-backed benches run
-// at QuickScale and report the headline metrics via b.ReportMetric, so a
-// single -benchtime=1x pass regenerates every result.
+// for the paper's design choices (Sections III-A, IV-E, V-C).
+// Simulation-backed benches run the shipped quick specs at the golden
+// scale and report the headline metrics via b.ReportMetric, so a single
+// -benchtime=1x pass regenerates every result.
 
 import (
 	"context"
@@ -56,11 +57,9 @@ func BenchmarkFigure6(b *testing.B) {
 // BenchmarkFigure7 runs the adaptive-refresh AdTH sweep (simulation).
 func BenchmarkFigure7(b *testing.B) {
 	sc := expspec.GoldenScale()
+	eng := NewEngine(DDR5())
 	for i := 0; i < b.N; i++ {
-		pts, err := Figure7Data(sc)
-		if err != nil {
-			b.Fatal(err)
-		}
+		pts := runShipped(b, eng, "figure7.quick", sc).AdTH
 		if i == b.N-1 {
 			b.ReportMetric(pts[0].EnergyOverheadPct["multi-programmed"], "energy%_AdTH0")
 			b.ReportMetric(pts[4].EnergyOverheadPct["multi-programmed"], "energy%_AdTH200")
@@ -85,11 +84,9 @@ func BenchmarkFigure8(b *testing.B) {
 // grid (simulation).
 func BenchmarkFigure9(b *testing.B) {
 	sc := expspec.GoldenScale()
+	eng := NewEngine(DDR5())
 	for i := 0; i < b.N; i++ {
-		pts, err := Figure9Data(sc)
-		if err != nil {
-			b.Fatal(err)
-		}
+		pts := runShipped(b, eng, "figure9.quick", sc).Grid
 		if i == b.N-1 && len(pts) > 0 {
 			last := pts[len(pts)-1] // lowest FlipTH point
 			b.ReportMetric(last.Mithril, "mithril_perf%")
@@ -100,15 +97,14 @@ func BenchmarkFigure9(b *testing.B) {
 }
 
 // BenchmarkFigure10Perf runs the RFM-compatible comparison (simulation):
-// normal, multi-sided RH, and BlockHammer-adversarial workloads.
+// normal, multi-sided RH, and BlockHammer-adversarial workloads, with the
+// dynamic-energy comparison on normal workloads (Figure 10(d)).
 func BenchmarkFigure10Perf(b *testing.B) {
 	sc := expspec.GoldenScale()
 	sc.FlipTHs = []int{1500}
+	eng := NewEngine(DDR5())
 	for i := 0; i < b.N; i++ {
-		pts, err := Figure10Data(sc)
-		if err != nil {
-			b.Fatal(err)
-		}
+		pts := runShipped(b, eng, "figure10.quick", sc).Perf
 		if i == b.N-1 {
 			for _, p := range pts {
 				switch {
@@ -119,28 +115,11 @@ func BenchmarkFigure10Perf(b *testing.B) {
 				case p.Scheme == "blockhammer" && p.Workload == "bh-adversarial/blockhammer":
 					b.ReportMetric(p.RelativePerformance, "blockhammer_adversarial%")
 				}
-				if !p.Safe {
-					b.Fatalf("unsafe point: %v", p)
-				}
-			}
-		}
-	}
-}
-
-// BenchmarkFigure10Energy reports the dynamic-energy comparison on normal
-// workloads (Figure 10(d)).
-func BenchmarkFigure10Energy(b *testing.B) {
-	sc := expspec.GoldenScale()
-	sc.FlipTHs = []int{1500}
-	for i := 0; i < b.N; i++ {
-		pts, err := Figure10Data(sc)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == b.N-1 {
-			for _, p := range pts {
 				if p.Workload == "normal" {
 					b.ReportMetric(p.EnergyOverheadPct, p.Scheme+"_energy%")
+				}
+				if !p.Safe {
+					b.Fatalf("unsafe point: %v", p)
 				}
 			}
 		}
@@ -168,11 +147,9 @@ func BenchmarkFigure10Area(b *testing.B) {
 func BenchmarkFigure11(b *testing.B) {
 	sc := expspec.GoldenScale()
 	sc.FlipTHs = []int{6250}
+	eng := NewEngine(DDR5())
 	for i := 0; i < b.N; i++ {
-		pts, err := Figure11Data(sc)
-		if err != nil {
-			b.Fatal(err)
-		}
+		pts := runShipped(b, eng, "figure11.quick", sc).Perf
 		if i == b.N-1 {
 			for _, p := range pts {
 				if p.Workload == "normal" {
@@ -203,11 +180,9 @@ func BenchmarkTable4(b *testing.B) {
 // BenchmarkSafetySweep runs the end-to-end attack verdict sweep (E11).
 func BenchmarkSafetySweep(b *testing.B) {
 	sc := expspec.GoldenScale()
+	eng := NewEngine(DDR5())
 	for i := 0; i < b.N; i++ {
-		results, err := SafetySweep(sc, 2000)
-		if err != nil {
-			b.Fatal(err)
-		}
+		results := runShipped(b, eng, "safety.quick", sc).Safety
 		if i == b.N-1 {
 			unsafe := 0
 			for _, r := range results {
@@ -389,17 +364,22 @@ func BenchmarkControllerACTPath(b *testing.B) {
 // shape: shared baselines, attack workloads, adversarial cells — at a
 // fixed worker count.
 func benchmarkSweep(b *testing.B, jobs int) {
+	sp, err := LoadShippedSpec("figure10.quick")
+	if err != nil {
+		b.Fatal(err)
+	}
 	sc := expspec.GoldenScale()
 	sc.FlipTHs = []int{1500}
 	sc.Jobs = jobs
+	ctx := context.Background()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		pts, err := Figure10Data(sc)
+		res, err := sp.RunAtContext(ctx, sc, nil)
 		if err != nil {
 			b.Fatal(err)
 		}
 		if i == b.N-1 {
-			b.ReportMetric(float64(len(pts)), "points")
+			b.ReportMetric(float64(len(res.Perf)), "points")
 		}
 	}
 }
@@ -449,7 +429,7 @@ func BenchmarkSimulatorThroughput(b *testing.B) {
 	sc := expspec.GoldenScale()
 	eng := NewEngine(DDR5())
 	for i := 0; i < b.N; i++ {
-		cfg := baseSimConfig(6250, sc)
+		cfg := expspec.BaseSimConfig(6250, sc)
 		cfg.Workload = MixHigh(4, 1).Fresh()
 		res, err := eng.Run(context.Background(), cfg)
 		if err != nil {
@@ -478,15 +458,15 @@ func BenchmarkSimRun(b *testing.B) {
 		cfg  func() (sim.Config, error)
 	}{
 		{"benign16", func() (sim.Config, error) {
-			sc := FullScale()
+			sc := expspec.FullScale()
 			sc.InstrPerCore = 25_000
-			cfg := baseSimConfig(6250, sc)
+			cfg := expspec.BaseSimConfig(6250, sc)
 			cfg.Workload = MixHigh(sc.Cores, sc.Seed).Fresh()
 			return cfg, nil
 		}},
 		{"attack", func() (sim.Config, error) {
 			sc := expspec.GoldenScale()
-			cfg := baseSimConfig(1500, sc)
+			cfg := expspec.BaseSimConfig(1500, sc)
 			gens := MixHigh(4, sc.Seed).Fresh()
 			gens[3] = attack.NewMultiSided(mc.NewAddressMapper(cfg.Params), 1, 7, 4000, 8)
 			cfg.Workload = gens

@@ -53,8 +53,9 @@
 // up where it left off when re-run with the same directory. Output is
 // byte-identical with and without the store.
 //
-// The figure7/9/10/11 and safety commands are themselves spec-backed: they
-// run the shipped specs/*.json grids (quick or, with -full, full variants).
+// The figure7/9/10/11 and safety commands are shipped specs: `figure10`
+// is `run figure10.quick` (with -full, `run figure10.full`), and `safety`
+// runs safety.quick (or safety.full) at the -flipth FlipTH.
 package main
 
 import (
@@ -91,16 +92,6 @@ type env struct {
 	// sweep consults it before simulating a row and writes rows back, so
 	// re-running an interrupted sweep simulates only the missing rows.
 	store mithril.ResultStore
-}
-
-// scale resolves the -full flag into the experiment scale.
-func (e env) scale() mithril.Scale {
-	sc := mithril.QuickScale()
-	if e.full {
-		sc = mithril.FullScale()
-	}
-	sc.Jobs = e.jobs
-	return sc
 }
 
 // engine builds the Engine every command runs on: the -jobs worker count
@@ -157,11 +148,11 @@ var commands = []command{
 	{name: "figure8", inAll: true, run: func(_ context.Context, e env, _ []string) error { return figure8() }},
 	{name: "table4", inAll: true, run: func(_ context.Context, e env, _ []string) error { return table4() }},
 	{name: "parfm", inAll: true, run: func(_ context.Context, e env, _ []string) error { return parfm() }},
-	{name: "figure7", inAll: true, run: specFigure("figure7")},
-	{name: "figure9", inAll: true, run: specFigure("figure9")},
-	{name: "figure10", inAll: true, run: specFigure("figure10")},
-	{name: "figure11", inAll: true, run: specFigure("figure11")},
-	{name: "safety", inAll: true, run: safetyCmd},
+	{name: "figure7", inAll: true, run: figureCmd("figure7")},
+	{name: "figure9", inAll: true, run: figureCmd("figure9")},
+	{name: "figure10", inAll: true, run: figureCmd("figure10")},
+	{name: "figure11", inAll: true, run: figureCmd("figure11")},
+	{name: "safety", inAll: true, run: figureCmd("safety")},
 	{name: "run", args: "<spec.json>", nargs: 1, run: runCmd},
 	{name: "list", run: listCmd},
 	{name: "schemes", run: schemesCmd},
@@ -329,60 +320,48 @@ func shippedSpec(arg string) (*expspec.Spec, error) {
 		return expspec.Load(arg)
 	}
 	name := strings.TrimSuffix(arg, ".json")
-	sp, err := expspec.LoadFS(mithril.SpecsFS(), "specs/"+name+".json")
+	sp, err := mithril.LoadShippedSpec(name)
 	if err != nil {
 		return nil, fmt.Errorf("no spec file %q and no shipped spec %q (see `mithrilsim list`)", arg, name)
 	}
 	return sp, nil
 }
 
-// specFigure backs a figure command with its shipped quick/full spec.
-func specFigure(base string) func(ctx context.Context, e env, _ []string) error {
+// figureCmd backs a figure command with its shipped quick spec (with
+// -full, the full one), run exactly as `run` runs it; the safety sweep
+// takes its FlipTH axis from -flipth.
+func figureCmd(base string) func(ctx context.Context, e env, _ []string) error {
 	return func(ctx context.Context, e env, _ []string) error {
 		variant := "quick"
 		if e.full {
 			variant = "full"
 		}
-		sp, err := expspec.LoadFS(mithril.SpecsFS(), "specs/"+base+"."+variant+".json")
+		sp, err := mithril.LoadShippedSpec(base + "." + variant)
 		if err != nil {
 			return err
 		}
-		res, err := e.engine(base).RunSpecAt(ctx, sp, e.scale())
-		if err != nil {
-			return err
+		if base == "safety" {
+			sp.Axes.FlipTHs = []int{e.flipTH}
+			sp.Title = fmt.Sprintf("Safety sweep — full-simulator attacks at FlipTH=%d", e.flipTH)
 		}
-		return emit(e, res)
+		return runSpec(ctx, e, sp)
 	}
 }
 
-// safetyCmd runs the shipped safety spec with the -flipth override.
-func safetyCmd(ctx context.Context, e env, _ []string) error {
-	variant := "quick"
-	if e.full {
-		variant = "full"
-	}
-	sp, err := expspec.LoadFS(mithril.SpecsFS(), "specs/safety."+variant+".json")
-	if err != nil {
-		return err
-	}
-	sp.Axes.FlipTHs = []int{e.flipTH}
-	sp.Title = fmt.Sprintf("Safety sweep — full-simulator attacks at FlipTH=%d", e.flipTH)
-	res, err := e.engine("safety").RunSpecAt(ctx, sp, e.scale())
-	if err != nil {
-		return err
-	}
-	return emit(e, res)
-}
-
-// runCmd executes an arbitrary experiment spec at the spec's own scale.
-// With -workers (an existing fleet) or -spawn N (freshly started local
-// worker processes), the grid fans out across the fleet instead of
-// simulating in-process; output is byte-identical either way.
+// runCmd executes an arbitrary experiment spec.
 func runCmd(ctx context.Context, e env, args []string) error {
 	sp, err := shippedSpec(args[0])
 	if err != nil {
 		return err
 	}
+	return runSpec(ctx, e, sp)
+}
+
+// runSpec executes a spec at its own scale and emits it. With -workers
+// (an existing fleet) or -spawn N (freshly started local worker
+// processes), the grid fans out across the fleet instead of simulating
+// in-process; output is byte-identical either way.
+func runSpec(ctx context.Context, e env, sp *expspec.Spec) error {
 	var extra []mithril.EngineOption
 	if e.fleetConfigured() {
 		fleet, shutdown, err := e.fleet(ctx)

@@ -170,9 +170,9 @@ func (e *Engine) RunSpec(ctx context.Context, sp *ExperimentSpec) (*ExperimentRe
 	return e.RunSpecAt(ctx, sp, sc)
 }
 
-// RunSpecAt is RunSpec at an explicit scale (the CLI's figure commands
-// pass their quick/full scale over the spec's own): StreamAt's rows
-// collected into a Result. A local run collects through RunAtContext,
+// RunSpecAt is RunSpec at an explicit scale, overriding the spec's own
+// (benchmarks and tests run the shipped specs at smaller ones): StreamAt's
+// rows collected into a Result. A local run collects through RunAtContext,
 // which sizes the row slice from the expanded grid up front.
 func (e *Engine) RunSpecAt(ctx context.Context, sp *ExperimentSpec, sc Scale) (*ExperimentResult, error) {
 	if e.coord == nil && e.coordErr == nil {

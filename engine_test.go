@@ -7,6 +7,7 @@ import (
 	"reflect"
 	"testing"
 
+	"mithril/internal/expspec"
 	"mithril/internal/serveapi"
 	"mithril/internal/testutil"
 )
@@ -65,7 +66,7 @@ func TestEngineStreamMatchesRunSpec(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := make([]PerfPoint, len(batch.Perf))
+	got := make([]expspec.PerfPoint, len(batch.Perf))
 	rows := 0
 	for row, err := range eng.Stream(context.Background(), sp) {
 		if err != nil {
@@ -85,7 +86,7 @@ func TestEngineStreamMatchesRunSpec(t *testing.T) {
 func TestEngineRunDefaultsParams(t *testing.T) {
 	eng := NewEngine(DDR5())
 	sc := tinyScale()
-	cfg := baseSimConfig(6250, sc)
+	cfg := expspec.BaseSimConfig(6250, sc)
 	cfg.Params = TimingParams{} // Engine must fill in its own
 	cfg.Workload = MixHigh(2, 1).Fresh()
 	cfg.InstrPerCore = 400
@@ -238,7 +239,7 @@ func TestEngineRunRejectsBadLLC(t *testing.T) {
 		{"smaller than one set", 64, 16},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			cfg := baseSimConfig(6250, tinyScale())
+			cfg := expspec.BaseSimConfig(6250, tinyScale())
 			cfg.Workload = MixHigh(2, 1).Fresh()
 			cfg.InstrPerCore = 400
 			cfg.LLCBytes, cfg.LLCWays = tc.bytes, tc.ways

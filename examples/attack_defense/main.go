@@ -5,6 +5,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -14,21 +15,24 @@ import (
 func main() {
 	// The multi-sided attack spreads over 33 aggressors, so it needs a
 	// full (time-compressed) refresh window to reach FlipTH on a victim:
-	// each run simulates a few milliseconds. The sweep engine fans the
-	// (attack × scheme) grid out to every core (Jobs = 0 means the same),
-	// so wall time is one cell, not the whole grid.
-	scale := mithril.QuickScale()
-	scale.InstrPerCore = 60_000
-	scale.Jobs = mithril.DefaultJobs()
+	// each run simulates a few milliseconds. The shipped safety spec's
+	// (attack × scheme) grid fans out to every core, so wall time is one
+	// cell, not the whole grid.
+	sp, err := mithril.LoadShippedSpec("safety.quick")
+	if err != nil {
+		log.Fatal(err)
+	}
 	const flipTH = 1500
+	sp.Axes.FlipTHs = []int{flipTH}
+	sp.Scale.InstrPerCore = 60_000
 
 	fmt.Printf("FlipTH = %d, DDR5 bank under attack (time-compressed window)\n\n", flipTH)
-	results, err := mithril.SafetySweep(scale, flipTH)
+	res, err := mithril.NewEngine(mithril.DDR5()).RunSpec(context.Background(), sp)
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("%-16s %-16s %8s %16s  %s\n", "attack", "scheme", "flips", "max disturbance", "verdict")
-	for _, r := range results {
+	for _, r := range res.Safety {
 		verdict := "SAFE"
 		if !r.Safe {
 			verdict = "UNSAFE — bit flips!"

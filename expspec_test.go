@@ -1,11 +1,9 @@
 package mithril
 
 // Round-trip tests for the declarative experiment layer: every shipped
-// spec must parse and validate, and running the shipped figure10 spec
-// through the generic expspec executor must be byte-identical to the
-// Figure10Data wrapper (the same guarantee `mithrilsim run
-// specs/figure10.quick.json` gives against `mithrilsim figure10`, held at
-// a unit-test-sized scale).
+// spec must parse and validate, and the shipped scenario and figure10
+// specs must run through the generic expspec executor at a
+// unit-test-sized scale, emitting one row per grid cell in every format.
 
 import (
 	"context"
@@ -13,7 +11,6 @@ import (
 	"testing"
 
 	"mithril/internal/expspec"
-	"mithril/internal/stats"
 )
 
 // TestShippedSpecsValidate parses the whole embedded spec inventory; a
@@ -127,13 +124,6 @@ func TestSpecDrivenFigure10RoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pts, err := Figure10Data(sc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got, want := res.Golden(), formatPerfPoints(pts); got != want {
-		t.Errorf("spec-driven output diverges from Figure10Data:\n%s", stats.DiffLines(want, got))
-	}
 	// The spec grid names what actually ran, in order.
 	cells := sp.Expand(sc)
 	if len(cells) != len(res.Perf) {
@@ -150,7 +140,7 @@ func TestSpecDrivenFigure10RoundTrip(t *testing.T) {
 	if err := res.Emit(&b, expspec.FormatCSV); err != nil {
 		t.Fatal(err)
 	}
-	if lines := strings.Count(b.String(), "\n"); lines != len(pts)+1 {
-		t.Errorf("CSV emitted %d lines, want %d rows + header", lines, len(pts))
+	if lines := strings.Count(b.String(), "\n"); lines != len(res.Perf)+1 {
+		t.Errorf("CSV emitted %d lines, want %d rows + header", lines, len(res.Perf))
 	}
 }

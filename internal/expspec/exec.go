@@ -229,8 +229,8 @@ func (x *Execution) measure(ctx context.Context, scheme mc.Scheme, seed uint64, 
 // ---------------------------------------------------------------- executors
 
 // RunAtContext validates the spec and executes its grid at an explicit
-// scale (the library's figure wrappers pass their caller's Scale; the CLI
-// passes the spec's resolved scale with the -jobs override applied): it is
+// scale (Engine.RunSpec passes the spec's resolved scale with the Engine's
+// worker count applied; tests and benchmarks pass their own): it is
 // StreamRowsAt over the full grid, collected into a Result in the
 // deterministic Expand order regardless of worker count. Cancellation is
 // cooperative: the sweep stops claiming cells when ctx is cancelled and

@@ -254,3 +254,24 @@ func TestEmitUnknownFormat(t *testing.T) {
 		t.Error("Emit(yaml) succeeded, want error")
 	}
 }
+
+func TestBenignIPCAttackerClamp(t *testing.T) {
+	ipcs := []float64{1, 2, 4}
+	cases := []struct {
+		attackers int
+		want      float64
+	}{
+		{0, 7},
+		{1, 3},
+		{2, 1},
+		{-1, 7}, // negative count means none — must not walk past the slice
+		{-10, 7},
+		{3, 0},
+		{5, 0}, // more attackers than cores: nothing benign to sum
+	}
+	for _, c := range cases {
+		if got := BenignIPC(ipcs, c.attackers); got != c.want {
+			t.Errorf("BenignIPC(attackers=%d) = %v, want %v", c.attackers, got, c.want)
+		}
+	}
+}

@@ -19,9 +19,9 @@
 // repository's regression goldens (testdata/golden_*.txt) are pinned in.
 //
 // The paper's simulation figures (7, 9, 10, 11) and the safety sweep are
-// thin wrappers over shipped spec files (specs/*.json at the module root);
-// opening a new scenario — a different scheme subset, FlipTH grid, workload
-// mix, or seed set — is a new JSON file, not a recompile.
+// shipped spec files (specs/*.json at the module root), run like any other
+// spec; opening a new scenario — a different scheme subset, FlipTH grid,
+// workload mix, or seed set — is a new JSON file, not a recompile.
 //
 // Everything one kind of spec does differently — axis validation,
 // expansion, preparing and running rows, columns, golden lines, and which

@@ -11,9 +11,8 @@ import (
 // disconnect actually stops the work.
 //
 //  1. context.Background() and context.TODO() are banned outside package
-//     main, tests, and //mithril:allow ctxflow sites. The library has one
-//     allowed site, the figure wrappers' run-to-completion helper, and it
-//     carries an explained allow.
+//     main, tests, and //mithril:allow ctxflow sites. The library has no
+//     allowed root: every library entry point takes the caller's ctx.
 //  2. Everywhere, package main included: a function that receives a
 //     context.Context (directly or captured from an enclosing function)
 //     must thread it — minting a fresh Background/TODO root there severs

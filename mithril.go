@@ -18,10 +18,11 @@
 //	}, mithril.MixHigh(16, 1), scheme)
 //	fmt.Printf("relative perf %.2f%%\n", cmp.RelativePerformance)
 //
-// Experiment sweeps (Engine.RunSpec over a declarative spec, or the
-// figure wrappers Figure7Data, Figure9Data, Figure10Data, Figure11Data,
-// SafetySweep) fan their independent simulation cells out over a worker
-// pool sized by Scale.Jobs (0 = all cores, 1 = serial); parallel and
+// The simulation figures (7, 9, 10, 11) and the safety sweep are shipped
+// declarative specs: load one with LoadShippedSpec("figure10.quick") and
+// run it with Engine.RunSpec, reading the result's Perf, Grid, AdTH or
+// Safety rows. Sweeps fan their independent simulation cells out over a
+// worker pool sized by WithJobs (0 = all cores, 1 = serial); parallel and
 // serial runs produce identical results in identical order. Engine.Stream
 // yields grid points as workers finish them, for consumers that need
 // partial results before the sweep completes.
@@ -32,7 +33,6 @@
 //
 // Every simulation entry point takes a context: Engine.Run, Engine.Compare,
 // Engine.RunSpec/RunSpecAt, Engine.Stream/StreamAt, and RunParallelContext.
-// The figure wrappers are the one exception: they run to completion.
 package mithril
 
 import (
@@ -42,7 +42,6 @@ import (
 	"mithril/internal/mc"
 	"mithril/internal/mitigation"
 	"mithril/internal/sim"
-	"mithril/internal/sweep"
 	"mithril/internal/timing"
 	"mithril/internal/trace"
 )
@@ -109,10 +108,6 @@ var ErrUnknownScheme = mitigation.ErrUnknownScheme
 // documented, tested guarantee — consumers may render it directly in
 // error messages and service responses.
 func SchemeNames() []string { return mitigation.Names() }
-
-// DefaultJobs returns the sweep engine's default worker count: one per
-// available core. Scale.Jobs = 0 resolves to this.
-func DefaultJobs() int { return sweep.DefaultJobs() }
 
 // Configure computes the minimal Mithril table for a (FlipTH, RFMTH, AdTH)
 // point per Theorem 1/2; ok is false when the point is infeasible.

@@ -6,12 +6,26 @@ import (
 	"reflect"
 	"testing"
 
-	"mithril/internal/sim"
+	"mithril/internal/expspec"
 )
 
 // tinyScale keeps the API-level tests fast.
 func tinyScale() Scale {
 	return Scale{Cores: 4, InstrPerCore: 6_000, FlipTHs: []int{6250}, Seed: 1}
+}
+
+// runShipped runs the named shipped spec on eng at scale sc.
+func runShipped(t testing.TB, eng *Engine, name string, sc Scale) *ExperimentResult {
+	t.Helper()
+	sp, err := LoadShippedSpec(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := eng.RunSpecAt(context.Background(), sp, sc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
 }
 
 func TestFigure2DataShape(t *testing.T) {
@@ -126,7 +140,7 @@ func TestNewSchemeAndRunEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	sc := tinyScale()
-	cfg := baseSimConfig(6250, sc)
+	cfg := expspec.BaseSimConfig(6250, sc)
 	cmp, err := NewEngine(DDR5()).Compare(context.Background(), cfg, MixBlend(sc.Cores, 1), s)
 	if err != nil {
 		t.Fatal(err)
@@ -143,11 +157,7 @@ func TestFigure7DataSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation sweep")
 	}
-	sc := tinyScale()
-	pts, err := Figure7Data(sc)
-	if err != nil {
-		t.Fatal(err)
-	}
+	pts := runShipped(t, NewEngine(DDR5()), "figure7.quick", tinyScale()).AdTH
 	if len(pts) != 10 {
 		t.Fatalf("points = %d, want 2 configs × 5 AdTH", len(pts))
 	}
@@ -165,27 +175,6 @@ func TestFigure7DataSmoke(t *testing.T) {
 	}
 }
 
-func TestBenignIPCAttackerClamp(t *testing.T) {
-	res := sim.Result{IPCs: []float64{1, 2, 4}}
-	cases := []struct {
-		attackers int
-		want      float64
-	}{
-		{0, 7},
-		{1, 3},
-		{2, 1},
-		{-1, 7}, // negative count means none — must not walk past the slice
-		{-10, 7},
-		{3, 0},
-		{5, 0}, // more attackers than cores: nothing benign to sum
-	}
-	for _, c := range cases {
-		if got := benignIPC(res, c.attackers); got != c.want {
-			t.Errorf("benignIPC(attackers=%d) = %v, want %v", c.attackers, got, c.want)
-		}
-	}
-}
-
 // TestParallelSweepMatchesSerial pins the sweep engine's determinism
 // guarantee: fanning the cells out over workers must return exactly the
 // serial path's results, in the serial path's order.
@@ -195,32 +184,18 @@ func TestParallelSweepMatchesSerial(t *testing.T) {
 	}
 	sc := tinyScale()
 	sc.InstrPerCore = 2_000
-	serial, parallel := sc, sc
-	serial.Jobs = 1
-	parallel.Jobs = 4
+	serial, parallel := NewEngine(DDR5(), WithJobs(1)), NewEngine(DDR5(), WithJobs(4))
 
-	s10, err := Figure10Data(serial)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p10, err := Figure10Data(parallel)
-	if err != nil {
-		t.Fatal(err)
-	}
+	s10 := runShipped(t, serial, "figure10.quick", sc).Perf
+	p10 := runShipped(t, parallel, "figure10.quick", sc).Perf
 	if !reflect.DeepEqual(s10, p10) {
-		t.Errorf("Figure10Data diverges:\nserial:   %v\nparallel: %v", s10, p10)
+		t.Errorf("figure10.quick diverges:\nserial:   %v\nparallel: %v", s10, p10)
 	}
 
-	s9, err := Figure9Data(serial)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p9, err := Figure9Data(parallel)
-	if err != nil {
-		t.Fatal(err)
-	}
+	s9 := runShipped(t, serial, "figure9.quick", sc).Grid
+	p9 := runShipped(t, parallel, "figure9.quick", sc).Grid
 	if !reflect.DeepEqual(s9, p9) {
-		t.Errorf("Figure9Data diverges:\nserial:   %v\nparallel: %v", s9, p9)
+		t.Errorf("figure9.quick diverges:\nserial:   %v\nparallel: %v", s9, p9)
 	}
 }
 
@@ -230,10 +205,7 @@ func TestSafetySweepSmoke(t *testing.T) {
 	}
 	sc := tinyScale()
 	sc.InstrPerCore = 10_000
-	results, err := SafetySweep(sc, 2000)
-	if err != nil {
-		t.Fatal(err)
-	}
+	results := runShipped(t, NewEngine(DDR5()), "safety.quick", sc).Safety
 	sawUnprotectedFlip := false
 	for _, r := range results {
 		if r.Scheme == "none" {
