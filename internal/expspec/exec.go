@@ -92,7 +92,9 @@ type ExecOptions struct {
 // BaselineCache is a single-flight cache of unprotected baseline runs,
 // shareable across spec executions (and safe for concurrent ones). Keys
 // include the scale geometry, so one cache can serve specs at different
-// scales without ever conflating their baselines.
+// scales without ever conflating their baselines. A row whose baseline
+// another worker is filling runs its protected simulation while it waits
+// (see Execution.measure), so no worker sits idle on a shared baseline.
 type BaselineCache struct {
 	c sweep.Cache[baselineKey, baseline]
 }
@@ -109,10 +111,12 @@ func (b *BaselineCache) Len() int { return b.c.Len() }
 // execution's cancelled result (it was blocked on that fill, or raced the
 // eviction), and that cancellation is not a fact about the key. The loop
 // terminates: each retry either joins a fill that completes, or runs the
-// caller's own fill under the caller's live ctx.
-func (b *BaselineCache) get(ctx context.Context, k baselineKey, fill func() (baseline, error)) (baseline, error) {
+// caller's own fill under the caller's live ctx. meanwhile is as for
+// sweep.Cache.Get, and may run on every retry that finds another caller's
+// fill in flight.
+func (b *BaselineCache) get(ctx context.Context, k baselineKey, fill func() (baseline, error), meanwhile func()) (baseline, error) {
 	for {
-		res, err := b.c.Get(k, fill)
+		res, err := b.c.Get(k, fill, meanwhile)
 		if err == nil || (!errors.Is(err, context.Canceled) && !errors.Is(err, context.DeadlineExceeded)) {
 			return res, err
 		}
@@ -173,12 +177,14 @@ func (sc Scale) cfgFor(flipTH int, w trace.Workload) sim.Config {
 // FlipTH, under any scheme, from any spec kind — shares one simulation. A
 // fill runs at the FlipTH of the first cell that asks: the threshold
 // shapes only the fault checker, which a baseline does not keep, and that
-// threshold's device pool is already warm.
-func (x *Execution) baseline(ctx context.Context, seed uint64, flipTH int, w trace.Workload, id string) (baseline, error) {
+// threshold's device pool is already warm. So which caller fills a
+// baseline never changes its value. When another caller holds the fill,
+// meanwhile runs before this caller waits for it.
+func (x *Execution) baseline(ctx context.Context, seed uint64, flipTH int, w trace.Workload, id string, meanwhile func()) (baseline, error) {
 	return x.baselines.get(ctx, x.sc.baselineKey(seed, id), func() (baseline, error) {
 		res, err := sim.RunContext(ctx, x.sc.cfgFor(flipTH, w))
 		return baseline{ipcs: res.IPCs, energy: res.Energy}, err
-	})
+	}, meanwhile)
 }
 
 // BenignIPC sums per-core IPCs excluding trailing attacker cores (a
@@ -200,17 +206,36 @@ func BenignIPC(ipcs []float64, attackers int) float64 {
 // trailing attacker cores (w.Attackers) are excluded from IPC aggregation.
 // id is the workload's generator identity, which keys its baseline: w.Name
 // for every workload but the adversarial cell's.
+//
+// It runs two simulations: the shared unprotected baseline and the
+// protected run. When the baseline is unclaimed or already filled, the
+// baseline comes first. When another worker is filling it, the protected
+// run goes first and measure joins the baseline after, instead of idling
+// on the fill. Both runs are deterministic, so the order never changes the
+// point; a serial execution never finds a fill in flight.
 func (x *Execution) measure(ctx context.Context, scheme mc.Scheme, seed uint64, flipTH int, w trace.Workload, id string) (PerfPoint, error) {
 	attackers := w.Attackers
-	base, err := x.baseline(ctx, seed, flipTH, w, id)
+	var (
+		res    sim.Result
+		runErr error
+		ran    bool
+	)
+	protected := func() {
+		if ran {
+			return
+		}
+		ran = true
+		cfg := x.sc.cfgFor(flipTH, w)
+		cfg.Scheme = scheme
+		res, runErr = sim.RunContext(ctx, cfg)
+	}
+	base, err := x.baseline(ctx, seed, flipTH, w, id, protected)
 	if err != nil {
 		return PerfPoint{}, err
 	}
-	cfg := x.sc.cfgFor(flipTH, w)
-	cfg.Scheme = scheme
-	res, err := sim.RunContext(ctx, cfg)
-	if err != nil {
-		return PerfPoint{}, err
+	protected()
+	if runErr != nil {
+		return PerfPoint{}, runErr
 	}
 	pt := PerfPoint{
 		Scheme:   scheme.Name(),

@@ -9,6 +9,7 @@ package sweep
 
 import (
 	"context"
+	"errors"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -194,32 +195,76 @@ func StreamContext[T any](ctx context.Context, jobs, n int, fn func(ctx context.
 // with the same key share one fill, so a baseline keyed by the machine it
 // simulates is run exactly once per sweep. The zero value is ready
 // to use.
+//
+// The first caller to ask for a key fills it on its own goroutine; a
+// caller that finds the fill in flight waits for it, and can hand Get
+// work of its own to run first. A fill that panics is not cached: the
+// filler's panic propagates, callers waiting on that fill receive an
+// error, and a later Get fills the key afresh.
 type Cache[K comparable, V any] struct {
 	mu sync.Mutex
 	m  map[K]*cacheEntry[V]
 }
 
 type cacheEntry[V any] struct {
-	once sync.Once
+	done chan struct{} // closed once the fill has returned or panicked
 	val  V
 	err  error
 }
 
+// errFillPanicked is what callers waiting on a fill that panicked receive.
+var errFillPanicked = errors.New("sweep: cache fill panicked")
+
 // Get returns the cached value for k, filling it with fill on first use.
 // A fill error is cached too: every waiter for that key observes it.
-func (c *Cache[K, V]) Get(k K, fill func() (V, error)) (V, error) {
+//
+// When another caller holds k's fill, meanwhile (if non-nil) runs on this
+// goroutine before Get blocks on that fill, so the caller does independent
+// work instead of sitting idle. It does not run when this caller fills k
+// or when k is already filled.
+func (c *Cache[K, V]) Get(k K, fill func() (V, error), meanwhile func()) (V, error) {
 	c.mu.Lock()
 	if c.m == nil {
 		c.m = make(map[K]*cacheEntry[V])
 	}
 	e := c.m[k]
 	if e == nil {
-		e = &cacheEntry[V]{}
+		e = &cacheEntry[V]{done: make(chan struct{})}
 		c.m[k] = e
+		c.mu.Unlock()
+		c.runFill(k, e, fill)
+		return e.val, e.err
 	}
 	c.mu.Unlock()
-	e.once.Do(func() { e.val, e.err = fill() })
+	if meanwhile != nil {
+		select {
+		case <-e.done:
+		default:
+			meanwhile()
+		}
+	}
+	<-e.done
 	return e.val, e.err
+}
+
+// runFill runs the fill for e and releases its waiters. It does not recover
+// a panic, so the filler sees it with its original stack; the deferred
+// release evicts the entry first, so a waiter that retries refills it.
+func (c *Cache[K, V]) runFill(k K, e *cacheEntry[V], fill func() (V, error)) {
+	returned := false
+	defer func() {
+		if !returned {
+			e.err = errFillPanicked
+			c.mu.Lock()
+			if c.m[k] == e {
+				delete(c.m, k)
+			}
+			c.mu.Unlock()
+		}
+		close(e.done)
+	}()
+	e.val, e.err = fill()
+	returned = true
 }
 
 // Forget drops the entry for k so a later Get refills it. Callers use it

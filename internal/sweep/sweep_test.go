@@ -6,6 +6,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 // run is RunContext over a ctx-free cell function.
@@ -118,7 +119,7 @@ func TestCacheSingleFlight(t *testing.T) {
 			v, err := c.Get("k", func() (int, error) {
 				fills.Add(1)
 				return 42, nil
-			})
+			}, nil)
 			if err != nil || v != 42 {
 				t.Errorf("Get = %d, %v", v, err)
 			}
@@ -136,18 +137,121 @@ func TestCacheSingleFlight(t *testing.T) {
 func TestCacheDistinctKeysAndErrors(t *testing.T) {
 	var c Cache[int, string]
 	bad := errors.New("fill failed")
-	if _, err := c.Get(1, func() (string, error) { return "", bad }); !errors.Is(err, bad) {
+	if _, err := c.Get(1, func() (string, error) { return "", bad }, nil); !errors.Is(err, bad) {
 		t.Fatalf("err = %v", err)
 	}
 	// The error is cached: the fill does not rerun.
-	if _, err := c.Get(1, func() (string, error) { return "ok", nil }); !errors.Is(err, bad) {
+	if _, err := c.Get(1, func() (string, error) { return "ok", nil }, nil); !errors.Is(err, bad) {
 		t.Fatalf("cached err = %v", err)
 	}
-	v, err := c.Get(2, func() (string, error) { return "two", nil })
+	v, err := c.Get(2, func() (string, error) { return "two", nil }, nil)
 	if err != nil || v != "two" {
 		t.Fatalf("Get(2) = %q, %v", v, err)
 	}
 	if c.Len() != 2 {
 		t.Fatalf("Len = %d", c.Len())
+	}
+}
+
+// TestCacheMeanwhileRunsWhileFillInFlight holds a fill open: a second
+// caller for the key runs its own work before the fill is released, then
+// receives the filled value.
+func TestCacheMeanwhileRunsWhileFillInFlight(t *testing.T) {
+	var c Cache[string, int]
+	filling, release := make(chan struct{}), make(chan struct{})
+	releasedEarly := make(chan bool, 1)
+	filled := make(chan int)
+	go func() {
+		v, _ := c.Get("k", func() (int, error) {
+			close(filling)
+			select {
+			case <-release:
+				releasedEarly <- false
+			case <-time.After(5 * time.Second): // meanwhile never released it
+				releasedEarly <- true
+			}
+			return 42, nil
+		}, func() { t.Error("the filler ran meanwhile") })
+		filled <- v
+	}()
+	<-filling
+	v, err := c.Get("k", func() (int, error) {
+		t.Error("a second fill ran")
+		return 0, nil
+	}, func() { close(release) })
+	if <-releasedEarly {
+		t.Fatal("meanwhile did not run while the fill was held")
+	}
+	if err != nil || v != 42 {
+		t.Fatalf("waiter Get = %d, %v; want the filled 42", v, err)
+	}
+	if v := <-filled; v != 42 {
+		t.Fatalf("filler Get = %d", v)
+	}
+}
+
+// TestCacheMeanwhileSkippedWhenNotWaiting: an unclaimed key runs the fill
+// (and not meanwhile), and a filled key returns at once.
+func TestCacheMeanwhileSkippedWhenNotWaiting(t *testing.T) {
+	var c Cache[string, int]
+	var order []string
+	for _, want := range []int{7, 7} {
+		v, err := c.Get("k", func() (int, error) {
+			order = append(order, "fill")
+			return 7, nil
+		}, func() { order = append(order, "meanwhile") })
+		if err != nil || v != want {
+			t.Fatalf("Get = %d, %v", v, err)
+		}
+	}
+	if len(order) != 1 || order[0] != "fill" {
+		t.Fatalf("calls = %v, want just one fill", order)
+	}
+}
+
+// TestCachePanickedFillNotCached: the filler's panic propagates, a waiter
+// on that fill gets an error rather than a zero value, and the next Get
+// refills the key.
+func TestCachePanickedFillNotCached(t *testing.T) {
+	var c Cache[string, int]
+	filling, release := make(chan struct{}), make(chan struct{})
+	waited := make(chan error)
+	go func() {
+		<-filling
+		v, err := c.Get("k", func() (int, error) {
+			t.Error("a waiter ran the fill")
+			return 0, nil
+		}, func() { close(release) })
+		if err == nil {
+			t.Errorf("waiter Get = %d, nil; want an error", v)
+		}
+		waited <- err
+	}()
+	func() {
+		defer func() {
+			if r := recover(); r != "fill exploded" {
+				t.Errorf("recovered %v, want the fill's panic", r)
+			}
+		}()
+		c.Get("k", func() (int, error) {
+			close(filling)
+			select {
+			case <-release:
+			case <-time.After(5 * time.Second):
+				t.Error("the waiter did not run meanwhile")
+			}
+			panic("fill exploded")
+		}, nil)
+		t.Error("Get returned instead of panicking")
+	}()
+	if err := <-waited; !errors.Is(err, errFillPanicked) {
+		t.Fatalf("waiter err = %v, want errFillPanicked", err)
+	}
+	if c.Len() != 0 {
+		t.Fatalf("Len = %d after a panicked fill, want 0", c.Len())
+	}
+	v, err := c.Get("k", func() (int, error) { return 9, nil }, nil)
+	if err != nil || v != 9 {
+		t.Fatalf("Get after panic = %d, %v; want a refill to 9", v, err)
 	}
 }

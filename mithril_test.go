@@ -177,25 +177,38 @@ func TestFigure7DataSmoke(t *testing.T) {
 
 // TestParallelSweepMatchesSerial pins the sweep engine's determinism
 // guarantee: fanning the cells out over workers must return exactly the
-// serial path's results, in the serial path's order.
+// serial path's results, in the serial path's order. The specs share
+// baselines across rows (figure7's adth rows, figure9's Mithril/Mithril+
+// pairs, figure10's schemes), so workers that find a baseline in flight run
+// their protected simulation first; the points must not move.
 func TestParallelSweepMatchesSerial(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation sweep")
 	}
 	sc := tinyScale()
 	sc.InstrPerCore = 2_000
-	serial, parallel := NewEngine(DDR5(), WithJobs(1)), NewEngine(DDR5(), WithJobs(4))
-
-	s10 := runShipped(t, serial, "figure10.quick", sc).Perf
-	p10 := runShipped(t, parallel, "figure10.quick", sc).Perf
-	if !reflect.DeepEqual(s10, p10) {
-		t.Errorf("figure10.quick diverges:\nserial:   %v\nparallel: %v", s10, p10)
+	points := func(res *ExperimentResult) any {
+		switch {
+		case res.Perf != nil:
+			return res.Perf
+		case res.Grid != nil:
+			return res.Grid
+		default:
+			return res.AdTH
+		}
 	}
-
-	s9 := runShipped(t, serial, "figure9.quick", sc).Grid
-	p9 := runShipped(t, parallel, "figure9.quick", sc).Grid
-	if !reflect.DeepEqual(s9, p9) {
-		t.Errorf("figure9.quick diverges:\nserial:   %v\nparallel: %v", s9, p9)
+	serial := NewEngine(DDR5(), WithJobs(1))
+	for _, name := range []string{"figure7.quick", "figure9.quick", "figure10.quick"} {
+		want := points(runShipped(t, serial, name, sc))
+		if reflect.ValueOf(want).Len() == 0 {
+			t.Fatalf("%s: no points", name)
+		}
+		for _, jobs := range []int{2, 4} {
+			got := points(runShipped(t, NewEngine(DDR5(), WithJobs(jobs)), name, sc))
+			if !reflect.DeepEqual(want, got) {
+				t.Errorf("%s at jobs=%d diverges:\nserial:   %v\nparallel: %v", name, jobs, want, got)
+			}
+		}
 	}
 }
 
