@@ -9,8 +9,8 @@ import (
 	"strings"
 )
 
-// remoteCatalog is the GET /v1/catalog document: the fleet's registry
-// inventory plus the stamp it fingerprints to.
+// remoteCatalog is the GET /v1/catalog document: the fleet's scheme,
+// workload and attack tables plus the stamp they fingerprint to.
 type remoteCatalog struct {
 	Schemes   []string       `json:"schemes"`
 	Workloads []catalogEntry `json:"workloads"`
@@ -24,8 +24,9 @@ type catalogEntry struct {
 }
 
 // fetchCatalog reads a remote mithrilsim's /v1/catalog, so a CLI can
-// introspect what a fleet actually has registered (which may differ
-// from this binary's registries — that is the point of asking).
+// introspect what a fleet actually serves (a fleet built from another
+// revision may differ from this binary's tables — that is the point of
+// asking).
 func fetchCatalog(ctx context.Context, server string) (*remoteCatalog, error) {
 	base := strings.TrimRight(strings.TrimSpace(server), "/")
 	if !strings.Contains(base, "://") {

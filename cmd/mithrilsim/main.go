@@ -35,9 +35,9 @@
 //	          (-workers URLS or -spawn N fans the grid out across a
 //	          worker fleet; output is byte-identical to a local run)
 //	list      list the shipped experiment specs
-//	schemes   list the open mitigation-scheme registry
-//	workloads list the open workload registry (and the trace:<path> form)
-//	attacks   list the open attack-pattern registry
+//	schemes   list the mitigation-scheme table
+//	workloads list the workload table (and the trace:<path> form)
+//	attacks   list the attack-pattern table
 //	          (schemes/workloads/attacks read a remote fleet's catalog
 //	          with -server HOST:PORT)
 //	diff      run a spec and diff its golden-format output against a file:
@@ -45,7 +45,7 @@
 //	serve     HTTP service: POST /v1/run streams a spec's rows as NDJSON;
 //	          -coordinator fronts a -workers fleet (or -spawn local ones)
 //	store     result-store maintenance: store <stats|gc|verify> (-store DIR)
-//	version   print the result-store schema version and registry stamp
+//	version   print the result-store schema version and scheme-table stamp
 //
 // With -store DIR, every sweep runs against a durable content-addressed
 // result store: rows already stored are served without simulating, fresh
@@ -196,7 +196,7 @@ func run() int {
 	workers := flag.String("workers", "", "comma-separated worker base URLs: run fans the grid out across the fleet; serve -coordinator fronts it")
 	spawn := flag.Int("spawn", 0, "spawn N local worker processes as the fleet (single-machine fan-out; implies a coordinator role for run/serve)")
 	coordinator := flag.Bool("coordinator", false, "serve as a fleet coordinator (uses -workers, or spawns -spawn/2 local workers)")
-	server := flag.String("server", "", "remote mithrilsim base URL: schemes/workloads/attacks read the fleet's catalog instead of the local registries")
+	server := flag.String("server", "", "remote mithrilsim base URL: schemes/workloads/attacks read the fleet's catalog instead of the local tables")
 	flag.Usage = usage
 	if len(os.Args) < 2 {
 		flag.Usage()
@@ -397,10 +397,10 @@ func listCmd(_ context.Context, e env, _ []string) error {
 	return nil
 }
 
-// schemesCmd prints the open mitigation registry, one sorted name per
+// schemesCmd prints the mitigation-scheme table, one sorted name per
 // line — the same inventory spec validation and the serve catalog
 // endpoint use, so CI can diff it against the README's scenario catalog.
-// With -server it prints the remote fleet's registry instead.
+// With -server it prints the remote fleet's catalog instead.
 func schemesCmd(ctx context.Context, e env, _ []string) error {
 	names := mithril.SchemeNames()
 	if e.server != "" {
@@ -416,10 +416,10 @@ func schemesCmd(ctx context.Context, e env, _ []string) error {
 	return nil
 }
 
-// workloadsCmd prints the open workload registry with descriptions, plus
-// the trace:<path> replay form every workload axis accepts. With -server
-// it prints the remote fleet's registry instead (no trace row: trace
-// replays are not accepted over HTTP).
+// workloadsCmd prints the workload table with descriptions, plus the
+// trace:<path> replay form every workload axis accepts. With -server it
+// prints the remote fleet's catalog instead (no trace row: trace replays
+// are not accepted over HTTP).
 func workloadsCmd(ctx context.Context, e env, _ []string) error {
 	t := stats.NewTable("name", "description")
 	if e.server != "" {
@@ -441,8 +441,8 @@ func workloadsCmd(ctx context.Context, e env, _ []string) error {
 	return nil
 }
 
-// attacksCmd prints the open attack-pattern registry with descriptions.
-// With -server it prints the remote fleet's registry instead.
+// attacksCmd prints the attack-pattern table with descriptions. With
+// -server it prints the remote fleet's catalog instead.
 func attacksCmd(ctx context.Context, e env, _ []string) error {
 	t := stats.NewTable("name", "description")
 	if e.server != "" {

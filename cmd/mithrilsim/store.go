@@ -17,7 +17,7 @@ import (
 	"mithril/internal/stats"
 )
 
-// versionCmd prints the schema/registry identity rows are keyed under.
+// versionCmd prints the schema/scheme-table identity rows are keyed under.
 // Operators compare the stamp across builds to predict whether a shared
 // store directory will serve hits or re-simulate everything.
 func versionCmd(_ context.Context, _ env, _ []string) error {

@@ -1,7 +1,7 @@
 // Trace replay: drive the simulator from a recorded memory trace instead
-// of a synthetic generator, and measure it alongside a registry attack.
+// of a synthetic generator, and measure it alongside a table attack.
 //
-// The open scenario registries make both axes data, not code: workloads
+// Named scenarios make both axes data, not code: workloads
 // resolve by name through mithril.NewWorkload — including the
 // "trace:<path>" form, which replays a trace file in the README's
 // trace-file format — and attack patterns resolve by name inside spec
@@ -66,7 +66,7 @@ func main() {
 	}
 	fmt.Printf("\nworkload %q replays on %d cores\n\n", w.Name, len(w.Fresh()))
 
-	// Run it through the spec engine next to a registry attack: one row
+	// Run it through the spec engine next to a table attack: one row
 	// measures the replay, one the benign mix under a multi-sided hammer.
 	sp, err := mithril.ParseSpec([]byte(fmt.Sprintf(specTemplate, "trace:"+path)))
 	if err != nil {

@@ -6,7 +6,6 @@ import (
 	"sort"
 	"strconv"
 	"strings"
-	"sync"
 
 	"mithril/internal/mc"
 	"mithril/internal/trace"
@@ -33,9 +32,9 @@ type Params struct {
 	Oracle Throttler
 }
 
-// Pattern is one registered attack family. Build may be invoked with an
-// argument when the pattern was registered as parameterized (ArgHint
-// non-empty): "multi:24" reaches the "multi" pattern with arg "24".
+// Pattern is one attack family of the pattern table. Build may be invoked
+// with an argument when the pattern is parameterized (ArgHint non-empty):
+// "multi:24" reaches the "multi" pattern with arg "24".
 type Pattern struct {
 	// Desc is the one-line catalog description (CLI, serve, README).
 	Desc string
@@ -65,8 +64,8 @@ type Pattern struct {
 	NeedsRows bool
 }
 
-// Display is the catalog spelling: the registered name plus the argument
-// hint for parameterized patterns ("multi:<n>").
+// Display is the catalog spelling: the table name plus the argument hint
+// for parameterized patterns ("multi:<n>").
 func (pat Pattern) display(name string) string {
 	if pat.ArgHint == "" {
 		return name
@@ -74,54 +73,20 @@ func (pat Pattern) display(name string) string {
 	return name + ":" + pat.ArgHint
 }
 
-// PatternInfo describes one registered pattern for catalogs.
+// PatternInfo describes one table pattern for catalogs.
 type PatternInfo struct {
 	// Name is the display spelling ("multi:<n>" for parameterized
-	// patterns, the bare registered name otherwise).
+	// patterns, the bare table name otherwise).
 	Name string `json:"name"`
 	Desc string `json:"desc"`
 }
 
-// registry maps pattern base names to patterns. The paper's patterns
-// register themselves below; out-of-tree patterns call Register from
-// their package's init and become buildable by every consumer (spec
-// validation, the CLI, the serve endpoint) without touching this package.
-var (
-	registryMu sync.RWMutex
-	registry   = map[string]Pattern{}
-)
-
-// Register adds a buildable attack pattern under name. It panics on an
-// empty name, a name containing the ":" argument separator, a nil Build,
-// an ArgHint without a Check (or vice versa), or a duplicate registration
-// — all programmer errors at package-init time.
-func Register(name string, pat Pattern) {
-	if name == "" {
-		panic("attack: Register with empty pattern name")
-	}
-	if strings.Contains(name, ":") {
-		panic(fmt.Sprintf("attack: Register(%q): pattern names must not contain %q (it separates the argument)", name, ":"))
-	}
-	if pat.Build == nil {
-		panic(fmt.Sprintf("attack: Register(%q) with nil Build", name))
-	}
-	if (pat.ArgHint == "") != (pat.Check == nil) {
-		panic(fmt.Sprintf("attack: Register(%q): ArgHint and Check must be set together", name))
-	}
-	registryMu.Lock()
-	defer registryMu.Unlock()
-	if _, dup := registry[name]; dup {
-		panic(fmt.Sprintf("attack: duplicate Register(%q)", name))
-	}
-	registry[name] = pat
-}
-
 // ErrUnknownAttack is returned (wrapped, with the valid patterns listed)
-// by Build and Validate for a name no pattern is registered under. Match
-// with errors.Is.
+// by Build and Validate for a name whose base is not in the pattern
+// table. Match with errors.Is.
 var ErrUnknownAttack = errors.New("unknown attack pattern")
 
-// Names lists the registered patterns' display spellings in sorted order
+// Names lists the table patterns' display spellings in sorted order
 // ("multi:<n>" for parameterized patterns). The ordering is a documented
 // guarantee (and pinned by a test), like mitigation.Names.
 func Names() []string {
@@ -133,13 +98,11 @@ func Names() []string {
 	return names
 }
 
-// Patterns lists the registered patterns with their one-line
+// Patterns lists the table patterns with their one-line
 // descriptions, sorted by name (the same guarantee as Names).
 func Patterns() []PatternInfo {
-	registryMu.RLock()
-	defer registryMu.RUnlock()
-	infos := make([]PatternInfo, 0, len(registry))
-	for n, pat := range registry {
+	infos := make([]PatternInfo, 0, len(patternTable))
+	for n, pat := range patternTable {
 		infos = append(infos, PatternInfo{Name: pat.display(n), Desc: pat.Desc})
 	}
 	sort.Slice(infos, func(i, j int) bool { return infos[i].Name < infos[j].Name })
@@ -155,13 +118,11 @@ func split(name string) (base, arg string) {
 	return name, ""
 }
 
-// lookup resolves a (possibly parameterized) name against the registry,
+// lookup resolves a (possibly parameterized) name against the table,
 // validates its argument syntax, and returns the canonical argument.
 func lookup(name string) (Pattern, string, error) {
 	base, arg := split(name)
-	registryMu.RLock()
-	pat, ok := registry[base]
-	registryMu.RUnlock()
+	pat, ok := patternTable[base]
 	if !ok {
 		return Pattern{}, "", fmt.Errorf("attack: %w %q (valid: %s)", ErrUnknownAttack, name, strings.Join(Names(), ", "))
 	}
@@ -178,7 +139,7 @@ func lookup(name string) (Pattern, string, error) {
 	return pat, canon, nil
 }
 
-// Validate checks that name resolves to a registered pattern with a
+// Validate checks that name resolves to a table pattern with a
 // well-formed argument, without building anything (spec validation runs
 // before a mapper exists).
 func Validate(name string) error {
@@ -186,7 +147,7 @@ func Validate(name string) error {
 	return err
 }
 
-// Canonical returns the registry-canonical spelling of a (possibly
+// Canonical returns the canonical spelling of a (possibly
 // parameterized) name: defaults applied and arguments normalized, so
 // "decoy" and "decoy:4" — or "multi:8" and "multi:08" — canonicalize
 // identically. Spec validation dedupes the attacks axis on this, because
@@ -207,26 +168,21 @@ func Canonical(name string) (string, error) {
 // oracle-only (false for unknown names — Validate owns that error).
 func NeedsOracle(name string) bool {
 	base, _ := split(name)
-	registryMu.RLock()
-	defer registryMu.RUnlock()
-	return registry[base].NeedsOracle
+	return patternTable[base].NeedsOracle
 }
 
 // NeedsRows reports whether the named pattern requires an explicit
 // Params.Rows list (false for unknown names — Validate owns that error).
 func NeedsRows(name string) bool {
 	base, _ := split(name)
-	registryMu.RLock()
-	defer registryMu.RUnlock()
-	return registry[base].NeedsRows
+	return patternTable[base].NeedsRows
 }
 
 // Build constructs a fresh generator for the named pattern: "single",
 // "double", "multi:<n>", "rowlist", "decoy"/"decoy:<n>", or
-// "blockhammer-adversarial" in the shipped registry, plus anything
-// registered out of tree. Generators are stateful — build one per
-// simulation. An unregistered name yields an error wrapping
-// ErrUnknownAttack that lists the valid patterns.
+// "blockhammer-adversarial". Generators are stateful — build one per
+// simulation. An unknown name yields an error wrapping ErrUnknownAttack
+// that lists the valid patterns.
 func Build(name string, p Params) (trace.Generator, error) {
 	pat, arg, err := lookup(name)
 	if err != nil {
@@ -247,7 +203,7 @@ func rowOr(p Params, def int) int {
 }
 
 // checkRows rejects aggressor rows outside the bank before the typed
-// constructors would panic: registry builds are driven by spec/CLI input,
+// constructors would panic: table builds are driven by spec/CLI input,
 // so bad coordinates must surface as errors, not crashes.
 func checkRows(p Params, rows ...int) error {
 	limit := p.Mapper.Params().Rows
@@ -288,8 +244,11 @@ const (
 // argument.
 const defaultDecoys = 4
 
-func init() {
-	Register("single", Pattern{
+// patternTable is the fixed attack-pattern table, keyed by base name. A
+// name must not contain ":" (it separates the argument), and ArgHint and
+// Check are set together; TestPatternTable checks both.
+var patternTable = map[string]Pattern{
+	"single": {
 		Desc: "single-sided RowHammer: one aggressor row activated at maximum rate (default row 1000)",
 		Build: func(_ string, p Params) (trace.Generator, error) {
 			row := rowOr(p, defaultSingleRow)
@@ -298,8 +257,8 @@ func init() {
 			}
 			return NewSingleSided(p.Mapper, p.Channel, p.Bank, row), nil
 		},
-	})
-	Register("double", Pattern{
+	},
+	"double": {
 		Desc: "double-sided RowHammer: both neighbours of one victim row (default victim 1000)",
 		Build: func(_ string, p Params) (trace.Generator, error) {
 			victim := rowOr(p, defaultDoubleRow)
@@ -308,8 +267,8 @@ func init() {
 			}
 			return NewDoubleSided(p.Mapper, p.Channel, p.Bank, victim), nil
 		},
-	})
-	Register("multi", Pattern{
+	},
+	"multi": {
 		Desc:    "TRRespass-style multi-sided RowHammer: n victims between n+1 equally spaced aggressors (default first row 2000)",
 		ArgHint: "<n>",
 		Check:   checkCount("victim count"),
@@ -325,8 +284,8 @@ func init() {
 			}
 			return NewMultiSided(p.Mapper, p.Channel, p.Bank, first, n), nil
 		},
-	})
-	Register("rowlist", Pattern{
+	},
+	"rowlist": {
 		Desc:      "explicit aggressor row list (library use: mithril.NewAttack with AttackParams.Rows — spec axes name the shaped patterns)",
 		NeedsRows: true,
 		Build: func(_ string, p Params) (trace.Generator, error) {
@@ -338,8 +297,8 @@ func init() {
 			}
 			return NewRowList("rowlist", p.Mapper, p.Channel, p.Bank, p.Rows), nil
 		},
-	})
-	Register("decoy", Pattern{
+	},
+	"decoy": {
 		Desc:    "TRR-evading double-sided hammer hidden behind n hot decoy rows that absorb sampled mitigations (default victim 3000, n=4)",
 		ArgHint: "<n>",
 		Check: func(arg string) (string, error) {
@@ -354,8 +313,8 @@ func init() {
 			victim := rowOr(p, defaultDecoyRow)
 			return NewDecoy(p.Mapper, p.Channel, p.Bank, victim, n)
 		},
-	})
-	Register("blockhammer-adversarial", Pattern{
+	},
+	"blockhammer-adversarial": {
 		Desc:        "BlockHammer performance adversary: hammers rows that collide with a benign hot row in the deployed scheme's filters (default hot row 512)",
 		NeedsOracle: true,
 		Build: func(_ string, p Params) (trace.Generator, error) {
@@ -365,5 +324,5 @@ func init() {
 			}
 			return NewBlockHammerAdversary(p.Mapper, p.Channel, p.Bank, row, p.Oracle), nil
 		},
-	})
+	},
 }

@@ -5,12 +5,10 @@ import (
 	"sort"
 	"strings"
 	"testing"
-
-	"mithril/internal/trace"
 )
 
 // The sorted order of Names is a documented guarantee; the shipped
-// patterns must all be registered (parameterized ones under their display
+// patterns must all be listed (parameterized ones under their display
 // spelling).
 func TestNamesSortedAndComplete(t *testing.T) {
 	names := Names()
@@ -27,7 +25,7 @@ func TestNamesSortedAndComplete(t *testing.T) {
 			}
 		}
 		if !found {
-			t.Errorf("pattern %q not registered (have %v)", w, names)
+			t.Errorf("pattern %q missing (have %v)", w, names)
 		}
 	}
 	for _, info := range Patterns() {
@@ -37,31 +35,49 @@ func TestNamesSortedAndComplete(t *testing.T) {
 	}
 }
 
-func TestRegisterPanics(t *testing.T) {
-	build := func(string, Params) (trace.Generator, error) { return nil, nil }
-	cases := []struct {
-		name string
-		fn   func()
-	}{
-		{"empty name", func() { Register("", Pattern{Build: build}) }},
-		{"name with separator", func() { Register("a:b", Pattern{Build: build}) }},
-		{"nil build", func() { Register("t-nil", Pattern{}) }},
-		{"arg hint without check", func() { Register("t-hint", Pattern{ArgHint: "<n>", Build: build}) }},
-		{"check without arg hint", func() {
-			Register("t-chk", Pattern{Check: func(a string) (string, error) { return a, nil }, Build: build})
-		}},
-		{"duplicate", func() { Register("single", Pattern{Build: build}) }},
-	}
-	for _, c := range cases {
-		t.Run(c.name, func(t *testing.T) {
-			defer func() {
-				if recover() == nil {
-					t.Error("expected panic")
-				}
-			}()
-			c.fn()
-		})
-	}
+// The pattern table's invariants, one subtest each. Duplicate names are
+// a compile error in the map literal.
+func TestPatternTable(t *testing.T) {
+	t.Run("empty name", func(t *testing.T) {
+		if _, ok := patternTable[""]; ok {
+			t.Error("pattern table has an empty name")
+		}
+	})
+	t.Run("name with separator", func(t *testing.T) {
+		for name := range patternTable {
+			if strings.Contains(name, ":") {
+				t.Errorf("pattern %q contains the %q argument separator", name, ":")
+			}
+		}
+	})
+	t.Run("nil build", func(t *testing.T) {
+		for name, pat := range patternTable {
+			if pat.Build == nil {
+				t.Errorf("pattern %q has a nil Build", name)
+			}
+		}
+	})
+	t.Run("arg hint without check", func(t *testing.T) {
+		for name, pat := range patternTable {
+			if pat.ArgHint != "" && pat.Check == nil {
+				t.Errorf("pattern %q has an ArgHint but no Check", name)
+			}
+		}
+	})
+	t.Run("check without arg hint", func(t *testing.T) {
+		for name, pat := range patternTable {
+			if pat.Check != nil && pat.ArgHint == "" {
+				t.Errorf("pattern %q has a Check but no ArgHint", name)
+			}
+		}
+	})
+	t.Run("description", func(t *testing.T) {
+		for name, pat := range patternTable {
+			if pat.Desc == "" {
+				t.Errorf("pattern %q has no description", name)
+			}
+		}
+	})
 }
 
 func TestValidate(t *testing.T) {

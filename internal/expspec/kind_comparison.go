@@ -37,10 +37,10 @@ func (p PerfPoint) String() string {
 		p.Scheme, p.FlipTH, p.Workload, p.RelativePerformance, p.EnergyOverheadPct, p.TableKB, p.Safe)
 }
 
-// Benign workload names resolve through the open registry in
+// Benign workload names resolve through the workload table in
 // internal/trace (trace.BuildWorkload), which also understands the
-// "trace:<path>" replay form; attack names resolve through the open
-// registry in internal/attack (attack.Build). This package adds only the
+// "trace:<path>" replay form; attack names resolve through the pattern
+// table in internal/attack (attack.Build). This package adds only the
 // two comparison meta-workloads that depend on the experiment scale:
 // "normal" is the scale's benign set reduced to one geomean row;
 // "multi-sided-rh" is the Figure 10(b) attack.
@@ -77,7 +77,7 @@ func (comparisonKind) validate(a *Axes) error {
 }
 
 // validateComparisonWorkload accepts the meta-workloads plus anything the
-// workload registry can build; its error lists the meta names too, so a
+// workload table can build; its error lists the meta names too, so a
 // typo of "normal" is steered back to the full vocabulary.
 func validateComparisonWorkload(name string) error {
 	if name == normalSet || name == multiSidedRH {
@@ -227,12 +227,7 @@ func normalWorkloads(sc Scale, seed uint64) []trace.Workload {
 	if sc.Cores < 16 {
 		return []trace.Workload{trace.MixHigh(sc.Cores, seed), trace.FFT(sc.Cores, seed)}
 	}
-	all := trace.NormalWorkloads(sc.Cores, seed)
-	out := make([]trace.Workload, len(all))
-	for i, w := range all {
-		out[i] = w.Workload
-	}
-	return out
+	return trace.NormalWorkloads(sc.Cores, seed)
 }
 
 // multiSidedWorkload builds the Figure 10(b) workload: benign cores plus

@@ -4,10 +4,9 @@
 // deterministic grid expansion, and an executor that fans the expanded
 // grid out over the internal/sweep worker pool with single-flight
 // baseline caching. Scheme, workload, and attack names resolve through
-// the open registries (internal/mitigation, internal/trace,
-// internal/attack), so a spec can name anything registered — including
-// out-of-tree entries and "trace:<path>" replay workloads — and
-// validation rejects unknown names before anything simulates. Every
+// the fixed tables of internal/mitigation, internal/trace and
+// internal/attack (workloads also take the "trace:<path>" replay form),
+// and validation rejects unknown names before anything simulates. Every
 // execution is context-aware (cancellation stops the sweep within one grid
 // point and aborts in-flight simulations) and row-oriented: RunAtContext
 // collects rows in deterministic grid order, StreamRowsAt yields the same

@@ -182,22 +182,21 @@ type Axes struct {
 	// attack thresholds (safety, required there).
 	FlipTHs []int `json:"flipths,omitempty"`
 	// Workloads names the measured workloads. Comparison and configgrid
-	// resolve names through the open workload registry
-	// (trace.WorkloadNames lists the registered set; the shipped five are
-	// "mix-high", "mix-blend", "fft", "radix", "pagerank") and accept the
-	// "trace:<path>" form, which replays a recorded access-trace file;
-	// comparison additionally accepts the geomean-reduced "normal" set
-	// and the "multi-sided-rh" attack meta-workload. Adth accepts the
+	// resolve names through the workload table (trace.WorkloadNames lists
+	// the paper's five: "fft", "mix-blend", "mix-high", "pagerank",
+	// "radix") and accept the "trace:<path>" form, which replays a
+	// recorded access-trace file; comparison additionally accepts the
+	// geomean-reduced "normal" set and the "multi-sided-rh" attack
+	// meta-workload. Adth accepts the
 	// Figure 7 classes ("multi-programmed", "multi-threaded"). Safety
 	// takes no workloads — its patterns live on the attacks axis.
 	Workloads []string `json:"workloads,omitempty"`
-	// Attacks names attack patterns from the open attack registry
-	// (attack.Names lists the set: "single", "double", "multi:<n>",
-	// "rowlist", "decoy:<n>", "blockhammer-adversarial", plus anything
-	// registered out of tree). Safety requires this axis (each pattern
-	// attacks one bank alongside a benign background core). Comparison
-	// accepts it too: each attack becomes a benign-mix-plus-attacker
-	// workload measured like "multi-sided-rh".
+	// Attacks names attack patterns from the pattern table (attack.Names
+	// lists the set: "single", "double", "multi:<n>", "rowlist",
+	// "decoy:<n>", "blockhammer-adversarial"). Safety requires this axis
+	// (each pattern attacks one bank alongside a benign background core).
+	// Comparison accepts it too: each attack becomes a
+	// benign-mix-plus-attacker workload measured like "multi-sided-rh".
 	Attacks []string `json:"attacks,omitempty"`
 	// Seeds repeats the grid per seed (empty: the scale's seed).
 	Seeds []uint64 `json:"seeds,omitempty"`
@@ -329,7 +328,7 @@ func (s *Spec) Validate() error {
 		}
 	}
 	for _, sch := range s.Axes.Schemes {
-		if !knownScheme(sch) {
+		if !mitigation.Known(sch) {
 			return fail("unknown scheme %q (known: %v)", sch, mitigation.Names())
 		}
 	}
@@ -357,7 +356,7 @@ func positivePoint(axis string, flipTH, rfmTH int) error {
 }
 
 // validateAttackAxis checks every attacks-axis entry against the attack
-// registry (name and argument) and rejects two spellings of one
+// table (name and argument) and rejects two spellings of one
 // canonical pattern — "decoy" and "decoy:4" build the same generator and
 // would emit indistinguishable rows.
 func validateAttackAxis(attacks []string) error {
@@ -394,15 +393,6 @@ func noDuplicates[T comparable](axis string, vals []T) error {
 		seen[v] = true
 	}
 	return nil
-}
-
-func knownScheme(name string) bool {
-	for _, n := range mitigation.Names() {
-		if n == name {
-			return true
-		}
-	}
-	return false
 }
 
 // Cell is one output row of the expanded grid, before any simulation runs.

@@ -3,8 +3,8 @@ package expspec
 // Content-addressed row keys: every grid cell hashes to a
 // resultstore.Key covering everything that determines its output row —
 // the canonicalized cell values, the resolved timing parameters, the
-// scale geometry, the experiment kind, and the schema/registry version
-// stamp. Two cells with equal keys are guaranteed to produce
+// scale geometry, the experiment kind, and the schema/scheme-table
+// version stamp. Two cells with equal keys are guaranteed to produce
 // byte-identical rows, so executors may serve either's stored result for
 // the other; anything that could change a row's numbers must change its
 // key. Axis order, spec name/title, column selection, and worker count
@@ -23,13 +23,14 @@ import (
 )
 
 // StoreStamp is the version stamp rows are keyed and stored under:
-// the resultstore schema version plus the mitigation-registry
-// fingerprint. A scheme registration (in-tree or out-of-tree) or a
-// schema bump changes it, so stale stored rows stop matching instead of
-// being served.
-func StoreStamp() string {
-	return resultstore.Stamp(mitigation.Names())
-}
+// the resultstore schema version plus a fingerprint of the scheme
+// table's sorted names. Adding or renaming a scheme, or a schema bump,
+// changes it, so stale stored rows stop matching instead of being
+// served. The table is fixed at compile time, so the stamp is computed
+// once per process.
+func StoreStamp() string { return storeStamp }
+
+var storeStamp = resultstore.Stamp(mitigation.Names())
 
 // cellKey derives one cell's content address. cacheable is false for
 // rows the store must not serve — trace-replay workloads, whose row

@@ -42,10 +42,6 @@ type BlockHammer struct {
 
 var _ mc.Scheme = (*BlockHammer)(nil)
 
-func init() {
-	Register("blockhammer", func(opt Options) mc.Scheme { return NewBlockHammer(opt) })
-}
-
 // blockHammerThreadThreshold is the number of blacklisted-row activation
 // attempts after which a core is treated as an attacker thread.
 const blockHammerThreadThreshold = 64

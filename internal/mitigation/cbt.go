@@ -33,10 +33,6 @@ type cbtNode struct {
 
 var _ mc.Scheme = (*CBT)(nil)
 
-func init() {
-	Register("cbt", func(opt Options) mc.Scheme { return NewCBT(opt) })
-}
-
 // NewCBT sizes the tree per the area model: ≈ 9·S/FlipTH nodes per bank,
 // split threshold at half the refresh threshold.
 func NewCBT(opt Options) *CBT {

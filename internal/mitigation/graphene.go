@@ -26,10 +26,6 @@ type Graphene struct {
 
 var _ mc.Scheme = (*Graphene)(nil)
 
-func init() {
-	Register("graphene", func(opt Options) mc.Scheme { return NewGraphene(opt) })
-}
-
 // NewGraphene sizes the table per the original work: N = ⌈(S/2)/T⌉ entries
 // where S is the per-bank ACT capacity of one tREFW.
 func NewGraphene(opt Options) *Graphene {

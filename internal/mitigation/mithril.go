@@ -23,11 +23,6 @@ type MithrilScheme struct {
 
 var _ mc.Scheme = (*MithrilScheme)(nil)
 
-func init() {
-	Register("mithril", func(opt Options) mc.Scheme { return NewMithril(opt) })
-	Register("mithril+", func(opt Options) mc.Scheme { return NewMithrilPlus(opt) })
-}
-
 // NewMithril configures Mithril for the option's FlipTH: RFMTH from the
 // paper's per-level choice (or the override), Nentry from Theorem 1/2.
 func NewMithril(opt Options) *MithrilScheme { return newMithril(opt, false) }
@@ -37,10 +32,30 @@ func NewMithril(opt Options) *MithrilScheme { return newMithril(opt, false) }
 func NewMithrilPlus(opt Options) *MithrilScheme { return newMithril(opt, true) }
 
 func newMithril(opt Options, plus bool) *MithrilScheme {
+	s, err := buildMithril(opt, plus)
+	if err != nil {
+		panic(err.Error())
+	}
+	return s
+}
+
+// mithrilFactory is the scheme-table entry for Mithril (plus = false) or
+// Mithril+: an infeasible point comes back as CheckMithril's error.
+func mithrilFactory(plus bool) Factory {
+	return func(opt Options) (mc.Scheme, error) {
+		s, err := buildMithril(opt, plus)
+		if err != nil {
+			return nil, err
+		}
+		return s, nil
+	}
+}
+
+func buildMithril(opt Options, plus bool) (*MithrilScheme, error) {
 	opt.normalize()
 	rfmTH, ac, err := configureMithril(opt)
 	if err != nil {
-		panic(err.Error())
+		return nil, err
 	}
 	return &MithrilScheme{
 		opt: opt,
@@ -52,7 +67,7 @@ func newMithril(opt Options, plus bool) *MithrilScheme {
 		},
 		plus:    plus,
 		modules: make([]*core.Mithril, opt.banks()),
-	}
+	}, nil
 }
 
 // CheckMithril returns the error NewMithril and NewMithrilPlus panic on

@@ -22,7 +22,6 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-	"sync"
 
 	"mithril/internal/core"
 	"mithril/internal/mc"
@@ -105,78 +104,68 @@ func appendVictims(buf []uint32, aggressor uint32, radius int) []uint32 {
 	return core.AppendVictimRows(buf[:0], aggressor, radius)
 }
 
-// Factory constructs one scheme instance from the common Options. A
-// factory must return a ready-to-use scheme; configuration errors it can
-// detect should panic at registration-time inputs or be deferred to the
-// scheme's first use — Build treats a registered name as always buildable.
-type Factory func(Options) mc.Scheme
+// Factory constructs one scheme instance from the common Options. Build
+// has already rejected a non-positive FlipTH; any other configuration the
+// scheme cannot protect (Mithril's infeasible Theorem 1/2 points) comes
+// back as an error, so no table entry panics on caller input.
+type Factory func(Options) (mc.Scheme, error)
 
-// registry maps scheme names to factories. The shipped schemes register
-// themselves from init functions in their own files; out-of-tree schemes
-// call Register from their package's init and become buildable by every
-// consumer (spec validation, the CLI, the serve endpoint) without touching
-// this package. Guarded by a mutex so late registration from plugin-style
-// setup code is race-free.
-var (
-	registryMu sync.RWMutex
-	registry   = map[string]Factory{}
-)
-
-// Register adds a buildable scheme under name. It panics on an empty name,
-// a nil factory, or a duplicate registration — all three are programmer
-// errors at package-init time, not runtime conditions to handle.
-func Register(name string, f Factory) {
-	if name == "" {
-		panic("mitigation: Register with empty scheme name")
-	}
-	if f == nil {
-		panic(fmt.Sprintf("mitigation: Register(%q) with nil factory", name))
-	}
-	registryMu.Lock()
-	defer registryMu.Unlock()
-	if _, dup := registry[name]; dup {
-		panic(fmt.Sprintf("mitigation: duplicate Register(%q)", name))
-	}
-	registry[name] = f
+// factories is the fixed scheme table: the paper's Table I set plus the
+// unprotected baseline "none". Every consumer (spec validation, the CLI
+// catalogs, the serve endpoint, the result-store stamp) reads it through
+// Build, Known and Names.
+var factories = map[string]Factory{
+	"none":        func(Options) (mc.Scheme, error) { return mc.NoProtection{}, nil },
+	"para":        func(opt Options) (mc.Scheme, error) { return NewPARA(opt), nil },
+	"parfm":       func(opt Options) (mc.Scheme, error) { return NewPARFM(opt), nil },
+	"cbt":         func(opt Options) (mc.Scheme, error) { return NewCBT(opt), nil },
+	"twice":       func(opt Options) (mc.Scheme, error) { return NewTWiCe(opt), nil },
+	"graphene":    func(opt Options) (mc.Scheme, error) { return NewGraphene(opt), nil },
+	"blockhammer": func(opt Options) (mc.Scheme, error) { return NewBlockHammer(opt), nil },
+	"mithril":     mithrilFactory(false),
+	"mithril+":    mithrilFactory(true),
 }
 
 // ErrUnknownScheme is returned (wrapped, with the valid names listed) by
-// Build for a name no factory is registered under. Match with errors.Is.
+// Build for a name outside the scheme table. Match with errors.Is.
 var ErrUnknownScheme = errors.New("unknown mitigation scheme")
 
-// Build constructs a scheme by registered name; the empty string is an
-// alias for "none". The shipped registry holds "blockhammer", "cbt",
-// "graphene", "mithril", "mithril+", "none", "para", "parfm", "twice".
-// An unregistered name yields an error wrapping ErrUnknownScheme that
-// lists the valid names.
+// Build constructs a scheme by name; the empty string is an alias for
+// "none". The table holds "blockhammer", "cbt", "graphene", "mithril",
+// "mithril+", "none", "para", "parfm", "twice". An unknown name yields an
+// error wrapping ErrUnknownScheme that lists the valid names; a FlipTH
+// below 1, or a Mithril/Mithril+ point no table size can protect, yields
+// a configuration error.
 func Build(name string, opt Options) (mc.Scheme, error) {
 	if name == "" {
 		name = "none"
 	}
-	registryMu.RLock()
-	f, ok := registry[name]
-	registryMu.RUnlock()
+	f, ok := factories[name]
 	if !ok {
 		return nil, fmt.Errorf("mitigation: %w %q (valid: %s)", ErrUnknownScheme, name, strings.Join(Names(), ", "))
 	}
-	return f(opt), nil
+	if opt.FlipTH < 1 {
+		return nil, fmt.Errorf("mitigation: %s: FlipTH %d must be positive", name, opt.FlipTH)
+	}
+	return f(opt)
 }
 
-// Names lists the registered scheme names in sorted order. The ordering is
-// a documented guarantee (and pinned by a test): consumers render the list
-// in error messages, CLI help, and service responses, and a stable order
-// keeps those byte-stable across registration order changes.
+// Known reports whether name is in the scheme table (the "" alias Build
+// accepts is not a table name).
+func Known(name string) bool {
+	_, ok := factories[name]
+	return ok
+}
+
+// Names lists the scheme names in sorted order. The ordering is a
+// documented guarantee (and pinned by a test): consumers render the list
+// in error messages, CLI help, and service responses, and the result-store
+// stamp fingerprints it. The returned slice is the caller's to modify.
 func Names() []string {
-	registryMu.RLock()
-	defer registryMu.RUnlock()
-	names := make([]string, 0, len(registry))
-	for n := range registry {
+	names := make([]string, 0, len(factories))
+	for n := range factories {
 		names = append(names, n)
 	}
 	sort.Strings(names)
 	return names
-}
-
-func init() {
-	Register("none", func(Options) mc.Scheme { return mc.NoProtection{} })
 }

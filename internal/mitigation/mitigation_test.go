@@ -76,47 +76,51 @@ func TestBuildEmptyNameIsNone(t *testing.T) {
 	}
 }
 
-func TestRegisterDuplicatePanics(t *testing.T) {
-	mustPanic := func(name string, fn func()) {
-		t.Helper()
-		defer func() {
-			if recover() == nil {
-				t.Errorf("%s: no panic", name)
-			}
-		}()
-		fn()
-	}
-	mustPanic("duplicate", func() {
-		Register("mithril", func(Options) mc.Scheme { return mc.NoProtection{} })
-	})
-	mustPanic("empty name", func() {
-		Register("", func(Options) mc.Scheme { return mc.NoProtection{} })
-	})
-	mustPanic("nil factory", func() { Register("novel-scheme", nil) })
-}
-
-// TestRegisterOutOfTree exercises the open-registry path: a scheme this
-// package has never heard of becomes buildable (and listed) once
-// registered.
-func TestRegisterOutOfTree(t *testing.T) {
-	const name = "test-only-scheme"
-	Register(name, func(Options) mc.Scheme { return mc.NoProtection{} })
-	t.Cleanup(func() { unregisterForTest(name) })
-	s, err := Build(name, opts(6250))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s == nil {
-		t.Fatal("nil scheme")
-	}
-	found := false
-	for _, n := range Names() {
-		if n == name {
-			found = true
+// Every table entry has a non-empty name and a factory; duplicate names
+// are a compile error in the map literal.
+func TestSchemeTableInvariants(t *testing.T) {
+	for name, f := range factories {
+		if name == "" {
+			t.Error("scheme table has an empty name (Build reserves \"\" as the alias for none)")
+		}
+		if f == nil {
+			t.Errorf("scheme %q has a nil factory", name)
 		}
 	}
-	if !found {
-		t.Fatalf("Names() = %v, missing %q", Names(), name)
+}
+
+// Build answers caller input with a scheme or an error, never a panic:
+// spec files, the CLI and the serve endpoint all reach it with FlipTH
+// values nobody vetted. FlipTH 10 is feasible for every counter-based
+// scheme but no Mithril table can protect it; 0 and -5 are rejected
+// outright.
+func TestBuildNeverPanics(t *testing.T) {
+	for _, name := range Names() {
+		for _, flipTH := range []int{-5, 0, 10, 6250} {
+			func() {
+				defer func() {
+					if r := recover(); r != nil {
+						t.Errorf("Build(%q, FlipTH %d) panicked: %v", name, flipTH, r)
+					}
+				}()
+				s, err := Build(name, opts(flipTH))
+				if (s == nil) == (err == nil) {
+					t.Errorf("Build(%q, FlipTH %d) = %v, %v; want exactly one of scheme and error", name, flipTH, s, err)
+				}
+				if flipTH < 1 && err == nil {
+					t.Errorf("Build(%q, FlipTH %d) accepted a non-positive FlipTH", name, flipTH)
+				}
+				if flipTH == 6250 && err != nil {
+					t.Errorf("Build(%q, FlipTH 6250): %v", name, err)
+				}
+			}()
+		}
+	}
+	for _, name := range []string{"mithril", "mithril+"} {
+		want := CheckMithril(opts(10))
+		if _, err := Build(name, opts(10)); want == nil || err == nil || err.Error() != want.Error() {
+			t.Errorf("Build(%q, FlipTH 10) error = %v, want CheckMithril's %v", name, err, want)
+		}
 	}
 }
 

@@ -26,11 +26,6 @@ type PARA struct {
 
 var _ mc.Scheme = (*PARA)(nil)
 
-func init() {
-	Register("para", func(opt Options) mc.Scheme { return NewPARA(opt) })
-	Register("parfm", func(opt Options) mc.Scheme { return NewPARFM(opt) })
-}
-
 // NewPARA configures PARA for the option's FlipTH.
 func NewPARA(opt Options) *PARA {
 	opt.normalize()

@@ -24,10 +24,6 @@ type TWiCe struct {
 
 var _ mc.Scheme = (*TWiCe)(nil)
 
-func init() {
-	Register("twice", func(opt Options) mc.Scheme { return NewTWiCe(opt) })
-}
-
 // NewTWiCe configures the tracker: trigger threshold FlipTH/4 and a lossy
 // bucket width of 8·S/FlipTH observations, so the per-window undercount
 // Δ ≤ S/width = FlipTH/8 stays below the trigger threshold (no spurious

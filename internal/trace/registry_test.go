@@ -7,7 +7,7 @@ import (
 )
 
 // The sorted order of WorkloadNames is a documented guarantee; the five
-// paper workloads must be registered.
+// paper workloads must be in the table.
 func TestWorkloadNamesSortedAndComplete(t *testing.T) {
 	names := WorkloadNames()
 	if !sort.StringsAreSorted(names) {
@@ -22,7 +22,7 @@ func TestWorkloadNamesSortedAndComplete(t *testing.T) {
 			}
 		}
 		if !found {
-			t.Errorf("workload %q not registered (have %v)", want, names)
+			t.Errorf("workload %q missing (have %v)", want, names)
 		}
 	}
 	infos := Workloads()
@@ -39,29 +39,63 @@ func TestWorkloadNamesSortedAndComplete(t *testing.T) {
 	}
 }
 
-func TestRegisterWorkloadPanics(t *testing.T) {
-	cases := []struct {
-		name string
-		fn   func()
-	}{
-		{"empty name", func() { RegisterWorkload("", "d", MixHigh) }},
-		{"nil factory", func() { RegisterWorkload("t-nil", "d", nil) }},
-		{"duplicate", func() { RegisterWorkload("mix-high", "d", MixHigh) }},
-		{"reserved trace prefix", func() { RegisterWorkload("trace:foo", "d", MixHigh) }},
-	}
-	for _, c := range cases {
-		t.Run(c.name, func(t *testing.T) {
-			defer func() {
-				if recover() == nil {
-					t.Error("expected panic")
-				}
-			}()
-			c.fn()
-		})
-	}
+// The workload table's invariants, one subtest each. BuildWorkload
+// resolves the "trace:" prefix before the table, so a table name using it
+// would be unreachable.
+func TestWorkloadTable(t *testing.T) {
+	t.Run("empty name", func(t *testing.T) {
+		for i, w := range workloadTable {
+			if w.Name == "" {
+				t.Errorf("workloadTable[%d] has an empty name", i)
+			}
+		}
+	})
+	t.Run("nil factory", func(t *testing.T) {
+		for _, w := range workloadTable {
+			if w.build == nil {
+				t.Errorf("workload %q has a nil factory", w.Name)
+			}
+		}
+	})
+	t.Run("duplicate", func(t *testing.T) {
+		seen := map[string]bool{}
+		for _, w := range workloadTable {
+			if seen[w.Name] {
+				t.Errorf("workload %q appears twice", w.Name)
+			}
+			seen[w.Name] = true
+		}
+	})
+	t.Run("reserved trace prefix", func(t *testing.T) {
+		for _, w := range workloadTable {
+			if strings.HasPrefix(w.Name, TracePrefix) {
+				t.Errorf("workload %q uses the reserved %q prefix", w.Name, TracePrefix)
+			}
+		}
+	})
+	t.Run("description", func(t *testing.T) {
+		for _, w := range workloadTable {
+			if w.Desc == "" {
+				t.Errorf("workload %q has no description", w.Name)
+			}
+		}
+	})
+	// The full-scale "normal" row geomean-reduces in this order.
+	t.Run("paper order", func(t *testing.T) {
+		want := []string{"mix-high", "mix-blend", "fft", "radix", "pagerank"}
+		got := NormalWorkloads(2, 1)
+		if len(got) != len(want) {
+			t.Fatalf("NormalWorkloads built %d workloads, want %d", len(got), len(want))
+		}
+		for i, w := range got {
+			if w.Name != want[i] {
+				t.Errorf("NormalWorkloads()[%d] = %q, want %q", i, w.Name, want[i])
+			}
+		}
+	})
 }
 
-// Registered factories build their own named workloads, and the error for
+// Table factories build their own named workloads, and the error for
 // an unknown name lists the valid ones.
 func TestBuildWorkloadRegistered(t *testing.T) {
 	for _, name := range []string{"fft", "mix-blend", "mix-high", "pagerank", "radix"} {

@@ -85,16 +85,16 @@ func TestGatherScatterAlternates(t *testing.T) {
 }
 
 func TestWorkloadsFreshReplaysIdentically(t *testing.T) {
-	for _, wc := range NormalWorkloads(16, 7) {
-		g1 := wc.Workload.Fresh()
-		g2 := wc.Workload.Fresh()
+	for _, w := range NormalWorkloads(16, 7) {
+		g1 := w.Fresh()
+		g2 := w.Fresh()
 		if len(g1) != 16 || len(g2) != 16 {
-			t.Fatalf("%s: %d generators, want 16", wc.Workload.Name, len(g1))
+			t.Fatalf("%s: %d generators, want 16", w.Name, len(g1))
 		}
 		for c := 0; c < 16; c++ {
 			for i := 0; i < 50; i++ {
 				if g1[c].Next() != g2[c].Next() {
-					t.Fatalf("%s core %d: Fresh() streams diverge", wc.Workload.Name, c)
+					t.Fatalf("%s core %d: Fresh() streams diverge", w.Name, c)
 				}
 			}
 		}

@@ -2,12 +2,6 @@ package trace
 
 import "fmt"
 
-func init() {
-	RegisterWorkload("fft",
-		"SPLASH-2 FFT-like multithreaded kernel: all threads stride a shared footprint with butterfly-style strides",
-		FFT)
-}
-
 // FFT is the SPLASH-2 FFT-like multithreaded kernel: all threads stride a
 // shared footprint with butterfly-style strides.
 func FFT(threads int, seed uint64) Workload {

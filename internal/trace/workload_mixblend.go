@@ -2,12 +2,6 @@ package trace
 
 import "fmt"
 
-func init() {
-	RegisterWorkload("mix-blend",
-		"blended multi-programmed mix: memory-intensive and compute-bound cores interleaved (the paper's random blend)",
-		MixBlend)
-}
-
 // MixBlend mixes memory-intensive and compute-bound cores (the paper's
 // randomly selected blend).
 func MixBlend(cores int, seed uint64) Workload {

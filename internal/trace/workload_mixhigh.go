@@ -2,12 +2,6 @@ package trace
 
 import "fmt"
 
-func init() {
-	RegisterWorkload("mix-high",
-		"memory-intensive multi-programmed mix: every core runs a high-MPKI kernel (streams, random walks, large sweeps)",
-		MixHigh)
-}
-
 // MixHigh is the paper's memory-intensive multi-programmed mix: every core
 // runs a high-MPKI kernel (streams, random walks, large sweeps).
 func MixHigh(cores int, seed uint64) Workload {

@@ -2,12 +2,6 @@ package trace
 
 import "fmt"
 
-func init() {
-	RegisterWorkload("pagerank",
-		"GAP PageRank-like multithreaded kernel: sequential edge sweeps with random vertex gathers over a shared graph",
-		PageRank)
-}
-
 // PageRank is the GAP PageRank-like kernel: sequential edge sweeps with
 // random vertex gathers over a shared graph.
 func PageRank(threads int, seed uint64) Workload {

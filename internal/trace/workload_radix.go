@@ -2,12 +2,6 @@ package trace
 
 import "fmt"
 
-func init() {
-	RegisterWorkload("radix",
-		"SPLASH-2 RADIX-like multithreaded kernel: streaming reads with scattered bucket writes",
-		Radix)
-}
-
 // Radix is the SPLASH-2 RADIX-like kernel: streaming reads with scattered
 // bucket writes.
 func Radix(threads int, seed uint64) Workload {

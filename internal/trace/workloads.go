@@ -11,36 +11,6 @@ type Workload struct {
 	Attackers int
 }
 
-// Class tags workloads for reporting (the paper's geo-mean groups).
-type Class int
-
-// Workload classes.
-const (
-	MultiProgrammed Class = iota
-	MultiThreaded
-)
-
 // coreRegion gives each core a disjoint 256 MB physical region so
 // multi-programmed workloads don't share rows.
 func coreRegion(core int) uint64 { return uint64(core) << 28 }
-
-// NormalWorkloads returns the paper's five normal workloads (two multi-
-// programmed, three multi-threaded) with their classes for geo-mean
-// aggregation. Each workload also registers itself (from its own file)
-// in the open workload registry, so the same five are buildable by name
-// through BuildWorkload.
-func NormalWorkloads(cores int, seed uint64) []struct {
-	Workload Workload
-	Class    Class
-} {
-	return []struct {
-		Workload Workload
-		Class    Class
-	}{
-		{MixHigh(cores, seed), MultiProgrammed},
-		{MixBlend(cores, seed), MultiProgrammed},
-		{FFT(cores, seed), MultiThreaded},
-		{Radix(cores, seed), MultiThreaded},
-		{PageRank(cores, seed), MultiThreaded},
-	}
-}

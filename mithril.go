@@ -27,9 +27,9 @@
 // yields grid points as workers finish them, for consumers that need
 // partial results before the sweep completes.
 //
-// Mitigation schemes live in an open registry: the paper's Table I set is
-// built in, and out-of-tree schemes plug in via mitigation.Register
-// without touching the controller (see NewScheme).
+// Schemes, workloads and attack patterns come from fixed tables: the
+// paper's Table I schemes, its five benign workloads, and its attack
+// patterns (see NewScheme, NewWorkload and NewAttack).
 //
 // Every simulation entry point takes a context: Engine.Run, Engine.Compare,
 // Engine.RunSpec/RunSpecAt, Engine.Stream/StreamAt, and RunParallelContext.
@@ -91,20 +91,20 @@ const (
 // DDR5 returns the paper's DDR5-4800 parameter set (Table III).
 func DDR5() TimingParams { return timing.DDR5() }
 
-// NewScheme builds a mitigation by registered name; the shipped registry
-// is the paper's Table I set ("blockhammer", "cbt", "graphene", "mithril",
-// "mithril+", "none", "para", "parfm", "twice"). An unknown name yields an
-// error wrapping ErrUnknownScheme that lists the valid names. Out-of-tree
-// schemes registered via mitigation.Register are buildable here too.
+// NewScheme builds a mitigation by name from the paper's Table I set
+// ("blockhammer", "cbt", "graphene", "mithril", "mithril+", "none",
+// "para", "parfm", "twice"). An unknown name yields an error wrapping
+// ErrUnknownScheme that lists the valid names. A FlipTH below 1, or a
+// Mithril/Mithril+ point no table size can protect, is an error too.
 func NewScheme(name string, opt SchemeOptions) (Scheme, error) {
 	return mitigation.Build(name, opt)
 }
 
-// ErrUnknownScheme is wrapped by NewScheme's error for a name no scheme is
-// registered under; match with errors.Is.
+// ErrUnknownScheme is wrapped by NewScheme's error for a name outside the
+// scheme table; match with errors.Is.
 var ErrUnknownScheme = mitigation.ErrUnknownScheme
 
-// SchemeNames lists the registered scheme names. The sorted order is a
+// SchemeNames lists the scheme names. The sorted order is a
 // documented, tested guarantee — consumers may render it directly in
 // error messages and service responses.
 func SchemeNames() []string { return mitigation.Names() }
@@ -128,7 +128,7 @@ func BoundMPrime(p TimingParams, nEntry, rfmTH, adTH int) float64 {
 // ExperimentSpec is a declarative experiment description: a named grid
 // over scheme × FlipTH × workload × attack × seed (× adversarial flag)
 // at a scale, the JSON format the shipped specs/*.json figures use.
-// Scheme, workload, and attack names resolve through the open registries
+// Scheme, workload, and attack names resolve through the fixed tables
 // (see SchemeNames, WorkloadNames, AttackNames); workloads also accept
 // the "trace:<path>" replay form. See the README's "Declarative
 // experiment specs" and "Scenario catalog" sections for the format.
@@ -167,47 +167,38 @@ func FFT(threads int, seed uint64) Workload      { return trace.FFT(threads, see
 func Radix(threads int, seed uint64) Workload    { return trace.Radix(threads, seed) }
 func PageRank(threads int, seed uint64) Workload { return trace.PageRank(threads, seed) }
 
-// ------------------------------------------------- workload/attack registries
+// ------------------------------------------------- workload/attack tables
 
-// WorkloadInfo describes one registered workload (name + one-line
+// WorkloadInfo describes one table workload (name + one-line
 // description) for catalogs.
 type WorkloadInfo = trace.WorkloadInfo
 
-// AttackInfo describes one registered attack pattern for catalogs; the
+// AttackInfo describes one table attack pattern for catalogs; the
 // Name carries the display spelling ("multi:<n>" for parameterized
 // patterns).
 type AttackInfo = attack.PatternInfo
 
-// WorkloadNames lists the registered workload names. The sorted order is
-// a documented, tested guarantee, like SchemeNames. The "trace:<path>"
-// replay form is a name shape, not a registration, and is not listed.
+// WorkloadNames lists the table's workload names. The sorted order is a
+// documented, tested guarantee, like SchemeNames. The "trace:<path>"
+// replay form is a name shape, not a table entry, and is not listed.
 func WorkloadNames() []string { return trace.WorkloadNames() }
 
-// WorkloadCatalog lists the registered workloads with descriptions,
+// WorkloadCatalog lists the table's workloads with descriptions,
 // sorted by name (the CLI `workloads` command and the serve /v1/catalog
 // endpoint render it directly).
 func WorkloadCatalog() []WorkloadInfo { return trace.Workloads() }
 
-// NewWorkload builds a workload by registered name (the shipped registry
-// holds the paper's five: "fft", "mix-blend", "mix-high", "pagerank",
-// "radix") or by the "trace:<path>" form, which parses a recorded
-// access-trace file (format in the README) and replays it on every core.
-// An unknown name yields an error wrapping ErrUnknownWorkload that lists
-// the valid names.
+// NewWorkload builds a workload by table name (the paper's five: "fft",
+// "mix-blend", "mix-high", "pagerank", "radix") or by the "trace:<path>"
+// form, which parses a recorded access-trace file (format in the README)
+// and replays it on every core. An unknown name yields an error wrapping
+// ErrUnknownWorkload that lists the valid names.
 func NewWorkload(name string, cores int, seed uint64) (Workload, error) {
 	return trace.BuildWorkload(name, cores, seed)
 }
 
-// RegisterWorkload adds an out-of-tree workload to the open registry: it
-// becomes buildable by NewWorkload, valid in spec files, and listed by
-// the CLI and serve catalogs. It panics on an empty name, a nil factory,
-// or a duplicate registration (programmer errors at init time).
-func RegisterWorkload(name, desc string, f func(cores int, seed uint64) Workload) {
-	trace.RegisterWorkload(name, desc, f)
-}
-
 // ErrUnknownWorkload is wrapped by NewWorkload's error (and spec
-// validation) for an unregistered workload name; match with errors.Is.
+// validation) for an unknown workload name; match with errors.Is.
 var ErrUnknownWorkload = trace.ErrUnknownWorkload
 
 // AddressMapper translates between physical byte addresses and DRAM
@@ -228,23 +219,23 @@ type AttackParams = attack.Params
 // with a checked type assertion.
 type CollisionOracle = attack.Throttler
 
-// NewAttack builds a registered attack pattern by (possibly
+// NewAttack builds a table attack pattern by (possibly
 // parameterized) name — "multi:8", "decoy", "rowlist", ... — as a
 // Generator to place in a Workload. Generators are stateful: build one
 // per simulation. An unknown name yields an error wrapping
 // ErrUnknownAttack that lists the valid patterns.
 func NewAttack(name string, p AttackParams) (Generator, error) { return attack.Build(name, p) }
 
-// AttackNames lists the registered attack patterns' display spellings
-// (the shipped registry holds "blockhammer-adversarial", "decoy:<n>",
-// "double", "multi:<n>", "rowlist", "single"). The sorted order is a
+// AttackNames lists the table attack patterns' display spellings
+// ("blockhammer-adversarial", "decoy:<n>", "double", "multi:<n>",
+// "rowlist", "single"). The sorted order is a
 // documented, tested guarantee.
 func AttackNames() []string { return attack.Names() }
 
-// AttackCatalog lists the registered attack patterns with descriptions,
+// AttackCatalog lists the table attack patterns with descriptions,
 // sorted by name.
 func AttackCatalog() []AttackInfo { return attack.Patterns() }
 
 // ErrUnknownAttack is wrapped by spec validation's error for an
-// unregistered attack pattern; match with errors.Is.
+// unknown attack pattern; match with errors.Is.
 var ErrUnknownAttack = attack.ErrUnknownAttack

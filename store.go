@@ -44,9 +44,9 @@ func NewMemResultStore() ResultStore {
 const ResultStoreSchemaVersion = resultstore.SchemaVersion
 
 // ResultStoreStamp returns the version stamp rows are currently keyed
-// under: the schema version plus a fingerprint of the mitigation-scheme
-// registry. Registering a scheme (including out-of-tree) changes it, so
-// stale stored rows self-invalidate. The CLI's `mithrilsim version` and
+// under: the schema version plus a fingerprint of the scheme table's
+// sorted names. Adding or renaming a scheme changes it, so stale stored
+// rows self-invalidate. The CLI's `mithrilsim version` and
 // the serve /healthz endpoint expose it for operators comparing stores
 // across builds.
 func ResultStoreStamp() string {
@@ -54,7 +54,7 @@ func ResultStoreStamp() string {
 }
 
 // ResultStoreFingerprint condenses a sorted name inventory into the
-// short registry fingerprint ResultStoreStamp embeds.
+// short scheme-table fingerprint ResultStoreStamp embeds.
 func ResultStoreFingerprint(names []string) string {
 	return resultstore.Fingerprint(names)
 }
