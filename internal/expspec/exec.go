@@ -409,8 +409,9 @@ func (s *Spec) NewExecution(sc Scale, rows []int, opts *ExecOptions) (*Execution
 		}
 		x.rows = append([]int(nil), rows...)
 	}
-	// NewMithril panics on a point no table size can protect; reject it
-	// here, before a local row runs or a coordinator dispatches one.
+	// Vet every Mithril point up front, so a point no table size can
+	// protect is a 400 before any row runs or any shard is dispatched,
+	// not a run failure partway through the stream.
 	kind := kindTable[s.Kind]
 	vetted := memo[mitigation.Options, bool]{}
 	for _, i := range x.rows {

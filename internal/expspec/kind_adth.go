@@ -97,7 +97,11 @@ func (k adthKind) row(ctx context.Context, x *Execution, c Cell) (Row, error) {
 	opt.Seed = c.Seed
 	for _, wName := range x.spec.Axes.Workloads {
 		w := adthWorkloads[wName].build(x.sc.Cores, c.Seed)
-		m, err := x.measure(ctx, mitigation.NewMithril(opt), c.Seed, c.FlipTH, w, w.Name)
+		scheme, err := mitigation.Build("mithril", opt)
+		if err != nil {
+			return Row{}, err
+		}
+		m, err := x.measure(ctx, scheme, c.Seed, c.FlipTH, w, w.Name)
 		if err != nil {
 			return Row{}, err
 		}

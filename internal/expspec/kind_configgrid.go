@@ -92,20 +92,24 @@ func (configGridKind) prepare(x *Execution, rows []int) (rowFunc, error) {
 // (FlipTH, RFMTH) grid cell on workload w.
 func configGridRow(ctx context.Context, x *Execution, w trace.Workload, c Cell) (Row, error) {
 	opt := mitigation.Options{Timing: x.sc.Params(), FlipTH: c.FlipTH, RFMTH: c.RFMTH, Seed: c.Seed}
-	m, err := x.measure(ctx, mitigation.NewMithril(opt), c.Seed, c.FlipTH, w, w.Name)
-	if err != nil {
-		return Row{}, err
-	}
-	plus, err := x.measure(ctx, mitigation.NewMithrilPlus(opt), c.Seed, c.FlipTH, w, w.Name)
-	if err != nil {
-		return Row{}, err
+	var rel, energy [2]float64
+	for i, name := range []string{"mithril", "mithril+"} {
+		scheme, err := mitigation.Build(name, opt)
+		if err != nil {
+			return Row{}, err
+		}
+		m, err := x.measure(ctx, scheme, c.Seed, c.FlipTH, w, w.Name)
+		if err != nil {
+			return Row{}, err
+		}
+		rel[i], energy[i] = m.RelativePerformance, m.EnergyOverheadPct
 	}
 	kb, _ := analysis.MithrilTableKB(timing.DDR5(), c.FlipTH, c.RFMTH, 0)
 	return Row{Grid: &Figure9Point{
 		FlipTH: c.FlipTH, RFMTH: c.RFMTH, Seed: c.Seed,
-		Mithril: m.RelativePerformance, MithrilPlus: plus.RelativePerformance,
+		Mithril: rel[0], MithrilPlus: rel[1],
 		TableKB:       kb,
-		EnergyMithril: m.EnergyOverheadPct, EnergyPlus: plus.EnergyOverheadPct,
+		EnergyMithril: energy[0], EnergyPlus: energy[1],
 	}}, nil
 }
 

@@ -5,5 +5,5 @@ package lint
 // four are the intraprocedural PR 6 suite; ctxflow, goleak, and lockheld
 // ride the interprocedural call-graph layer (see callgraph.go).
 func All() []*Analyzer {
-	return []*Analyzer{HotpathAlloc, DetRange, PureSim, RegisterInit, CtxFlow, GoLeak, LockHeld}
+	return []*Analyzer{HotpathAlloc, DetRange, PureSim, VictimRetain, CtxFlow, GoLeak, LockHeld}
 }

@@ -23,7 +23,7 @@ func TestAnalyzerFixtures(t *testing.T) {
 		{HotpathAlloc, []string{"hotpathalloc/bad", "hotpathalloc/good"}},
 		{DetRange, []string{"detrange/bad", "detrange/good"}},
 		{PureSim, []string{"puresim/bad", "puresim/good"}},
-		{RegisterInit, []string{"registerinit/bad", "registerinit/good"}},
+		{VictimRetain, []string{"victimretain/bad", "victimretain/good"}},
 		{CtxFlow, []string{"ctxflow/bad", "ctxflow/good"}},
 		{GoLeak, []string{"goleak/bad", "goleak/good"}},
 		{LockHeld, []string{"lockheld/bad", "lockheld/good"}},

@@ -1,10 +1,10 @@
 // Package lint is mithril's repo-specific static-analysis suite: a small
 // go/analysis-style framework plus the analyzers that turn the repo's
 // load-bearing runtime invariants — the allocation-free steady-state hot
-// path, byte-identical deterministic output, and init-time registry
-// discipline — into compile-time checks. The cmd/mithrilvet multichecker
-// runs every analyzer over the module and fails, go vet-style, on any
-// finding.
+// path, byte-identical deterministic output, and the scheme victim-slice
+// ownership contract — into compile-time checks. The cmd/mithrilvet
+// multichecker runs every analyzer over the module and fails, go
+// vet-style, on any finding.
 //
 // The framework is deliberately self-contained: it is built on the
 // standard library's go/ast, go/parser, go/types and go/importer only

@@ -1,14 +1,5 @@
-// Package bad violates both registry contracts: runtime registration with
-// dynamic names, and retention of scheme-owned victim slices.
+// Package bad retains scheme-owned victim slices.
 package bad
-
-var registry = map[string]func(){}
-
-func Register(name string, f func()) { registry[name] = f }
-
-func Setup(name string) {
-	Register(name, func() {}) // want "Register called outside an init function" "Register name must be a compile-time string constant"
-}
 
 type scheme struct{}
 

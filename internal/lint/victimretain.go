@@ -2,32 +2,22 @@ package lint
 
 import (
 	"go/ast"
-	"go/constant"
 	"go/types"
 	"strings"
 )
 
-// RegisterInit enforces the two registry/ownership contracts that keep the
-// open scheme/workload/attack registries sound:
-//
-//  1. Every call to a package-level Register* function must happen inside
-//     an init function (or a Register*-named forwarding wrapper) with a
-//     compile-time-constant name, so the registry's contents are a static
-//     property of the import graph — never dependent on call order or
-//     runtime strings.
-//
-//  2. The result of a Scheme's OnActivate/OnRFM must not be stored into a
-//     struct field or package variable: the returned victim slice is owned
-//     by the scheme and only valid until its next call (the mc.Scheme
-//     ownership contract). Retaining callers must copy, e.g. via
-//     append(dst[:0], victims...) or the controller's victim pool.
-var RegisterInit = &Analyzer{
-	Name: "registerinit",
-	Doc:  "Register* calls only from init with literal names; never retain scheme-owned victim slices",
-	Run:  runRegisterInit,
+// VictimRetain enforces the mc.Scheme ownership contract: the result of a
+// Scheme's OnActivate/OnRFM must not be stored into a struct field or
+// package variable. The returned victim slice is owned by the scheme and
+// only valid until its next call; retaining callers must copy, e.g. via
+// append(dst[:0], victims...) or the controller's victim pool.
+var VictimRetain = &Analyzer{
+	Name: "victimretain",
+	Doc:  "never retain scheme-owned victim slices",
+	Run:  runVictimRetain,
 }
 
-func runRegisterInit(pass *Pass) error {
+func runVictimRetain(pass *Pass) error {
 	for _, file := range pass.Files {
 		filename := pass.Fset.Position(file.Pos()).Filename
 		if strings.HasSuffix(filename, "_test.go") {
@@ -36,7 +26,6 @@ func runRegisterInit(pass *Pass) error {
 		for _, decl := range file.Decls {
 			switch d := decl.(type) {
 			case *ast.FuncDecl:
-				checkRegisterCalls(pass, d)
 				if d.Body != nil {
 					checkVictimRetention(pass, d.Body)
 				}
@@ -55,44 +44,6 @@ func runRegisterInit(pass *Pass) error {
 		}
 	}
 	return nil
-}
-
-// checkRegisterCalls validates every Register* call inside one function.
-func checkRegisterCalls(pass *Pass, fd *ast.FuncDecl) {
-	if fd.Body == nil {
-		return
-	}
-	inInit := fd.Recv == nil && fd.Name.Name == "init"
-	isForwarder := strings.HasPrefix(fd.Name.Name, "Register")
-	ast.Inspect(fd.Body, func(n ast.Node) bool {
-		call, ok := n.(*ast.CallExpr)
-		if !ok {
-			return true
-		}
-		fn := staticCallee(pass.TypesInfo, call)
-		if fn == nil || !strings.HasPrefix(fn.Name(), "Register") {
-			return true
-		}
-		if sig, okSig := fn.Type().(*types.Signature); !okSig || sig.Recv() != nil {
-			return true // methods named Register* are not registry entry points
-		}
-		if !inInit && !isForwarder {
-			pass.Reportf(call.Pos(), "%s called outside an init function (registries must be static properties of the import graph)", fn.Name())
-		}
-		// A Register*-named forwarder passes its caller's name through;
-		// the literal-name rule applies at the forwarder's call sites.
-		if len(call.Args) > 0 && !isForwarder {
-			tv, okTV := pass.TypesInfo.Types[call.Args[0]]
-			if okTV {
-				if basic, okB := tv.Type.Underlying().(*types.Basic); okB && basic.Info()&types.IsString != 0 {
-					if tv.Value == nil || tv.Value.Kind() != constant.String {
-						pass.Reportf(call.Args[0].Pos(), "%s name must be a compile-time string constant", fn.Name())
-					}
-				}
-			}
-		}
-		return true
-	})
 }
 
 // checkVictimRetention flags direct stores of OnActivate/OnRFM results

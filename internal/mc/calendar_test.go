@@ -18,12 +18,12 @@ func (c *Controller) tickAll(now timing.PicoSeconds) {
 }
 
 // nextDeadlineRescan is the reference for NextDeadline: the earliest of
-// the scheme's deadline, every rank's refresh deadline, and every work
+// every rank's refresh deadline and every work
 // candidate (pending-ARR banks' busy horizons, queued requests' max(throttle
 // release, bank busy), RFM-due banks' busy horizons), rebuilt from scratch
 // on every call and clamped to now. It reads no cache and no due count.
 func (c *Controller) nextDeadlineRescan(now timing.PicoSeconds) timing.PicoSeconds {
-	next := c.cfg.Scheme.NextDeadline(now)
+	next := timing.Never
 	fold := func(t timing.PicoSeconds) {
 		if t < next {
 			next = t
@@ -134,7 +134,7 @@ func dualDrive(t *testing.T, p timing.Params, scheme func() Scheme, exercised fu
 			t.Fatalf("iter %d at %v: stats diverged:\ncalendar:  %+v\nreference: %+v", i, now, a, b)
 		}
 		for ch := 0; ch < p.Channels; ch++ {
-			if a, b := cal.QueueLen(ch), ref.QueueLen(ch); a != b {
+			if a, b := len(cal.channels[ch].queue), len(ref.channels[ch].queue); a != b {
 				t.Fatalf("iter %d at %v: channel %d queue length %d vs %d", i, now, ch, a, b)
 			}
 		}

@@ -1,8 +1,6 @@
 package mc
 
 import (
-	"fmt"
-
 	"mithril/internal/dram"
 	"mithril/internal/timing"
 )
@@ -167,14 +165,8 @@ func NewController(dev *dram.Device, cfg Config, complete func(*Request, timing.
 // Mapper exposes the address mapper (shared with workload generators).
 func (c *Controller) Mapper() *AddressMapper { return c.mapper }
 
-// Device exposes the controlled DRAM device.
-func (c *Controller) Device() *dram.Device { return c.dev }
-
 // Stats returns a copy of the controller counters.
 func (c *Controller) Stats() Stats { return c.stats }
-
-// QueueLen reports the current queue occupancy of a channel.
-func (c *Controller) QueueLen(channel int) int { return len(c.channels[channel].queue) }
 
 // Enqueue accepts a request into its channel queue; it reports false when
 // the queue is full (the core must retry). A channel's queue shrinks only
@@ -230,15 +222,14 @@ func (c *Controller) releaseVictims(v []uint32) {
 	c.victimPool = append(c.victimPool, v)
 }
 
-// markRFMDue records a bank reaching its RAA threshold (idempotent: raw
-// activations may keep counting past it).
+// markRFMDue records a bank reaching its RAA threshold. A due bank takes
+// no ACT until its RFM is issued or skipped (ready refuses it), so each
+// bank is marked once per RFM.
 //
 //mithril:hotpath
 func (c *Controller) markRFMDue(g int) {
-	if !c.rfmDue[g] {
-		c.rfmDue[g] = true
-		c.rfmDueCount[g/(c.p.Ranks*c.p.Banks)]++
-	}
+	c.rfmDue[g] = true
+	c.rfmDueCount[g/(c.p.Ranks*c.p.Banks)]++
 }
 
 // clearRFMDue releases a bank after its RFM was issued or skipped.
@@ -401,65 +392,18 @@ func (c *Controller) serve(cc *channelCtl, req *Request, now timing.PicoSeconds)
 	c.complete(req, dataAt)
 }
 
-// RawActivate injects a bare activation (attack replay without a data
-// request); it updates RAA/mitigation state exactly like a served ACT.
-//
-//mithril:hotpath
-func (c *Controller) RawActivate(globalBank int, row int, now timing.PicoSeconds) timing.PicoSeconds {
-	if globalBank < 0 || globalBank >= c.dev.NumBanks() {
-		panic(fmt.Sprintf("mc: bank %d out of range", globalBank))
-	}
-	done := c.dev.ActivateOnly(globalBank, row, now)
-	if c.rfmCompatible {
-		c.raa[globalBank]++
-		if c.raa[globalBank] >= c.rfmTH {
-			c.markRFMDue(globalBank)
-		}
-	}
-	ch := c.channels[globalBank/(c.p.Ranks*c.p.Banks)]
-	ch.workDirty = true // bank busy horizon moved; RFM/ARR state may have too
-	if victims := c.cfg.Scheme.OnActivate(globalBank, uint32(row), -1, now); len(victims) > 0 {
-		ch.pendingARR = append(ch.pendingARR, arrJob{bank: globalBank, victims: c.retainVictims(victims)})
-	}
-	return done
-}
-
-// RFMDue reports whether a bank is blocked awaiting its RFM command.
-func (c *Controller) RFMDue(globalBank int) bool { return c.rfmDue[globalBank] }
-
-// RAACount reports a bank's rolling accumulated ACT counter.
-func (c *Controller) RAACount(globalBank int) int { return c.raa[globalBank] }
-
-// PendingWork reports whether any channel still holds queued requests or
-// pending maintenance.
-//
-//mithril:hotpath
-func (c *Controller) PendingWork() bool {
-	for _, cc := range c.channels {
-		if len(cc.queue) > 0 || len(cc.pendingARR) > 0 {
-			return true
-		}
-	}
-	for _, n := range c.rfmDueCount {
-		if n > 0 {
-			return true
-		}
-	}
-	return false
-}
-
 // NextDeadline reports the earliest instant at or after now at which the
-// controller has time-driven work of its own: an auto-refresh deadline, a
-// matured queued request or maintenance job, or a scheme-originated
-// deadline; the event calendar folds it into its jump computation. Reads
-// come from the per-channel caches, so iterations that mutate nothing
-// (waiting out an RFM window) cost O(channels) instead of a queue rescan.
+// controller has time-driven work of its own: an auto-refresh deadline or
+// a matured queued request or maintenance job; the event calendar folds it
+// into its jump computation. Reads come from the per-channel caches, so
+// iterations that mutate nothing (waiting out an RFM window) cost
+// O(channels) instead of a queue rescan.
 // The package tests hold it, under the loop's max(now+tick, next) jump
 // rule, to a from-scratch scan of every candidate.
 //
 //mithril:hotpath
 func (c *Controller) NextDeadline(now timing.PicoSeconds) timing.PicoSeconds {
-	next := c.cfg.Scheme.NextDeadline(now)
+	next := timing.Never
 	for _, cc := range c.channels {
 		if cc.refNext <= now {
 			return now // a refresh is due this instant; nothing can be earlier

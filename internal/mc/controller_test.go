@@ -162,7 +162,7 @@ func TestBlissStateSparseCoreIDs(t *testing.T) {
 	if b.blacklisted(7, now+blissClearInterval) {
 		t.Fatal("blacklist must clear after the interval")
 	}
-	// Unowned serves (raw activations) must neither panic nor blacklist.
+	// Unowned serves (core -1) must neither panic nor blacklist.
 	for i := 0; i < 2*blissStreakLimit; i++ {
 		b.recordServe(-1, now)
 	}
@@ -186,6 +186,7 @@ func TestAutoRefreshIssuedPeriodically(t *testing.T) {
 
 // rfmProbe is a minimal RFM-compatible scheme recording OnRFM calls.
 type rfmProbe struct {
+	NoProtection
 	rfmTH   int
 	rfmSeen int
 	skip    bool
@@ -195,10 +196,6 @@ type rfmProbe struct {
 func (r *rfmProbe) Name() string        { return "probe" }
 func (r *rfmProbe) RFMCompatible() bool { return true }
 func (r *rfmProbe) RFMTH() int          { return r.rfmTH }
-func (r *rfmProbe) OnActivate(int, uint32, int, timing.PicoSeconds) []uint32 {
-	return nil
-}
-func (r *rfmProbe) PreACTDelay(int, uint32, int, timing.PicoSeconds) timing.PicoSeconds { return 0 }
 func (r *rfmProbe) OnRFM(bank int, now timing.PicoSeconds) []uint32 {
 	r.rfmSeen++
 	return []uint32{1, 3}
@@ -210,7 +207,6 @@ func (r *rfmProbe) SkipRFM(int) bool {
 	}
 	return false
 }
-func (r *rfmProbe) NextDeadline(timing.PicoSeconds) timing.PicoSeconds { return timing.Never }
 
 func TestRFMIssuedEveryRFMTHActivations(t *testing.T) {
 	p := testParams()
@@ -254,17 +250,18 @@ func TestMithrilPlusSkipAvoidsRFM(t *testing.T) {
 	if st.RFMSkipped != 2 || st.MRRReads < 2 {
 		t.Fatalf("skips=%d MRR=%d, want 2 skips", st.RFMSkipped, st.MRRReads)
 	}
-	if c.RAACount(0) >= 4 {
+	if c.raa[0] >= 4 {
 		t.Fatal("RAA should reset on skip")
 	}
 }
 
 // arrProbe triggers an ARR for every activation of row 100.
-type arrProbe struct{ arrs int }
+type arrProbe struct {
+	NoProtection
+	arrs int
+}
 
-func (a *arrProbe) Name() string        { return "arr-probe" }
-func (a *arrProbe) RFMCompatible() bool { return false }
-func (a *arrProbe) RFMTH() int          { return 0 }
+func (a *arrProbe) Name() string { return "arr-probe" }
 func (a *arrProbe) OnActivate(bank int, row uint32, core int, now timing.PicoSeconds) []uint32 {
 	if row == 100 {
 		a.arrs++
@@ -272,10 +269,6 @@ func (a *arrProbe) OnActivate(bank int, row uint32, core int, now timing.PicoSec
 	}
 	return nil
 }
-func (a *arrProbe) PreACTDelay(int, uint32, int, timing.PicoSeconds) timing.PicoSeconds { return 0 }
-func (a *arrProbe) OnRFM(int, timing.PicoSeconds) []uint32                              { return nil }
-func (a *arrProbe) SkipRFM(int) bool                                                    { return false }
-func (a *arrProbe) NextDeadline(timing.PicoSeconds) timing.PicoSeconds                  { return timing.Never }
 
 func TestARRInjection(t *testing.T) {
 	p := testParams()
@@ -296,24 +289,17 @@ func TestARRInjection(t *testing.T) {
 
 // throttleProbe releases ACTs on row 7 only after a fixed absolute time
 // (real throttlers like BlockHammer return absolute release times).
-type throttleProbe struct{ delay timing.PicoSeconds }
-
-func (tp *throttleProbe) Name() string        { return "throttle-probe" }
-func (tp *throttleProbe) RFMCompatible() bool { return false }
-func (tp *throttleProbe) RFMTH() int          { return 0 }
-func (tp *throttleProbe) OnActivate(int, uint32, int, timing.PicoSeconds) []uint32 {
-	return nil
+type throttleProbe struct {
+	NoProtection
+	delay timing.PicoSeconds
 }
+
+func (tp *throttleProbe) Name() string { return "throttle-probe" }
 func (tp *throttleProbe) PreACTDelay(bank int, row uint32, core int, now timing.PicoSeconds) timing.PicoSeconds {
 	if row == 7 {
 		return tp.delay
 	}
 	return 0
-}
-func (tp *throttleProbe) OnRFM(int, timing.PicoSeconds) []uint32 { return nil }
-func (tp *throttleProbe) SkipRFM(int) bool                       { return false }
-func (tp *throttleProbe) NextDeadline(timing.PicoSeconds) timing.PicoSeconds {
-	return timing.Never
 }
 
 func TestThrottlingDelaysACT(t *testing.T) {
@@ -360,35 +346,5 @@ func TestMinimalistOpenCapsHitStreak(t *testing.T) {
 	acts := dev.Bank(0).Stats().ACTs
 	if acts != 3 {
 		t.Fatalf("ACTs = %d, want 3 under minimalist-open", acts)
-	}
-}
-
-func TestRawActivateCountsTowardRAA(t *testing.T) {
-	p := testParams()
-	dev := dram.NewDevice(p, 1<<30, nil)
-	probe := &rfmProbe{rfmTH: 8}
-	c := NewController(dev, Config{Scheme: probe}, nil)
-	for i := 0; i < 8; i++ {
-		c.RawActivate(0, i*2, timing.PicoSeconds(i)*p.TRC)
-	}
-	if !c.RFMDue(0) {
-		t.Fatal("RFM should be due after RFMTH raw activations")
-	}
-	c.tickAll(timing.PicoSeconds(10) * p.TRC)
-	if c.RFMDue(0) || probe.rfmSeen != 1 {
-		t.Fatalf("RFM not drained: due=%v seen=%d", c.RFMDue(0), probe.rfmSeen)
-	}
-}
-
-func TestPendingWork(t *testing.T) {
-	p := testParams()
-	dev := dram.NewDevice(p, 1<<30, nil)
-	c := NewController(dev, Config{}, nil)
-	if c.PendingWork() {
-		t.Fatal("fresh controller should be idle")
-	}
-	c.Enqueue(&Request{Addr: 0})
-	if !c.PendingWork() {
-		t.Fatal("queued request should report pending work")
 	}
 }

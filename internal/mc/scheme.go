@@ -6,7 +6,13 @@ import "mithril/internal/timing"
 // defined here (consumer side) so both MC-located schemes (Graphene, CBT,
 // BlockHammer, PARA) and DRAM-located schemes behind the RFM interface
 // (Mithril, PARFM) plug into the same controller. Implementations live in
-// internal/mitigation.
+// internal/mitigation; each embeds NoProtection and declares only the
+// hooks it acts in.
+//
+// Every hook is reactive: a scheme acts only when the controller reports
+// an ACT, asks for a throttle release, polls the skip flag, or issues an
+// RFM. Throttle release times reach the event calendar through the
+// per-request blocked deadlines PreACTDelay sets.
 type Scheme interface {
 	// Name identifies the scheme in reports.
 	Name() string
@@ -18,11 +24,10 @@ type Scheme interface {
 	// RFMTH is the RAA threshold when RFMCompatible; ignored otherwise.
 	RFMTH() int
 
-	// OnActivate observes one real ACT command (coreID -1 for activations
-	// without an owning core, e.g. raw attack replay). ARR-based schemes
-	// return victim rows that must be refreshed immediately (the
-	// controller opens an ARR maintenance window for them); RFM-based
-	// schemes return nil.
+	// OnActivate observes one real ACT command (coreID is negative for an
+	// activation no core owns). ARR-based schemes return victim rows that
+	// must be refreshed immediately (the controller opens an ARR
+	// maintenance window for them); RFM-based schemes return nil.
 	//
 	// The returned slice is owned by the scheme and only valid until its
 	// next OnActivate/OnRFM call — schemes reuse one victim buffer to keep
@@ -45,19 +50,11 @@ type Scheme interface {
 	// moment RAA reaches RFMTH, the controller resets the RAA counter
 	// without issuing the RFM command.
 	SkipRFM(globalBank int) bool
-
-	// NextDeadline reports the earliest instant at or after now at which
-	// the scheme needs controller attention of its own accord, or
-	// timing.Never for a purely reactive scheme (one that only acts inside
-	// the OnActivate/OnRFM/PreACTDelay callbacks). Every shipped scheme is
-	// reactive — throttle release times already reach the calendar through
-	// the per-request blocked deadlines PreACTDelay sets — so returning a
-	// real deadline is an opt-in for future autonomously-timed schemes.
-	// The controller folds the value into its own NextDeadline.
-	NextDeadline(now timing.PicoSeconds) timing.PicoSeconds
 }
 
-// NoProtection is the do-nothing baseline scheme.
+// NoProtection is the do-nothing baseline scheme ("none") and the set of
+// default hooks every other scheme embeds: no RFM interface, no throttle,
+// no victims and no skip.
 type NoProtection struct{}
 
 // Name implements Scheme.
@@ -88,8 +85,3 @@ func (NoProtection) OnRFM(int, timing.PicoSeconds) []uint32 { return nil }
 //
 //mithril:hotpath
 func (NoProtection) SkipRFM(int) bool { return false }
-
-// NextDeadline implements Scheme: the baseline never schedules work.
-//
-//mithril:hotpath
-func (NoProtection) NextDeadline(timing.PicoSeconds) timing.PicoSeconds { return timing.Never }

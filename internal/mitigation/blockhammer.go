@@ -20,8 +20,11 @@ import (
 // that keep hammering blacklisted rows. Because the filters alias, an
 // attacker who activates rows sharing CBF slots with a benign hot row can
 // blacklist the *benign* row — the Figure 10(c) performance attack, exposed
-// here through the CollidingRows oracle.
+// here through the CollidingRows oracle. It issues no RFM commands; the
+// paper groups it with the interface-compatible schemes because it needs
+// no DRAM change at all.
 type BlockHammer struct {
+	mc.NoProtection
 	opt    Options
 	nbl    uint64
 	tDelay timing.PicoSeconds
@@ -83,22 +86,8 @@ func NewBlockHammer(opt Options) *BlockHammer {
 // NBL exposes the blacklist threshold.
 func (s *BlockHammer) NBL() uint64 { return s.nbl }
 
-// TDelay exposes the per-ACT throttle delay for blacklisted rows.
-func (s *BlockHammer) TDelay() timing.PicoSeconds { return s.tDelay }
-
-// BlacklistEvents reports how many ACTs hit a blacklisted row.
-func (s *BlockHammer) BlacklistEvents() uint64 { return s.blacklisted }
-
 // Name implements mc.Scheme.
 func (s *BlockHammer) Name() string { return "blockhammer" }
-
-// RFMCompatible implements mc.Scheme: BlockHammer is MC-side but issues no
-// RFM commands; the paper groups it with the interface-compatible schemes
-// because it needs no DRAM change at all.
-func (s *BlockHammer) RFMCompatible() bool { return false }
-
-// RFMTH implements mc.Scheme.
-func (s *BlockHammer) RFMTH() int { return 0 }
 
 //mithril:hotpath
 func (s *BlockHammer) filter(bank int) *streaming.DualCBF {
@@ -161,21 +150,6 @@ func (s *BlockHammer) PreACTDelay(bank int, row uint32, core int, now timing.Pic
 	}
 	return 0
 }
-
-// OnRFM implements mc.Scheme.
-//
-//mithril:hotpath
-func (s *BlockHammer) OnRFM(int, timing.PicoSeconds) []uint32 { return nil }
-
-// SkipRFM implements mc.Scheme.
-//
-//mithril:hotpath
-func (s *BlockHammer) SkipRFM(int) bool { return false }
-
-// NextDeadline implements mc.Scheme: BlockHammer is purely reactive — throttling is expressed through PreACTDelay's per-request release times, which the controller already tracks.
-//
-//mithril:hotpath
-func (s *BlockHammer) NextDeadline(timing.PicoSeconds) timing.PicoSeconds { return timing.Never }
 
 // CollidingRows implements the attack.Throttler oracle: for each of the
 // target row's hash slots, find another row of the bank hashing to the same

@@ -16,6 +16,7 @@ import (
 // refreshes of wide ranges stack far more rows than a tRFM window could
 // absorb, which is why CBT stays ARR-based here.
 type CBT struct {
+	mc.NoProtection
 	opt       Options
 	maxNodes  int
 	refreshTH uint64
@@ -55,21 +56,8 @@ func NewCBT(opt Options) *CBT {
 	}
 }
 
-// MaxNodes exposes the per-bank node budget.
-func (s *CBT) MaxNodes() int { return s.maxNodes }
-
-// GroupRefreshes reports executed group refreshes and total refreshed rows
-// — the "stacking of refresh loads" metric of Section III-D.
-func (s *CBT) GroupRefreshes() (groups, rows uint64) { return s.groupRefs, s.rowsRefd }
-
 // Name implements mc.Scheme.
 func (s *CBT) Name() string { return "cbt" }
-
-// RFMCompatible implements mc.Scheme.
-func (s *CBT) RFMCompatible() bool { return false }
-
-// RFMTH implements mc.Scheme.
-func (s *CBT) RFMTH() int { return 0 }
 
 // OnActivate implements mc.Scheme.
 //
@@ -120,23 +108,3 @@ func (s *CBT) OnActivate(bank int, row uint32, core int, now timing.PicoSeconds)
 	s.banks[bank] = nodes
 	return victimRows
 }
-
-// PreACTDelay implements mc.Scheme.
-//
-//mithril:hotpath
-func (s *CBT) PreACTDelay(int, uint32, int, timing.PicoSeconds) timing.PicoSeconds { return 0 }
-
-// OnRFM implements mc.Scheme.
-//
-//mithril:hotpath
-func (s *CBT) OnRFM(int, timing.PicoSeconds) []uint32 { return nil }
-
-// SkipRFM implements mc.Scheme.
-//
-//mithril:hotpath
-func (s *CBT) SkipRFM(int) bool { return false }
-
-// NextDeadline implements mc.Scheme: CBT is purely reactive — the tree reacts to ACTs only.
-//
-//mithril:hotpath
-func (s *CBT) NextDeadline(timing.PicoSeconds) timing.PicoSeconds { return timing.Never }

@@ -13,6 +13,7 @@ import (
 // resets every half refresh window — the cost Mithril's wrapping counters
 // remove.
 type Graphene struct {
+	mc.NoProtection
 	opt       Options
 	threshold uint64
 	nEntry    int
@@ -54,17 +55,8 @@ func (s *Graphene) Threshold() uint64 { return s.threshold }
 // NEntry exposes the per-bank table size (tests, area model cross-check).
 func (s *Graphene) NEntry() int { return s.nEntry }
 
-// Resets exposes how many periodic resets have occurred.
-func (s *Graphene) Resets() uint64 { return s.resets }
-
 // Name implements mc.Scheme.
 func (s *Graphene) Name() string { return "graphene" }
-
-// RFMCompatible implements mc.Scheme.
-func (s *Graphene) RFMCompatible() bool { return false }
-
-// RFMTH implements mc.Scheme.
-func (s *Graphene) RFMTH() int { return 0 }
 
 // OnActivate implements mc.Scheme: CbS update plus reactive ARR trigger.
 //
@@ -108,23 +100,3 @@ func (s *Graphene) OnActivate(bank int, row uint32, core int, now timing.PicoSec
 	s.vbuf = appendVictims(s.vbuf, row, s.opt.BlastRadius)
 	return s.vbuf
 }
-
-// PreACTDelay implements mc.Scheme.
-//
-//mithril:hotpath
-func (s *Graphene) PreACTDelay(int, uint32, int, timing.PicoSeconds) timing.PicoSeconds { return 0 }
-
-// OnRFM implements mc.Scheme.
-//
-//mithril:hotpath
-func (s *Graphene) OnRFM(int, timing.PicoSeconds) []uint32 { return nil }
-
-// SkipRFM implements mc.Scheme.
-//
-//mithril:hotpath
-func (s *Graphene) SkipRFM(int) bool { return false }
-
-// NextDeadline implements mc.Scheme: Graphene is purely reactive — the CbS tables react to ACTs only.
-//
-//mithril:hotpath
-func (s *Graphene) NextDeadline(timing.PicoSeconds) timing.PicoSeconds { return timing.Never }

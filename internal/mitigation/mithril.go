@@ -15,6 +15,7 @@ import (
 // adaptive policy); MithrilPlus exposes the flag so the MC can elide the
 // RFM command entirely (Section V-B).
 type MithrilScheme struct {
+	mc.NoProtection
 	opt     Options
 	cfg     core.Config
 	plus    bool
@@ -23,24 +24,10 @@ type MithrilScheme struct {
 
 var _ mc.Scheme = (*MithrilScheme)(nil)
 
-// NewMithril configures Mithril for the option's FlipTH: RFMTH from the
-// paper's per-level choice (or the override), Nentry from Theorem 1/2.
-func NewMithril(opt Options) *MithrilScheme { return newMithril(opt, false) }
-
-// NewMithrilPlus configures Mithril+ (identical hardware plus the MRR skip
-// flag).
-func NewMithrilPlus(opt Options) *MithrilScheme { return newMithril(opt, true) }
-
-func newMithril(opt Options, plus bool) *MithrilScheme {
-	s, err := buildMithril(opt, plus)
-	if err != nil {
-		panic(err.Error())
-	}
-	return s
-}
-
 // mithrilFactory is the scheme-table entry for Mithril (plus = false) or
-// Mithril+: an infeasible point comes back as CheckMithril's error.
+// Mithril+ (identical hardware plus the MRR skip flag): RFMTH from the
+// paper's per-FlipTH choice (or the override), Nentry from Theorem 1/2. An
+// infeasible point comes back as CheckMithril's error.
 func mithrilFactory(plus bool) Factory {
 	return func(opt Options) (mc.Scheme, error) {
 		s, err := buildMithril(opt, plus)
@@ -70,7 +57,7 @@ func buildMithril(opt Options, plus bool) (*MithrilScheme, error) {
 	}, nil
 }
 
-// CheckMithril returns the error NewMithril and NewMithrilPlus panic on
+// CheckMithril returns the error Build("mithril"|"mithril+", opt) returns
 // for opt: no table size keeps the Theorem 1/2 bound below FlipTH at its
 // operating point. It is pure arithmetic and builds no scheme state, so
 // callers can vet a point before anything simulates.
@@ -160,13 +147,6 @@ func (s *MithrilScheme) OnActivate(bank int, row uint32, coreID int, now timing.
 	return nil
 }
 
-// PreACTDelay implements mc.Scheme.
-//
-//mithril:hotpath
-func (s *MithrilScheme) PreACTDelay(int, uint32, int, timing.PicoSeconds) timing.PicoSeconds {
-	return 0
-}
-
 // OnRFM implements mc.Scheme: greedy selection inside the tRFM window.
 //
 //mithril:hotpath
@@ -187,10 +167,3 @@ func (s *MithrilScheme) SkipRFM(bank int) bool {
 	}
 	return s.module(bank).SkipFlag()
 }
-
-// NextDeadline implements mc.Scheme: the in-DRAM modules act only inside
-// the RFM windows the controller schedules, so Mithril never contributes a
-// deadline of its own.
-//
-//mithril:hotpath
-func (s *MithrilScheme) NextDeadline(timing.PicoSeconds) timing.PicoSeconds { return timing.Never }

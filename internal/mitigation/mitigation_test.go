@@ -77,15 +77,45 @@ func TestBuildEmptyNameIsNone(t *testing.T) {
 }
 
 // Every table entry has a non-empty name and a factory; duplicate names
-// are a compile error in the map literal.
+// are a compile error in the map literal. Every scheme also keeps the hook
+// contract the embedded mc.NoProtection defaults supply: exactly Mithril,
+// Mithril+ and PARFM run the RFM interface, RFMCompatible agrees with a
+// positive RFMTH, and a scheme outside the interface yields no RFM victims
+// and never skips, even on a hammered bank.
 func TestSchemeTableInvariants(t *testing.T) {
+	var rfm []string
 	for name, f := range factories {
 		if name == "" {
 			t.Error("scheme table has an empty name (Build reserves \"\" as the alias for none)")
 		}
 		if f == nil {
 			t.Errorf("scheme %q has a nil factory", name)
+			continue
 		}
+		s, err := f(opts(6250))
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if s.RFMCompatible() != (s.RFMTH() > 0) {
+			t.Errorf("%s: RFMCompatible() = %v with RFMTH() = %d", name, s.RFMCompatible(), s.RFMTH())
+		}
+		if s.RFMCompatible() {
+			rfm = append(rfm, name)
+			continue
+		}
+		for i := 0; i < 1000; i++ {
+			s.OnActivate(0, 42, 0, timing.PicoSeconds(i)*timing.DDR5().TRC)
+		}
+		if v := s.OnRFM(0, 0); v != nil {
+			t.Errorf("%s: OnRFM = %v outside the RFM interface, want nil", name, v)
+		}
+		if s.SkipRFM(0) {
+			t.Errorf("%s: SkipRFM = true outside the RFM interface", name)
+		}
+	}
+	sort.Strings(rfm)
+	if want := []string{"mithril", "mithril+", "parfm"}; !reflect.DeepEqual(rfm, want) {
+		t.Errorf("RFM-compatible schemes = %v, want %v", rfm, want)
 	}
 }
 
@@ -294,10 +324,10 @@ func TestNoProtectionFlips(t *testing.T) {
 func TestPARAProbabilityScalesWithFlipTH(t *testing.T) {
 	hi := NewPARA(opts(50000))
 	lo := NewPARA(opts(1500))
-	if !(lo.Probability() > hi.Probability()) {
-		t.Fatalf("p(1.5K)=%v should exceed p(50K)=%v", lo.Probability(), hi.Probability())
+	if !(lo.p > hi.p) {
+		t.Fatalf("p(1.5K)=%v should exceed p(50K)=%v", lo.p, hi.p)
 	}
-	if p := lo.Probability(); p <= 0 || p > 1 {
+	if p := lo.p; p <= 0 || p > 1 {
 		t.Fatalf("probability %v out of range", p)
 	}
 }
@@ -343,8 +373,8 @@ func TestGrapheneResetsPeriodically(t *testing.T) {
 	p := timing.DDR5()
 	s.OnActivate(0, 1, 0, 0)
 	s.OnActivate(0, 1, 0, p.TREFW/2+1)
-	if s.Resets() != 1 {
-		t.Fatalf("resets = %d, want 1 after tREFW/2", s.Resets())
+	if s.resets != 1 {
+		t.Fatalf("resets = %d, want 1 after tREFW/2", s.resets)
 	}
 }
 
@@ -421,7 +451,7 @@ func TestTWiCeDropsAfterTrigger(t *testing.T) {
 	if len(victimsSeen) != 2 {
 		t.Fatalf("TWiCe victims = %v, want both neighbours", victimsSeen)
 	}
-	if s.MaxLiveEntries() == 0 {
+	if s.tables[0].MaxLive() == 0 {
 		t.Fatal("live-entry high-water mark should be tracked")
 	}
 }
@@ -443,15 +473,14 @@ func TestCBTSplitsBeforeRefreshing(t *testing.T) {
 	if len(group) > 4096 {
 		t.Fatalf("group refresh covered %d rows; tree should have split first", len(group))
 	}
-	groups, rows := s.GroupRefreshes()
-	if groups != 1 || rows != uint64(len(group)) {
-		t.Fatalf("stats = (%d, %d)", groups, rows)
+	if s.groupRefs != 1 || s.rowsRefd != uint64(len(group)) {
+		t.Fatalf("stats = (%d, %d)", s.groupRefs, s.rowsRefd)
 	}
 }
 
 func TestBlockHammerThrottlesBlacklistedRow(t *testing.T) {
 	s := NewBlockHammer(opts(6250))
-	if s.TDelay() <= 0 {
+	if s.tDelay <= 0 {
 		t.Fatal("tDelay must be positive")
 	}
 	now := timing.PicoSeconds(0)
@@ -465,7 +494,7 @@ func TestBlockHammerThrottlesBlacklistedRow(t *testing.T) {
 	if s.PreACTDelay(0, 100, 0, now) != 0 {
 		t.Fatal("cold row should not be delayed")
 	}
-	if s.BlacklistEvents() == 0 {
+	if s.blacklisted == 0 {
 		t.Fatal("blacklist events should be counted")
 	}
 }
@@ -556,8 +585,18 @@ func TestBlockHammerNBLFitsFilterCounters(t *testing.T) {
 	}
 }
 
+// mithril builds the Mithril (plus = false) or Mithril+ scheme at o.
+func mithril(t *testing.T, o Options, plus bool) *MithrilScheme {
+	t.Helper()
+	s, err := buildMithril(o, plus)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
+}
+
 func TestMithrilSchemeConfiguration(t *testing.T) {
-	s := NewMithril(opts(6250))
+	s := mithril(t, opts(6250), false)
 	cfg := s.ModuleConfig()
 	if cfg.RFMTH != 128 {
 		t.Fatalf("RFMTH = %d, want paper's 128 at 6.25K", cfg.RFMTH)
@@ -568,14 +607,14 @@ func TestMithrilSchemeConfiguration(t *testing.T) {
 	if cfg.NEntry <= 0 || s.TableKB() <= 0 {
 		t.Fatalf("sizing broken: %+v, %v KB", cfg, s.TableKB())
 	}
-	if s.Name() != "mithril" || NewMithrilPlus(opts(6250)).Name() != "mithril+" {
+	if s.Name() != "mithril" || mithril(t, opts(6250), true).Name() != "mithril+" {
 		t.Fatal("names")
 	}
 }
 
 func TestMithrilSkipFlagOnlyOnPlus(t *testing.T) {
-	plain := NewMithril(opts(6250))
-	plus := NewMithrilPlus(opts(6250))
+	plain := mithril(t, opts(6250), false)
+	plus := mithril(t, opts(6250), true)
 	// Quiet table: plus may skip; plain never may.
 	plain.OnActivate(0, 1, 0, 0)
 	plus.OnActivate(0, 1, 0, 0)
@@ -595,7 +634,7 @@ func TestMithrilSkipFlagOnlyOnPlus(t *testing.T) {
 }
 
 func TestMithrilAdaptiveSkipsOnUniformTraffic(t *testing.T) {
-	s := NewMithril(opts(6250))
+	s := mithril(t, opts(6250), false)
 	// Uniform traffic across many rows: spread stays below AdTH.
 	for i := 0; i < 4096; i++ {
 		s.OnActivate(0, uint32(i%1024), 0, 0)
@@ -609,30 +648,24 @@ func TestMithrilAdaptiveSkipsOnUniformTraffic(t *testing.T) {
 	}
 }
 
-// CheckMithril is the panic's error form: it accepts what NewMithril
-// builds and rejects, with the panic's message, what it panics on.
+// CheckMithril accepts the paper's FlipTH=1500 point and rejects one no
+// table size can protect (TestBuildNeverPanics holds Build's error for such
+// a point equal to CheckMithril's).
 func TestMithrilPanicsOnInfeasibleConfig(t *testing.T) {
 	if err := CheckMithril(opts(1500)); err != nil {
 		t.Fatalf("CheckMithril rejected the paper's FlipTH=1500 point: %v", err)
 	}
 	o := opts(1500)
 	o.RFMTH = 256 // infeasible per Figure 6
-	err := CheckMithril(o)
-	if err == nil {
+	if CheckMithril(o) == nil {
 		t.Fatal("CheckMithril accepted an infeasible config")
 	}
-	defer func() {
-		if r := recover(); r != err.Error() {
-			t.Fatalf("panic = %v, want CheckMithril's error %q", r, err)
-		}
-	}()
-	NewMithril(o)
 }
 
 func TestNonAdjacentBlastRadius(t *testing.T) {
 	o := opts(6250)
 	o.BlastRadius = 3
-	s := NewMithril(o)
+	s := mithril(t, o, false)
 	for i := 0; i < 2000; i++ {
 		s.OnActivate(0, 500, 0, 0)
 	}

@@ -18,6 +18,7 @@ import (
 //
 // (a victim is refreshed by each adjacent ACT with probability p/2).
 type PARA struct {
+	mc.NoProtection
 	opt  Options
 	p    float64
 	rng  *streaming.Rand
@@ -37,17 +38,8 @@ func NewPARA(opt Options) *PARA {
 	return &PARA{opt: opt, p: prob, rng: streaming.NewRand(opt.Seed)}
 }
 
-// Probability exposes the configured refresh probability.
-func (s *PARA) Probability() float64 { return s.p }
-
 // Name implements mc.Scheme.
 func (s *PARA) Name() string { return "para" }
-
-// RFMCompatible implements mc.Scheme.
-func (s *PARA) RFMCompatible() bool { return false }
-
-// RFMTH implements mc.Scheme.
-func (s *PARA) RFMTH() int { return 0 }
 
 // OnActivate implements mc.Scheme: coin flip per ACT.
 //
@@ -66,31 +58,12 @@ func (s *PARA) OnActivate(bank int, row uint32, core int, now timing.PicoSeconds
 	return s.vbuf[:]
 }
 
-// PreACTDelay implements mc.Scheme.
-//
-//mithril:hotpath
-func (s *PARA) PreACTDelay(int, uint32, int, timing.PicoSeconds) timing.PicoSeconds { return 0 }
-
-// OnRFM implements mc.Scheme.
-//
-//mithril:hotpath
-func (s *PARA) OnRFM(int, timing.PicoSeconds) []uint32 { return nil }
-
-// SkipRFM implements mc.Scheme.
-//
-//mithril:hotpath
-func (s *PARA) SkipRFM(int) bool { return false }
-
-// NextDeadline implements mc.Scheme: PARA is purely reactive — sampling happens inside OnActivate.
-//
-//mithril:hotpath
-func (s *PARA) NextDeadline(timing.PicoSeconds) timing.PicoSeconds { return timing.Never }
-
 // PARFM (Section III-E): the RFM-compatible probabilistic scheme. The DRAM
 // samples one aggressor uniformly among the last RFMTH activations at every
 // RFM command and refreshes its victims — every RFM executes a refresh
 // (no adaptive skip), which is where its energy overhead comes from.
 type PARFM struct {
+	mc.NoProtection
 	opt    Options
 	rfmTH  int
 	recent [][]uint32 // per global bank: ring of the last RFMTH ACT'd rows
@@ -149,11 +122,6 @@ func (s *PARFM) OnActivate(bank int, row uint32, core int, now timing.PicoSecond
 	return nil
 }
 
-// PreACTDelay implements mc.Scheme.
-//
-//mithril:hotpath
-func (s *PARFM) PreACTDelay(int, uint32, int, timing.PicoSeconds) timing.PicoSeconds { return 0 }
-
 // OnRFM implements mc.Scheme: sample one of the last RFMTH ACTs.
 //
 //mithril:hotpath
@@ -166,13 +134,3 @@ func (s *PARFM) OnRFM(bank int, now timing.PicoSeconds) []uint32 {
 	s.vbuf = appendVictims(s.vbuf, aggressor, s.opt.BlastRadius)
 	return s.vbuf
 }
-
-// SkipRFM implements mc.Scheme.
-//
-//mithril:hotpath
-func (s *PARFM) SkipRFM(int) bool { return false }
-
-// NextDeadline implements mc.Scheme: PARFM is purely reactive — sampling happens inside OnActivate/OnRFM.
-//
-//mithril:hotpath
-func (s *PARFM) NextDeadline(timing.PicoSeconds) timing.PicoSeconds { return timing.Never }

@@ -13,6 +13,7 @@ import (
 // The live table is several times larger than Graphene's for the same
 // guarantee (Table IV) — the algorithmic inefficiency Figure 6 quantifies.
 type TWiCe struct {
+	mc.NoProtection
 	opt       Options
 	threshold uint64
 	tables    []*streaming.LossyCounting // per global bank, built on first ACT
@@ -52,26 +53,8 @@ func NewTWiCe(opt Options) *TWiCe {
 // Threshold exposes the ARR trigger level.
 func (s *TWiCe) Threshold() uint64 { return s.threshold }
 
-// MaxLiveEntries reports the high-water mark across banks — the hardware
-// table provisioning (Table IV's area driver).
-func (s *TWiCe) MaxLiveEntries() int {
-	max := 0
-	for _, t := range s.tables {
-		if t != nil && t.MaxLive() > max {
-			max = t.MaxLive()
-		}
-	}
-	return max
-}
-
 // Name implements mc.Scheme.
 func (s *TWiCe) Name() string { return "twice" }
-
-// RFMCompatible implements mc.Scheme.
-func (s *TWiCe) RFMCompatible() bool { return false }
-
-// RFMTH implements mc.Scheme.
-func (s *TWiCe) RFMTH() int { return 0 }
 
 // OnActivate implements mc.Scheme.
 //
@@ -100,23 +83,3 @@ func (s *TWiCe) OnActivate(bank int, row uint32, core int, now timing.PicoSecond
 	s.vbuf = appendVictims(s.vbuf, row, s.opt.BlastRadius)
 	return s.vbuf
 }
-
-// PreACTDelay implements mc.Scheme.
-//
-//mithril:hotpath
-func (s *TWiCe) PreACTDelay(int, uint32, int, timing.PicoSeconds) timing.PicoSeconds { return 0 }
-
-// OnRFM implements mc.Scheme.
-//
-//mithril:hotpath
-func (s *TWiCe) OnRFM(int, timing.PicoSeconds) []uint32 { return nil }
-
-// SkipRFM implements mc.Scheme.
-//
-//mithril:hotpath
-func (s *TWiCe) SkipRFM(int) bool { return false }
-
-// NextDeadline implements mc.Scheme: TWiCe is purely reactive — the per-bank tables react to ACTs only.
-//
-//mithril:hotpath
-func (s *TWiCe) NextDeadline(timing.PicoSeconds) timing.PicoSeconds { return timing.Never }

@@ -82,9 +82,10 @@ func TestRunRejectsBadConfig(t *testing.T) {
 
 func TestComparisonBaselineVsMithril(t *testing.T) {
 	cfg := smallConfig()
-	scheme := mitigation.NewMithril(mitigation.Options{
-		Timing: cfg.Params, FlipTH: 6250, Seed: 3,
-	})
+	scheme, err := mitigation.Build("mithril", mitigation.Options{Timing: cfg.Params, FlipTH: 6250, Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
 	cmp, err := RunComparisonContext(context.Background(), cfg, smallWorkload(4), scheme)
 	if err != nil {
 		t.Fatal(err)
@@ -131,7 +132,10 @@ func TestAttackFlipsWithoutProtectionAndNotWithMithril(t *testing.T) {
 
 	// Mithril: must not flip.
 	prot := cfg
-	prot.Scheme = mitigation.NewMithril(mitigation.Options{Timing: cfg.Params, FlipTH: cfg.FlipTH, RFMTH: 32, Seed: 3})
+	prot.Scheme, err = mitigation.Build("mithril", mitigation.Options{Timing: cfg.Params, FlipTH: cfg.FlipTH, RFMTH: 32, Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
 	prot.Workload = attackWorkload.Fresh()
 	pres, err := RunContext(context.Background(), prot)
 	if err != nil {
@@ -147,7 +151,10 @@ func TestAttackFlipsWithoutProtectionAndNotWithMithril(t *testing.T) {
 
 func TestMithrilPlusSkipsRFMsOnBenignWorkload(t *testing.T) {
 	cfg := smallConfig()
-	plus := mitigation.NewMithrilPlus(mitigation.Options{Timing: cfg.Params, FlipTH: 6250, Seed: 3})
+	plus, err := mitigation.Build("mithril+", mitigation.Options{Timing: cfg.Params, FlipTH: 6250, Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
 	cfg.Scheme = plus
 	cfg.Workload = smallWorkload(4).Fresh()
 	res, err := RunContext(context.Background(), cfg)

@@ -23,11 +23,12 @@ const (
 	Second      PicoSeconds = 1000 * Millisecond
 )
 
-// Never is the far-future sentinel for "no deadline": the uniform return
-// value of the NextDeadline contract when a component is purely reactive
-// (it can only be unblocked by someone else's action). It is large enough
-// that no simulated instant ever reaches it, yet far from overflowing when
-// small durations are added.
+// Never is the far-future sentinel for "no deadline": what a NextDeadline
+// method (cpu.Core, dram.Bank, mc.Controller) returns when the component
+// has no time-driven work of its own and can only be unblocked by someone
+// else's action, and the starting value of every deadline minimum. It is
+// large enough that no simulated instant ever reaches it, yet far from
+// overflowing when small durations are added.
 const Never PicoSeconds = 1 << 62
 
 // String renders the duration with an adaptive unit for logs and errors.
