@@ -189,11 +189,12 @@ func (c *Core) nextReady() timing.PicoSeconds {
 		return timing.Never
 	}
 	if c.pending != nil {
-		// Retried on every iteration until the controller accepts it. The
-		// retry cannot succeed before the next serve on the request's
-		// channel, so the event calendar parks the core until then (see
-		// BlockedChannel) but still steps the clock by one tick, as this
-		// deadline does.
+		// Retried on every iteration until the controller accepts it, so
+		// the clock steps one tick at a time. The retry cannot succeed
+		// before the next serve on the request's channel, so the event
+		// calendar parks the core until then (see BlockedChannel) and
+		// makes those one-tick steps in one move, up to the first on
+		// which anything acts.
 		return 0
 	}
 	if c.instrIssued >= c.target {

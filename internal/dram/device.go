@@ -121,23 +121,6 @@ func (d *Device) Access(global, row int, write bool, now timing.PicoSeconds) (ac
 	return activated, dataAt
 }
 
-// ActivateOnly issues a bare ACT+PRE on a bank (used by attack replay and
-// by ARR victim refreshes modelled as row activations). It returns the
-// completion time of the row cycle.
-//
-//mithril:hotpath
-func (d *Device) ActivateOnly(global, row int, now timing.PicoSeconds) timing.PicoSeconds {
-	rank := d.ranks[d.rankOf(global)]
-	b := d.banks[global]
-	activated, actAt, _ := b.Access(now, row, false, rank.ACTReadyAt())
-	if activated {
-		rank.RecordACT(actAt)
-		d.checkers[global].OnActivate(row, actAt)
-	}
-	b.Precharge(actAt)
-	return actAt + d.p.TRC
-}
-
 // IssueREF executes one auto-refresh on every bank of the rank: the banks
 // are occupied for tRFC and the next of the RefreshGroups row groups
 // (max(1, Rows/RefreshGroups) rows each, swept round-robin) is restored,

@@ -6,6 +6,21 @@ import (
 	"mithril/internal/timing"
 )
 
+// ActivateOnly issues a bare ACT+PRE on a bank, through the same bank,
+// rank and checker path Access takes, and returns the completion time of
+// the row cycle. The tests drive RowHammer disturbance with it directly.
+func (d *Device) ActivateOnly(global, row int, now timing.PicoSeconds) timing.PicoSeconds {
+	rank := d.ranks[d.rankOf(global)]
+	b := d.banks[global]
+	activated, actAt, _ := b.Access(now, row, false, rank.ACTReadyAt())
+	if activated {
+		rank.RecordACT(actAt)
+		d.checkers[global].OnActivate(row, actAt)
+	}
+	b.Precharge(actAt)
+	return actAt + d.p.TRC
+}
+
 func smallParams() timing.Params {
 	p := timing.DDR5()
 	p.Rows = 1024

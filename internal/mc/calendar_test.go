@@ -49,18 +49,34 @@ func (c *Controller) nextDeadlineRescan(now timing.PicoSeconds) timing.PicoSecon
 	return max(next, now)
 }
 
+// nextTickRescan is the reference bound for NextTick: the first instant at
+// or after now at which tickAll could act. That is now while any bank
+// awaits its RFM (tickChannel polls its MRR skip flag on every call) or
+// any candidate has matured; otherwise it is the earliest refresh or work
+// candidate. Like nextDeadlineRescan, it reads no cache and no due count.
+func (c *Controller) nextTickRescan(now timing.PicoSeconds) timing.PicoSeconds {
+	for _, due := range c.rfmDue {
+		if due {
+			return now
+		}
+	}
+	return c.nextDeadlineRescan(now)
+}
+
 // TestNextDeadlineMatchesReference dual-drives two identically configured
 // controllers — one through the calendar surface (TickDue / NextDeadline),
 // one through the from-scratch reference (tickAll / nextDeadlineRescan) —
 // with the same pseudo-random request stream, and asserts at every
 // iteration that (a) both agree on the next interesting instant under the
-// loop's max(now+tick, next) jump rule and (b) the controllers' observable
-// state stays identical. One subtest per scheme shape — no scheme, RFM-due
-// banks (issued, or skipped through the MRR flag), pending ARR jobs, and
-// throttle-release deadlines — and rank count: with two ranks per channel,
-// a REF leaves the other rank's banks serviceable, so work enqueued on a
-// channel whose cache the REF made stale can be due at once. A quarter of
-// the requests target the rows the ARR and throttle probes react to.
+// loop's max(now+tick, next) jump rule, (b) NextTick never reports an
+// instant later than the first at which tickAll could act, and (c) the
+// controllers' observable state stays identical. One subtest per scheme
+// shape — no scheme, RFM-due banks (issued, or skipped through the MRR
+// flag), pending ARR jobs, and throttle-release deadlines — and rank
+// count: with two ranks per channel, a REF leaves the other rank's banks
+// serviceable, so work enqueued on a channel whose cache the REF made
+// stale can be due at once. A quarter of the requests target the rows the
+// ARR and throttle probes react to.
 func TestNextDeadlineMatchesReference(t *testing.T) {
 	type schemeShape struct {
 		name   string
@@ -147,6 +163,10 @@ func dualDrive(t *testing.T, p timing.Params, scheme func() Scheme, exercised fu
 			t.Fatalf("iter %d at %v: calendar would jump to %v, reference to %v (NextDeadline=%v rescan=%v)",
 				i, now, stepA, stepB, nextA, nextB)
 		}
+		// The calendar reads NextTick after NextDeadline, as here.
+		if tickA, tickB := cal.NextTick(now), ref.nextTickRescan(now); tickA > tickB {
+			t.Fatalf("iter %d at %v: NextTick=%v is later than the first instant tickAll could act, %v", i, now, tickA, tickB)
+		}
 		now = stepA
 	}
 	if enqueued == 0 || *calDone == 0 {
@@ -157,5 +177,32 @@ func dualDrive(t *testing.T, p timing.Params, scheme func() Scheme, exercised fu
 	}
 	if st := cal.Stats(); !exercised(st) {
 		t.Fatalf("the run never reached the scheme's path: %+v", st)
+	}
+}
+
+// TestNextTickWhileAnRFMWaits pins the case the dual drive does not reach:
+// a bank is RFM-due while a refresh keeps it busy, and no channel's cache
+// is dirty. TickDue polls the bank's MRR skip flag on every call until the
+// refresh ends, so NextTick must report now, not the refresh's end.
+func TestNextTickWhileAnRFMWaits(t *testing.T) {
+	p := testParams()
+	dev := dram.NewDevice(p, 1<<30, nil)
+	c := NewController(dev, Config{Scheme: &rfmProbe{rfmTH: 1}}, nil)
+	req := &Request{ID: 1}
+	if !c.Enqueue(req) {
+		t.Fatal("enqueue refused")
+	}
+	now := timing.PicoSeconds(0)
+	c.TickDue(now) // serves the request: its ACT makes the bank RFM-due
+	g := req.Loc.GlobalBank
+	if !c.rfmDue[g] {
+		t.Fatalf("bank %d not RFM-due after its ACT at RFMTH 1", g)
+	}
+	dev.IssueREF(g/p.Banks, now)
+	if d := c.NextDeadline(now); d <= now {
+		t.Fatalf("NextDeadline = %v, want the refresh's end after %v", d, now)
+	}
+	if got, want := c.NextTick(now), c.nextTickRescan(now); got != now || want != now {
+		t.Fatalf("NextTick = %v, reference %v; want both %v while bank %d awaits its RFM", got, want, now, g)
 	}
 }

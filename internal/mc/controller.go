@@ -431,6 +431,27 @@ func (c *Controller) NextDeadline(now timing.PicoSeconds) timing.PicoSeconds {
 	return next
 }
 
+// NextTick reports the earliest instant at or after now at which TickDue
+// would tick a channel. It is now while a channel's work cache is dirty
+// (TickDue ticks it conservatively) or a bank awaits its RFM (TickDue
+// polls its MRR skip flag on every call, and each poll is counted);
+// otherwise it is the earliest cached refresh or work candidate. The
+// event calendar reads it, without rescanning, to leave out the ticks on
+// which TickDue would tick nothing. The package tests hold it to a
+// from-scratch scan.
+//
+//mithril:hotpath
+func (c *Controller) NextTick(now timing.PicoSeconds) timing.PicoSeconds {
+	next := timing.Never
+	for _, cc := range c.channels {
+		if cc.workDirty || c.rfmDueCount[cc.id] > 0 {
+			return now
+		}
+		next = min(next, cc.refNext, cc.workNext)
+	}
+	return max(next, now)
+}
+
 // rescanWork rebuilds a channel's cached raw work minimum after mutations
 // flagged it dirty. Candidates are queued requests' max(throttle release,
 // bank busy), pending-ARR banks' busy horizons, and RFM-due banks' busy

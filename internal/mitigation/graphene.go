@@ -22,7 +22,6 @@ type Graphene struct {
 	vbuf      []uint32                 // reusable victim buffer (mc.Scheme contract)
 	lastReset timing.PicoSeconds
 	resets    uint64
-	arrCount  uint64
 }
 
 var _ mc.Scheme = (*Graphene)(nil)
@@ -96,7 +95,6 @@ func (s *Graphene) OnActivate(bank int, row uint32, core int, now timing.PicoSec
 		return nil
 	}
 	levels[row] = next + s.threshold
-	s.arrCount++
 	s.vbuf = appendVictims(s.vbuf, row, s.opt.BlastRadius)
 	return s.vbuf
 }

@@ -20,7 +20,6 @@ type TWiCe struct {
 	width     int
 	vbuf      []uint32 // reusable victim buffer (mc.Scheme contract)
 	lastReset timing.PicoSeconds
-	arrCount  uint64
 }
 
 var _ mc.Scheme = (*TWiCe)(nil)
@@ -79,7 +78,6 @@ func (s *TWiCe) OnActivate(bank int, row uint32, core int, now timing.PicoSecond
 	}
 	// Trigger: refresh victims, drop the entry (its count restarts).
 	t.Drop(row)
-	s.arrCount++
 	s.vbuf = appendVictims(s.vbuf, row, s.opt.BlastRadius)
 	return s.vbuf
 }

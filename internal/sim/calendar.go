@@ -10,7 +10,7 @@ import (
 
 // calendar is the next-event state the event-driven loop keeps per core. It
 // generalizes the completion heap: completions, controller deadlines
-// (refresh, matured work, scheme), and core wake-ups all feed one jump
+// (refresh, matured work), and core wake-ups all feed one jump
 // computation, and cores whose wake time lies in the future are not
 // advanced at all. Two deadlines per core, not one, because they answer
 // different questions:
@@ -30,13 +30,16 @@ import (
 //
 // A core whose request a full channel queue turned away is parked on that
 // channel: wake is Never, because its retry fails until the channel serves
-// (queues shrink nowhere else), and ready is pinned to the instant it
-// parked, because a blocked core's deadline is "retry now" and so steps
-// the clock one tick at a time. The controller's complete callback reports
-// every serve through served, which wakes every core parked on that
-// channel. Woken cores retry in core order, so one that loses the freed
-// slot to a lower-indexed core parks again, exactly as a retry on every
-// iteration would have failed.
+// (queues shrink nowhere else), and ready is Never too. A loop advancing
+// every core retries a blocked core on every iteration and so walks the
+// clock one tick at a time; while any core is parked, the calendar makes
+// that walk in one move, landing on its first tick at which a completion
+// is due, an unparked core wakes, the controller ticks a channel, or the
+// run passes MaxTime (every tick before it changes no state). The
+// controller's complete callback reports every serve through served,
+// which wakes every core parked on that channel. Woken cores retry in core
+// order, so one that loses the freed slot to a lower-indexed core parks
+// again, exactly as a retry on every iteration would have failed.
 //
 // The per-core state is allocated once per run in RunContext, in one
 // slice (the loop itself is allocation-free).
@@ -60,26 +63,26 @@ func newCalendar(cores int) *calendar {
 	return cal
 }
 
-// park takes core i out of the advance pass until channel ch serves. Its
-// jump contribution stays pinned to now: a blocked core keeps the clock
-// stepping one tick at a time. A parked core that a completion woke
-// retries against the same full queue and parks again.
+// park takes core i out of the advance pass and out of the jump until
+// channel ch serves; runLoopCalendar walks the clock on the tick grid
+// while any core is parked. A parked core that a completion woke retries
+// against the same full queue and parks again.
 //
 //mithril:hotpath
-func (cal *calendar) park(i, ch int, now timing.PicoSeconds) {
+func (cal *calendar) park(i, ch int) {
 	e := &cal.cores[i]
 	if e.parkedOn < 0 {
 		cal.parked++
 	}
 	e.parkedOn = ch
 	e.wake = timing.Never
-	e.ready = now
+	e.ready = timing.Never
 }
 
 // served wakes every core parked on channel ch, whose queue has just freed
-// a slot. The controller serves after the loop's advance pass, so a wake
-// time of zero means "advance on the next iteration", the first one on
-// which its retry can succeed.
+// a slot. The controller serves after the loop's advance pass, so wake and
+// ready times of zero mean "advance on the next iteration, one tick on",
+// the first one on which its retry can succeed.
 //
 //mithril:hotpath
 func (cal *calendar) served(ch int) {
@@ -89,7 +92,7 @@ func (cal *calendar) served(ch int) {
 	for i := range cal.cores {
 		if e := &cal.cores[i]; e.parkedOn == ch {
 			e.parkedOn = -1
-			e.wake = 0
+			e.wake, e.ready = 0, 0
 			cal.parked--
 		}
 	}
@@ -99,10 +102,11 @@ func (cal *calendar) served(ch int) {
 // completions, advance exactly the cores whose wake time has arrived, tick
 // exactly the channels with actionable work, then jump the clock to the
 // earliest of request completion, per-bank timing expiry, RFM/REF
-// deadline, and core wake-up. It is iteration-for-iteration equivalent to
-// a loop that advances every core on every iteration — same time series,
-// same per-iteration side effects — because the work it skips is
-// exclusively Advance calls that would mutate nothing. The package tests
+// deadline, and core wake-up. It is equivalent to a loop that advances
+// every core on every iteration — same time series of acting iterations,
+// same side effects — because the work it skips is exclusively Advance
+// calls that would mutate nothing and, while a core is parked, iterations
+// on which nothing acts. The package tests
 // hold it to that loop (legacy_test.go) on whole Results, for every scheme
 // the shipped quick specs use and on runs whose channel queues fill; the
 // repository's testdata/golden_*.quick.txt pin its output on every
@@ -155,7 +159,7 @@ func runLoopCalendar(ctx context.Context, cfg *Config, cores []*cpu.Core, ctl *m
 			// freed and it parks again. So a core that is not blocked
 			// after Advance is not parked.
 			if ch := core.BlockedChannel(); ch >= 0 {
-				cal.park(i, ch, now)
+				cal.park(i, ch)
 			} else {
 				e.wake = core.NextWake(now)
 				e.ready = core.NextDeadline(now)
@@ -165,10 +169,10 @@ func runLoopCalendar(ctx context.Context, cfg *Config, cores []*cpu.Core, ctl *m
 			return now, unfinished == 0, nil
 		}
 		ctl.TickDue(now)
-		// Jump target: the controller's own deadline (refresh, matured
-		// work, scheme), the next completion, and the cores' deadlines.
-		// Cached ready values were clamped to an earlier now — harmless,
-		// since Step takes the max against now+tick anyway.
+		// Jump target: the controller's own deadline (refresh or matured
+		// work), the next completion, and the cores' deadlines. Cached
+		// ready values were clamped to an earlier now — harmless, since
+		// Step and Walk both move at least one tick anyway.
 		next := ctl.NextDeadline(now)
 		if t := pending.minAt(); t < next {
 			next = t
@@ -178,6 +182,19 @@ func runLoopCalendar(ctx context.Context, cfg *Config, cores []*cpu.Core, ctl *m
 				next = t
 			}
 		}
-		clk.Step(next)
+		if cal.parked == 0 {
+			clk.Step(next)
+			continue
+		}
+		// A parked core holds the reference loop to one-tick steps; land
+		// on the first of them at which TickDue ticks a channel, an
+		// unparked core wakes, or the run passes MaxTime.
+		next = min(next, ctl.NextTick(now), cfg.MaxTime+1)
+		for i := range cal.cores {
+			if t := cal.cores[i].wake; t < next {
+				next = t
+			}
+		}
+		clk.Walk(next)
 	}
 }

@@ -27,6 +27,32 @@ func TestTickClockStepClampsToOneTick(t *testing.T) {
 	}
 }
 
+func TestTickClockWalkLandsOnTheTickGrid(t *testing.T) {
+	for _, tc := range []struct{ from, next, want timing.PicoSeconds }{
+		{1_000, 0, 1_625},       // a deadline in the past: one tick
+		{1_000, 1_000, 1_625},   // pinned to now: one tick
+		{1_000, 1_625, 1_625},   // exactly one tick out
+		{1_000, 1_626, 2_250},   // just past a tick: the next one
+		{1_000, 10_000, 10_375}, // off the grid: the first tick after it
+		{1_000, 10_375, 10_375}, // on the grid: that tick
+	} {
+		clk := tickClock{now: tc.from, tick: 625}
+		clk.Walk(tc.next)
+		if clk.now != tc.want {
+			t.Errorf("Walk(%v) from %v moved clock to %v, want %v", tc.next, tc.from, clk.now, tc.want)
+		}
+		// The one-tick walk it stands for reaches the same instant first.
+		walk := tickClock{now: tc.from, tick: 625}
+		walk.Step(0)
+		for walk.now < tc.next {
+			walk.Step(0)
+		}
+		if walk.now != tc.want {
+			t.Errorf("one-tick walk from %v to %v reached %v, Walk %v", tc.from, tc.next, walk.now, clk.now)
+		}
+	}
+}
+
 func TestTickClockAdvanceToNeverRewinds(t *testing.T) {
 	clk := tickClock{tick: 625}
 	clk.AdvanceTo(900)

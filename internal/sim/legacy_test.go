@@ -140,38 +140,78 @@ func TestLoopEquivalenceSchemes(t *testing.T) {
 
 // TestLoopEquivalenceBackpressure holds the calendar loop to the reference
 // loop on runs whose channel queues fill, where the calendar parks blocked
-// cores instead of retrying their requests every iteration: 16 mix-high
-// cores on full-scale DDR5 timing under Mithril, with the default queue
-// and a shallow one, for both row-hit-first schedulers. The runs finish
-// in about 110 µs of simulated time; MaxTime at 1 ms makes a core that
-// stays parked end the run unfinished within seconds of host time, rather
-// than stepping one tick at a time to the 400 ms default.
+// cores instead of retrying their requests every iteration and walks the
+// clock over the ticks on which nothing acts: 16 mix-high cores on
+// full-scale DDR5 timing under Mithril, with the default queue and a
+// shallow one, for both row-hit-first schedulers. Two more cases aim at
+// what the walk must land on:
+//
+//   - rfmth=8: Mithril at RFMTH 8 behind the shallow queue, so banks await
+//     their RFM through a refresh window while cores are parked. TickDue
+//     polls such a bank's MRR skip flag on every tick, and MC.MRRReads
+//     counts each poll. (Mithril+ skips every RFM of this workload at its
+//     first poll, so no bank of it waits.)
+//   - finish-while-parked: the run ends when core 0, which streams over
+//     64 LLC-resident lines, finishes, while 15 random-access cores keep
+//     the queues full. Its last instructions hit, so it latches Finished
+//     on the Advance at its next fetch time: a wake time with no ready
+//     deadline, which the walk must land on.
+//
+// The runs finish within about 110 µs of simulated time. MaxTime at 1 ms
+// bounds the reference loop, which steps one tick at a time while a core
+// is blocked: a core that stayed parked would otherwise hold it to
+// hundreds of millions of iterations before the 400 ms default.
 func TestLoopEquivalenceBackpressure(t *testing.T) {
 	p := timing.DDR5()
+	type backpressure struct {
+		name   string
+		rfmTH  int // 0 = the paper's
+		sched  mc.SchedulerKind
+		depth  int  // 0 = the controller's default
+		finish bool // the finish-while-parked workload instead of mix-high
+	}
+	var cases []backpressure
 	for _, sched := range []mc.SchedulerKind{mc.FRFCFS, mc.BLISS} {
 		for _, depth := range []int{0, 8} {
-			t.Run(fmt.Sprintf("%v/depth=%d", sched, depth), func(t *testing.T) {
-				res := compareLoops(t, func() Config {
-					scheme, err := mitigation.Build("mithril", mitigation.Options{Timing: p, FlipTH: 1500, Seed: 1})
-					if err != nil {
-						t.Fatal(err)
-					}
-					return Config{
-						Params:       p,
-						FlipTH:       1500,
-						Scheduler:    sched,
-						Policy:       mc.MinimalistOpen,
-						Scheme:       scheme,
-						queueDepth:   depth,
-						Workload:     trace.MixHigh(16, 1).Fresh(),
-						InstrPerCore: 10_000,
-						MaxTime:      timing.Millisecond,
-					}
-				})
-				if res.MC.Rejected == 0 {
-					t.Fatal("no request was rejected: the run never back-pressured its cores")
-				}
-			})
+			cases = append(cases, backpressure{sched: sched, depth: depth})
 		}
+	}
+	cases = append(cases,
+		backpressure{name: "rfmth=8/", rfmTH: 8, sched: mc.BLISS, depth: 8},
+		backpressure{name: "finish-while-parked/", sched: mc.FRFCFS, depth: 8, finish: true})
+	for _, tc := range cases {
+		t.Run(fmt.Sprintf("%s%v/depth=%d", tc.name, tc.sched, tc.depth), func(t *testing.T) {
+			res := compareLoops(t, func() Config {
+				scheme, err := mitigation.Build("mithril", mitigation.Options{Timing: p, FlipTH: 1500, RFMTH: tc.rfmTH, Seed: 1})
+				if err != nil {
+					t.Fatal(err)
+				}
+				cfg := Config{
+					Params:       p,
+					FlipTH:       1500,
+					Scheduler:    tc.sched,
+					Policy:       mc.MinimalistOpen,
+					Scheme:       scheme,
+					queueDepth:   tc.depth,
+					Workload:     trace.MixHigh(16, 1).Fresh(),
+					InstrPerCore: 10_000,
+					MaxTime:      timing.Millisecond,
+				}
+				if tc.finish {
+					cfg.Workload = []trace.Generator{trace.NewStream("resident", 0, 64*64, 0, 0)}
+					for i := 1; i < 16; i++ {
+						cfg.Workload = append(cfg.Workload, trace.NewRandom("random", 1<<28, 1<<30, 1, 0.3, uint64(i)))
+					}
+					cfg.RequireCores = 1
+				}
+				return cfg
+			})
+			if res.MC.Rejected == 0 {
+				t.Fatal("no request was rejected: the run never back-pressured its cores")
+			}
+			if st := res.MC; tc.rfmTH > 0 && st.MRRReads <= st.RFMIssued+st.RFMSkipped {
+				t.Fatalf("one MRR poll per RFM: no bank waited for its RFM: %+v", st)
+			}
+		})
 	}
 }
