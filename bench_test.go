@@ -18,6 +18,7 @@ import (
 	"mithril/internal/expspec"
 	"mithril/internal/mc"
 	"mithril/internal/mitigation"
+	"mithril/internal/resultstore"
 	"mithril/internal/sim"
 	"mithril/internal/streaming"
 	"mithril/internal/timing"
@@ -353,7 +354,7 @@ func BenchmarkControllerACTPath(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		now := timing.PicoSeconds(i) * p.TCK
-		ctl.Enqueue(&mc.Request{ID: uint64(i), CoreID: i % 8, Addr: r.Uint64() % space, Arrive: now})
+		ctl.Enqueue(&mc.Request{ID: uint64(i), CoreID: i % 8, Addr: r.Uint64() % space})
 		ctl.TickDue(now)
 	}
 }
@@ -402,7 +403,7 @@ func BenchmarkSweepWarmStore(b *testing.B) {
 		b.Fatal(err)
 	}
 	sc := expspec.GoldenScale()
-	st := NewMemResultStore()
+	st := resultstore.NewMem()
 	eng := NewEngine(DDR5(), WithResultStore(st))
 	ctx := context.Background()
 	if _, err := eng.RunSpecAt(ctx, sp, sc); err != nil {
@@ -427,11 +428,10 @@ func BenchmarkSweepWarmStore(b *testing.B) {
 // dominated by controller work), the practical limit on experiment scale.
 func BenchmarkSimulatorThroughput(b *testing.B) {
 	sc := expspec.GoldenScale()
-	eng := NewEngine(DDR5())
 	for i := 0; i < b.N; i++ {
 		cfg := expspec.BaseSimConfig(6250, sc)
 		cfg.Workload = MixHigh(4, 1).Fresh()
-		res, err := eng.Run(context.Background(), cfg)
+		res, err := sim.RunContext(context.Background(), cfg)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -143,14 +143,6 @@ func evaluate(baseline, current map[string]float64, tolerance float64) verdict {
 	return v
 }
 
-// gate renders evaluate's comparison as the human-readable report and
-// returns the failing benchmarks.
-func gate(w io.Writer, baseline, current map[string]float64, tolerance float64) (failed []string, matched int) {
-	v := evaluate(baseline, current, tolerance)
-	renderText(w, v)
-	return v.Failed, v.Matched
-}
-
 func renderText(w io.Writer, v verdict) {
 	for _, name := range v.HistoryOnly {
 		fmt.Fprintf(w, "skip %-32s (in history, not in this run)\n", name)

@@ -56,7 +56,8 @@ func TestParseBench(t *testing.T) {
 func TestGate(t *testing.T) {
 	baseline := map[string]float64{"A": 100, "B": 100, "C": 100}
 	current := map[string]float64{"A": 125, "B": 131, "D": 5}
-	failed, matched := gate(io.Discard, baseline, current, 0.30)
+	v := evaluate(baseline, current, 0.30)
+	failed, matched := v.Failed, v.Matched
 	if matched != 2 {
 		t.Errorf("matched = %d, want 2 (C missing from run, D missing from history)", matched)
 	}

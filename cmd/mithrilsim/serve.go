@@ -68,10 +68,3 @@ func serveCmd(ctx context.Context, e env, _ []string) error {
 	}
 	return err
 }
-
-// newServeHandler builds the service handler for the env's resources.
-// Split from serveCmd so tests drive it through httptest without binding
-// the CLI's listen address.
-func newServeHandler(e env) http.Handler {
-	return serveapi.NewHandler(serveapi.Config{Jobs: e.jobs, Store: e.store})
-}

@@ -9,7 +9,8 @@ import (
 	"strings"
 	"testing"
 
-	"mithril"
+	"mithril/internal/resultstore"
+	"mithril/internal/serveapi"
 	"mithril/internal/testutil"
 )
 
@@ -41,7 +42,7 @@ const slowSpec = `{
 
 func TestServeRunStreamsNDJSON(t *testing.T) {
 	defer testutil.CheckGoroutines(t)()
-	ts := httptest.NewServer(newServeHandler(env{jobs: 2}))
+	ts := httptest.NewServer(serveapi.NewHandler(serveapi.Config{Jobs: 2}))
 	defer ts.Close()
 	resp, err := http.Post(ts.URL+"/v1/run", "application/json", strings.NewReader(testSpec))
 	if err != nil {
@@ -139,7 +140,7 @@ func streamRun(t *testing.T, url, spec string) (rows map[float64]map[string]any,
 // identical to the cold request's.
 func TestServeWarmStore(t *testing.T) {
 	defer testutil.CheckGoroutines(t)()
-	ts := httptest.NewServer(newServeHandler(env{jobs: 2, store: mithril.NewMemResultStore()}))
+	ts := httptest.NewServer(serveapi.NewHandler(serveapi.Config{Jobs: 2, Store: resultstore.NewMem()}))
 	defer ts.Close()
 
 	cold, coldSum, _ := streamRun(t, ts.URL, testSpec)
@@ -187,7 +188,7 @@ func errorCode(t *testing.T, resp *http.Response) (code, msg string) {
 }
 
 func TestServeRunRejectsBadRequests(t *testing.T) {
-	ts := httptest.NewServer(newServeHandler(env{}))
+	ts := httptest.NewServer(serveapi.NewHandler(serveapi.Config{}))
 	defer ts.Close()
 	resp, err := http.Get(ts.URL + "/v1/run")
 	if err != nil {
@@ -233,7 +234,7 @@ func TestServeClientDisconnectCancelsSweep(t *testing.T) {
 	// workers all run module code, so any of them surviving the
 	// disconnect fails the deferred diff.
 	defer testutil.CheckGoroutines(t)()
-	ts := httptest.NewServer(newServeHandler(env{jobs: 2}))
+	ts := httptest.NewServer(serveapi.NewHandler(serveapi.Config{Jobs: 2}))
 	defer ts.Close()
 
 	ctx, cancel := context.WithCancel(context.Background())

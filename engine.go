@@ -36,13 +36,12 @@ type ExperimentResultRow = expspec.Row
 //
 // An Engine is immutable after construction and safe for concurrent use.
 type Engine struct {
-	params    TimingParams
-	jobs      int // 0: leave the scale's worker count alone
-	progress  ProgressFunc
-	baselines *expspec.BaselineCache
-	store     ResultStore
-	coord     *distrib.Coordinator
-	coordErr  error
+	params   TimingParams
+	jobs     int // 0: leave the scale's worker count alone
+	progress ProgressFunc
+	store    ResultStore
+	coord    *distrib.Coordinator
+	coordErr error
 }
 
 // EngineOption configures an Engine at construction.
@@ -64,17 +63,6 @@ func WithJobs(n int) EngineOption {
 // spec execution completes.
 func WithProgress(fn ProgressFunc) EngineOption {
 	return func(e *Engine) { e.progress = fn }
-}
-
-// WithBaselineCache gives the Engine a persistent unprotected-baseline
-// cache shared across every RunSpec/Stream call: a service running many
-// overlapping scenarios simulates each distinct baseline once, not once
-// per request. Entries are keyed by the machine a baseline run simulates
-// (scale geometry, seed, and the workload's generators), not by FlipTH or
-// scheme, which never change an unprotected run; without this option each
-// execution uses a private cache.
-func WithBaselineCache() EngineOption {
-	return func(e *Engine) { e.baselines = expspec.NewBaselineCache() }
 }
 
 // WithResultStore attaches a content-addressed result store shared by
@@ -99,10 +87,9 @@ func WithResultStore(st ResultStore) EngineOption {
 // do locally, through the same execution: WithResultStore serves stored
 // rows before any dispatch and writes delivered rows back (so a retried
 // row is never simulated twice), WithProgress observes every delivered
-// row, and WithJobs and WithBaselineCache apply to rows the coordinator
-// must run itself, i.e. trace-file workloads that cannot travel. An empty
-// or malformed worker list surfaces as an error from the first
-// RunSpec/Stream call.
+// row, and WithJobs applies to rows the coordinator must run itself, i.e.
+// trace-file workloads that cannot travel. An empty or malformed worker
+// list surfaces as an error from the first RunSpec/Stream call.
 func WithWorkers(workers []string) EngineOption {
 	return func(e *Engine) {
 		e.coord, e.coordErr = distrib.New(workers, distrib.Options{})
@@ -110,7 +97,7 @@ func WithWorkers(workers []string) EngineOption {
 }
 
 // NewEngine builds an Engine for the DRAM parameter set p (the default
-// Params for Run/Compare configs that leave theirs zero).
+// Params for Compare configs that leave theirs zero).
 func NewEngine(p TimingParams, opts ...EngineOption) *Engine {
 	e := &Engine{params: p}
 	for _, opt := range opts {
@@ -121,7 +108,7 @@ func NewEngine(p TimingParams, opts ...EngineOption) *Engine {
 
 // execOptions binds the Engine's hooks for one spec execution.
 func (e *Engine) execOptions() *expspec.ExecOptions {
-	return &expspec.ExecOptions{Progress: e.progress, Baselines: e.baselines, Store: e.store}
+	return &expspec.ExecOptions{Progress: e.progress, Store: e.store}
 }
 
 // scaleFor resolves a spec's scale with the Engine's worker count applied.
@@ -138,15 +125,6 @@ func (e *Engine) applyJobs(sc Scale) Scale {
 		sc.Jobs = e.jobs
 	}
 	return sc
-}
-
-// Run executes one simulation under ctx. A zero cfg.Params inherits the
-// Engine's parameter set.
-func (e *Engine) Run(ctx context.Context, cfg SimConfig) (SimResult, error) {
-	if cfg.Params == (TimingParams{}) {
-		cfg.Params = e.params
-	}
-	return sim.RunContext(ctx, cfg)
 }
 
 // Compare runs a workload unprotected and protected under ctx and reports

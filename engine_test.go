@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"mithril/internal/expspec"
+	"mithril/internal/resultstore"
 	"mithril/internal/serveapi"
 	"mithril/internal/testutil"
 )
@@ -83,19 +84,29 @@ func TestEngineStreamMatchesRunSpec(t *testing.T) {
 	}
 }
 
+// noneScheme is the unprotected scheme, for Compare calls that only
+// exercise the Engine's config handling.
+func noneScheme(t *testing.T) Scheme {
+	t.Helper()
+	s, err := NewScheme("none", SchemeOptions{Timing: DDR5(), FlipTH: 6250})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
+}
+
 func TestEngineRunDefaultsParams(t *testing.T) {
 	eng := NewEngine(DDR5())
 	sc := tinyScale()
 	cfg := expspec.BaseSimConfig(6250, sc)
 	cfg.Params = TimingParams{} // Engine must fill in its own
-	cfg.Workload = MixHigh(2, 1).Fresh()
 	cfg.InstrPerCore = 400
-	res, err := eng.Run(context.Background(), cfg)
+	cmp, err := eng.Compare(context.Background(), cfg, MixHigh(2, 1), noneScheme(t))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.AggregateIPC <= 0 {
-		t.Fatalf("aggregate IPC = %v", res.AggregateIPC)
+	if cmp.Protected.AggregateIPC <= 0 {
+		t.Fatalf("aggregate IPC = %v", cmp.Protected.AggregateIPC)
 	}
 }
 
@@ -123,10 +134,12 @@ func TestEngineStreamCancelStopsWorkers(t *testing.T) {
 	}
 }
 
+// Each execution fills its own baseline cache: a second run through the
+// same Engine simulates its baselines again and must agree.
 func TestEngineProgressAndBaselineCache(t *testing.T) {
 	sp := parseTinySpec(t)
 	var calls int
-	eng := NewEngine(DDR5(), WithJobs(1), WithBaselineCache(),
+	eng := NewEngine(DDR5(), WithJobs(1),
 		WithProgress(func(done, total int) { calls++ }))
 	a, err := eng.RunSpec(context.Background(), sp)
 	if err != nil {
@@ -135,7 +148,6 @@ func TestEngineProgressAndBaselineCache(t *testing.T) {
 	if calls != len(a.Perf) {
 		t.Fatalf("progress calls = %d, want %d", calls, len(a.Perf))
 	}
-	// Second run through the same Engine shares baselines and must agree.
 	b, err := eng.RunSpec(context.Background(), sp)
 	if err != nil {
 		t.Fatal(err)
@@ -175,7 +187,7 @@ func TestEngineWithWorkers(t *testing.T) {
 		workers = append(workers, ts.URL)
 	}
 	var calls, total int
-	fleet := NewEngine(DDR5(), WithJobs(2), WithWorkers(workers), WithResultStore(NewMemResultStore()),
+	fleet := NewEngine(DDR5(), WithJobs(2), WithWorkers(workers), WithResultStore(resultstore.NewMem()),
 		WithProgress(func(done, n int) { calls, total = calls+1, n }))
 
 	cold, err := fleet.RunSpecAt(ctx, sp, sc)
@@ -227,7 +239,7 @@ func TestSchemeNamesSorted(t *testing.T) {
 }
 
 // TestEngineRunRejectsBadLLC pins that an unbuildable LLC is a config
-// error returned by Run, not a panic inside the simulator.
+// error returned by Compare, not a panic inside the simulator.
 func TestEngineRunRejectsBadLLC(t *testing.T) {
 	eng := NewEngine(DDR5())
 	for _, tc := range []struct {
@@ -240,11 +252,10 @@ func TestEngineRunRejectsBadLLC(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := expspec.BaseSimConfig(6250, tinyScale())
-			cfg.Workload = MixHigh(2, 1).Fresh()
 			cfg.InstrPerCore = 400
 			cfg.LLCBytes, cfg.LLCWays = tc.bytes, tc.ways
-			if _, err := eng.Run(context.Background(), cfg); err == nil {
-				t.Fatalf("LLC %d bytes / %d ways: Run returned no error", tc.bytes, tc.ways)
+			if _, err := eng.Compare(context.Background(), cfg, MixHigh(2, 1), noneScheme(t)); err == nil {
+				t.Fatalf("LLC %d bytes / %d ways: Compare returned no error", tc.bytes, tc.ways)
 			}
 		})
 	}

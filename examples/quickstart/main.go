@@ -5,8 +5,8 @@
 // machine-readable CSV rows.
 //
 // The Engine is the context-aware entry point: construct it once with
-// functional options (worker count, progress hook, shared baseline cache)
-// and drive every run through it. Ctrl-C cancels the sweep mid-simulation
+// functional options (worker count, progress hook, result store) and
+// drive every run through it. Ctrl-C cancels the sweep mid-simulation
 // via the context. New scenarios are new spec files, not new code: edit
 // the axes below (or point `mithrilsim run` at a .json file) to change
 // the scheme subset, FlipTH grid, workloads, or seeds.

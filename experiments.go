@@ -74,7 +74,6 @@ func Figure6Data() []Figure6Series {
 
 // Figure8Data reproduces the lbm-like access/activation characterization.
 type Figure8Data struct {
-	LargeWindow   []trace.RowSample
 	SmallWindow   []trace.RowSample
 	Activations   []trace.RowSample
 	LargeDistinct int
@@ -91,7 +90,7 @@ func Figure8() Figure8Data {
 	ld, _ := trace.ConcentrationStats(large)
 	sd, sm := trace.ConcentrationStats(small)
 	return Figure8Data{
-		LargeWindow: large, SmallWindow: small, Activations: acts,
+		SmallWindow: small, Activations: acts,
 		LargeDistinct: ld, SmallDistinct: sd, SmallMaxRow: sm,
 	}
 }

@@ -67,6 +67,8 @@ func Figure2Curve(p timing.Params, thresholds, rfmTHs []int) []Figure2Point {
 // RFMGrapheneFloor reports the minimum safe FlipTH achievable by
 // RFM-Graphene over a threshold sweep — the "limit ... regardless of how low
 // the predefined threshold is set" of Section III-A.
+//
+//mithril:allow testonly Section III-A's floor claim; its test checks it against the Figure 2 sweep
 func RFMGrapheneFloor(p timing.Params, rfmTH int, thresholds []int) float64 {
 	best := 0.0
 	for i, t := range thresholds {

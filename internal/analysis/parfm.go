@@ -147,6 +147,8 @@ var parfmMemo = struct {
 // ParfmCostEffectiveness is equation (5): the attacker's per-ACT value of
 // activating a row j times per RFM interval. It decreases monotonically in
 // j, which is why one-ACT-per-interval is the worst case.
+//
+//mithril:allow testonly the paper's equation (5), kept beside the sampler it motivates; its test checks the monotonicity claim
 func ParfmCostEffectiveness(rfmTH, j int) float64 {
 	if j <= 0 || j > rfmTH {
 		return 0

@@ -39,15 +39,6 @@ func (r *RowHammer) Next() trace.Access {
 	return trace.Access{Gap: 0, Addr: r.mapper.Compose(loc), Serialize: true, Uncached: true}
 }
 
-// AggressorRows lists the attacked rows (bank-local).
-func (r *RowHammer) AggressorRows(mapper *mc.AddressMapper) []int {
-	rows := make([]int, len(r.locs))
-	for i, l := range r.locs {
-		rows[i] = l.Row
-	}
-	return rows
-}
-
 // NewDoubleSided hammers the two rows around one victim.
 func NewDoubleSided(mapper *mc.AddressMapper, channel, bank, victimRow int) *RowHammer {
 	return newRowAttack("double-sided", mapper, channel, bank, []int{victimRow - 1, victimRow + 1})
@@ -121,16 +112,6 @@ func NewDecoy(mapper *mc.AddressMapper, channel, bank, victim, decoys int) (trac
 		seq = append(seq, aggressor)
 	}
 	return NewRowList(fmt.Sprintf("decoy-%d", decoys), mapper, channel, bank, seq), nil
-}
-
-// VictimRowsOfMultiSided returns the victim rows between the aggressors of
-// a multi-sided attack starting at firstRow, for checker assertions.
-func VictimRowsOfMultiSided(firstRow, nVictims int) []int {
-	victims := make([]int, nVictims)
-	for i := range victims {
-		victims[i] = firstRow + 2*i + 1
-	}
-	return victims
 }
 
 // Throttler is implemented by mitigations whose estimator can be probed for

@@ -32,18 +32,17 @@ func TestDoubleSidedTargetsNeighbours(t *testing.T) {
 func TestMultiSided32Victims(t *testing.T) {
 	m := mapper()
 	a := NewMultiSided(m, 1, 5, 2000, 32)
-	got := a.AggressorRows(m)
-	if len(got) != 33 {
-		t.Fatalf("aggressors = %d, want 33 (32 victims between)", len(got))
-	}
-	for i, r := range got {
-		if r != 2000+2*i {
-			t.Fatalf("aggressor %d at row %d, want %d", i, r, 2000+2*i)
+	// One full cycle visits each aggressor once, in row order.
+	for i := 0; i < 33; i++ {
+		loc := m.Map(a.Next().Addr)
+		if loc.Channel != 1 || loc.Bank != 5 || loc.Row != 2000+2*i {
+			t.Fatalf("access %d at channel %d bank %d row %d, want 1/5/%d", i, loc.Channel, loc.Bank, loc.Row, 2000+2*i)
 		}
 	}
-	victims := VictimRowsOfMultiSided(2000, 32)
-	if len(victims) != 32 || victims[0] != 2001 || victims[31] != 2063 {
-		t.Fatalf("victims = %v", victims)
+	// The next access wraps to the first aggressor: 33 aggressors, the 32
+	// victims 2001..2063 between them.
+	if r := m.Map(a.Next().Addr).Row; r != 2000 {
+		t.Fatalf("cycle wrapped to row %d, want 2000", r)
 	}
 }
 

@@ -24,8 +24,6 @@ type Params struct {
 	// decoy, the first aggressor for multi, the benign hot row for
 	// blockhammer-adversarial. Zero selects the pattern's default.
 	Row int
-	// Rows is the explicit aggressor list for the rowlist pattern.
-	Rows []int
 	// Oracle is the deployed scheme's collision oracle, when it exposes
 	// one (BlockHammer); blockhammer-adversarial degrades to a benign
 	// row walk without it.
@@ -58,10 +56,6 @@ type Pattern struct {
 	// scheme exists — reject such patterns instead of silently running
 	// the oracle-less fallback.
 	NeedsOracle bool
-	// NeedsRows marks patterns that require an explicit Params.Rows
-	// list. Spec axes cannot express one, so validation rejects such
-	// patterns there; they remain buildable through the library API.
-	NeedsRows bool
 }
 
 // Display is the catalog spelling: the table name plus the argument hint
@@ -82,7 +76,7 @@ type PatternInfo struct {
 }
 
 // ErrUnknownAttack is returned (wrapped, with the valid patterns listed)
-// by Build and Validate for a name whose base is not in the pattern
+// by Build and Canonical for a name whose base is not in the pattern
 // table. Match with errors.Is.
 var ErrUnknownAttack = errors.New("unknown attack pattern")
 
@@ -139,14 +133,6 @@ func lookup(name string) (Pattern, string, error) {
 	return pat, canon, nil
 }
 
-// Validate checks that name resolves to a table pattern with a
-// well-formed argument, without building anything (spec validation runs
-// before a mapper exists).
-func Validate(name string) error {
-	_, _, err := lookup(name)
-	return err
-}
-
 // Canonical returns the canonical spelling of a (possibly
 // parameterized) name: defaults applied and arguments normalized, so
 // "decoy" and "decoy:4" — or "multi:8" and "multi:08" — canonicalize
@@ -165,21 +151,14 @@ func Canonical(name string) (string, error) {
 }
 
 // NeedsOracle reports whether the named pattern declares itself
-// oracle-only (false for unknown names — Validate owns that error).
+// oracle-only (false for unknown names — Canonical owns that error).
 func NeedsOracle(name string) bool {
 	base, _ := split(name)
 	return patternTable[base].NeedsOracle
 }
 
-// NeedsRows reports whether the named pattern requires an explicit
-// Params.Rows list (false for unknown names — Validate owns that error).
-func NeedsRows(name string) bool {
-	base, _ := split(name)
-	return patternTable[base].NeedsRows
-}
-
 // Build constructs a fresh generator for the named pattern: "single",
-// "double", "multi:<n>", "rowlist", "decoy"/"decoy:<n>", or
+// "double", "multi:<n>", "decoy"/"decoy:<n>", or
 // "blockhammer-adversarial". Generators are stateful — build one per
 // simulation. An unknown name yields an error wrapping ErrUnknownAttack
 // that lists the valid patterns.
@@ -283,19 +262,6 @@ var patternTable = map[string]Pattern{
 				return nil, err
 			}
 			return NewMultiSided(p.Mapper, p.Channel, p.Bank, first, n), nil
-		},
-	},
-	"rowlist": {
-		Desc:      "explicit aggressor row list (library use: mithril.NewAttack with AttackParams.Rows — spec axes name the shaped patterns)",
-		NeedsRows: true,
-		Build: func(_ string, p Params) (trace.Generator, error) {
-			if len(p.Rows) == 0 {
-				return nil, fmt.Errorf("rowlist needs a non-empty Params.Rows")
-			}
-			if err := checkRows(p, p.Rows...); err != nil {
-				return nil, err
-			}
-			return NewRowList("rowlist", p.Mapper, p.Channel, p.Bank, p.Rows), nil
 		},
 	},
 	"decoy": {

@@ -25,6 +25,8 @@ func FuzzBuildAttack(f *testing.F) {
 	f.Add("single", "1")
 	f.Add("multi:8", "9")
 	f.Add("", "")
+	f.Add("rowlist", "") // a retired pattern: an unknown-attack error
+
 	m := mapper()
 	f.Fuzz(func(t *testing.T, base, arg string) {
 		name := base

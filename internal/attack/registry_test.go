@@ -15,7 +15,7 @@ func TestNamesSortedAndComplete(t *testing.T) {
 	if !sort.StringsAreSorted(names) {
 		t.Errorf("Names() = %v, want sorted", names)
 	}
-	want := []string{"blockhammer-adversarial", "decoy:<n>", "double", "multi:<n>", "rowlist", "single"}
+	want := []string{"blockhammer-adversarial", "decoy:<n>", "double", "multi:<n>", "single"}
 	for _, w := range want {
 		found := false
 		for _, n := range names {
@@ -80,16 +80,19 @@ func TestPatternTable(t *testing.T) {
 	})
 }
 
+// Spec validation checks attack names through Canonical, before any
+// mapper exists.
 func TestValidate(t *testing.T) {
-	for _, ok := range []string{"single", "double", "multi:32", "multi:1", "rowlist", "decoy", "decoy:8", "blockhammer-adversarial"} {
-		if err := Validate(ok); err != nil {
-			t.Errorf("Validate(%q) = %v", ok, err)
+	for _, ok := range []string{"single", "double", "multi:32", "multi:1", "decoy", "decoy:8", "blockhammer-adversarial"} {
+		if _, err := Canonical(ok); err != nil {
+			t.Errorf("Canonical(%q) = %v", ok, err)
 		}
 	}
 	cases := []struct {
 		name, want string
 	}{
 		{"rowpress", "unknown attack"},
+		{"rowlist", "unknown attack"},
 		{"multi", "victim count"},
 		{"multi:x", "victim count"},
 		{"multi:0", "victim count"},
@@ -98,11 +101,11 @@ func TestValidate(t *testing.T) {
 		{"decoy:zero", "decoy count"},
 	}
 	for _, c := range cases {
-		if err := Validate(c.name); err == nil || !strings.Contains(err.Error(), c.want) {
-			t.Errorf("Validate(%q) = %v, want error containing %q", c.name, err, c.want)
+		if _, err := Canonical(c.name); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("Canonical(%q) = %v, want error containing %q", c.name, err, c.want)
 		}
 	}
-	if err := Validate("rowpress"); !errors.Is(err, ErrUnknownAttack) {
+	if _, err := Canonical("rowpress"); !errors.Is(err, ErrUnknownAttack) {
 		t.Errorf("err = %v, want ErrUnknownAttack", err)
 	}
 }
@@ -135,20 +138,9 @@ func TestNeedsOracle(t *testing.T) {
 	if !NeedsOracle("blockhammer-adversarial") {
 		t.Error("blockhammer-adversarial must declare NeedsOracle")
 	}
-	for _, name := range []string{"single", "double", "multi:8", "decoy", "rowlist", "no-such-pattern"} {
+	for _, name := range []string{"single", "double", "multi:8", "decoy", "no-such-pattern"} {
 		if NeedsOracle(name) {
 			t.Errorf("NeedsOracle(%q) = true", name)
-		}
-	}
-}
-
-func TestNeedsRows(t *testing.T) {
-	if !NeedsRows("rowlist") {
-		t.Error("rowlist must declare NeedsRows")
-	}
-	for _, name := range []string{"single", "double", "multi:8", "decoy", "blockhammer-adversarial", "no-such-pattern"} {
-		if NeedsRows(name) {
-			t.Errorf("NeedsRows(%q) = true", name)
 		}
 	}
 }
@@ -167,7 +159,6 @@ func TestBuildPatterns(t *testing.T) {
 		{"double", Params{Mapper: m}, "double-sided", []int{999, 1001}},
 		{"double", Params{Mapper: m, Row: 4000}, "double-sided", []int{3999, 4001}},
 		{"multi:4", Params{Mapper: m}, "multi-sided-4", []int{2000, 2002, 2004, 2006, 2008}},
-		{"rowlist", Params{Mapper: m, Rows: []int{7, 11}}, "rowlist", []int{7, 11}},
 		{"decoy:2", Params{Mapper: m}, "decoy-2", []int{2999, 3001, 3096, 3104}},
 		{"blockhammer-adversarial", Params{Mapper: m, Oracle: fakeThrottler{rows: []uint32{70, 71}}},
 			"bh-adversarial", []int{70, 71}},
@@ -211,8 +202,6 @@ func TestBuildErrors(t *testing.T) {
 		{"multi:9223372036854775807", Params{Mapper: m}, "more rows than"},
 		{"decoy:1000000000", Params{Mapper: m}, "do not fit"},
 		{"decoy", Params{Mapper: m, Row: 1<<63 - 1}, "no neighbours"},
-		{"rowlist", Params{Mapper: m}, "non-empty"},
-		{"rowlist", Params{Mapper: m, Rows: []int{-2}}, "outside bank"},
 		{"single", Params{}, "Mapper is required"},
 		{"rowpress", Params{Mapper: m}, "unknown attack"},
 	}

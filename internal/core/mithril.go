@@ -50,22 +50,11 @@ func (c Config) Validate() error {
 	return nil
 }
 
-// Stats counts the module's observable events.
-type Stats struct {
-	ACTs                uint64 // activations observed
-	RFMs                uint64 // RFM commands received
-	PreventiveRefreshes uint64 // RFMs that executed a preventive refresh
-	AdaptiveSkips       uint64 // RFMs skipped by the adaptive policy
-	VictimRowsRefreshed uint64 // total victim rows written back
-	MaxSpreadSeen       uint64 // high-water mark of MaxPtr−MinPtr
-}
-
 // Mithril is the per-bank protection module.
 type Mithril struct {
 	cfg   Config
 	table *streaming.SpaceSaving
 	vbuf  []uint32 // reusable OnRFM victim buffer
-	stats Stats
 }
 
 // New builds a Mithril module. It panics on invalid configuration — the
@@ -80,19 +69,12 @@ func New(cfg Config) *Mithril {
 	return &Mithril{cfg: cfg, table: streaming.NewSpaceSaving(cfg.NEntry)}
 }
 
-// Config returns the module's configuration.
-func (m *Mithril) Config() Config { return m.cfg }
-
 // OnActivate feeds one ACT command (step 1 of Figure 4/5): CbS update with
 // MaxPtr/MinPtr maintenance.
 //
 //mithril:hotpath
 func (m *Mithril) OnActivate(row uint32) {
-	m.stats.ACTs++
 	m.table.Observe(row)
-	if s := m.table.Spread(); s > m.stats.MaxSpreadSeen {
-		m.stats.MaxSpreadSeen = s
-	}
 }
 
 // OnRFM feeds one RFM command (steps 2–3 of Figure 4/5): greedy selection of
@@ -108,20 +90,15 @@ func (m *Mithril) OnActivate(row uint32) {
 //
 //mithril:hotpath
 func (m *Mithril) OnRFM() (aggressor uint32, victims []uint32, refreshed bool) {
-	m.stats.RFMs++
 	if m.cfg.AdTH > 0 && m.table.Spread() <= uint64(m.cfg.AdTH) {
-		m.stats.AdaptiveSkips++
 		return 0, nil, false
 	}
 	aggressor, ok := m.table.DecrementMaxToMin()
 	if !ok {
-		m.stats.AdaptiveSkips++
 		return 0, nil, false
 	}
-	m.stats.PreventiveRefreshes++
 	victims = AppendVictimRows(m.vbuf[:0], aggressor, m.cfg.BlastRadius)
 	m.vbuf = victims
-	m.stats.VictimRowsRefreshed += uint64(len(victims))
 	return aggressor, victims, true
 }
 
@@ -134,29 +111,10 @@ func (m *Mithril) SkipFlag() bool {
 	return m.cfg.AdTH > 0 && m.table.Spread() <= uint64(m.cfg.AdTH)
 }
 
-// Spread exposes the current MaxPtr−MinPtr difference.
-//
-//mithril:hotpath
-func (m *Mithril) Spread() uint64 { return m.table.Spread() }
-
-// Stats returns a copy of the module counters.
-func (m *Mithril) Stats() Stats { return m.stats }
-
-// Reset clears table and statistics (used between experiment phases; the
-// hardware itself never needs it thanks to wrapping counters).
-func (m *Mithril) Reset() {
-	m.table.Reset()
-	m.stats = Stats{}
-}
-
-// VictimRows lists the rows within blastRadius of aggressor on both sides,
-// clamped at the address space boundary (row numbers are bank-local).
-func VictimRows(aggressor uint32, blastRadius int) []uint32 {
-	return AppendVictimRows(make([]uint32, 0, 2*blastRadius), aggressor, blastRadius)
-}
-
-// AppendVictimRows is VictimRows into a caller-provided buffer (reused by
-// the module's RFM path to keep it allocation-free).
+// AppendVictimRows appends the rows within blastRadius of aggressor on
+// both sides to buf, clamped at the address space boundary (row numbers
+// are bank-local). The module's RFM path reuses one buffer to stay
+// allocation-free.
 //
 //mithril:hotpath
 func AppendVictimRows(buf []uint32, aggressor uint32, blastRadius int) []uint32 {

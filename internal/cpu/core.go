@@ -79,10 +79,6 @@ type Core struct {
 	lastDone    timing.PicoSeconds
 	finished    bool
 	freeReqs    []*mc.Request // completed requests, reused for new misses (≤ MSHRs+1 live)
-
-	// Stats.
-	memAccesses uint64
-	llcMisses   uint64
 }
 
 // MaxCores bounds a system's core count: request IDs carry the core index
@@ -116,9 +112,6 @@ func NewCore(id int, cfg CoreConfig, src Source, llc *LLC, target int64, enqueue
 	}
 	return c
 }
-
-// ID returns the core id.
-func (c *Core) ID() int { return c.id }
 
 // Finished reports whether the core retired its instruction target and
 // drained all outstanding misses.
@@ -154,9 +147,6 @@ func (c *Core) IPC() float64 {
 	cycles := float64(t) / float64(c.cfg.CyclePs)
 	return float64(c.InstructionsRetired()) / cycles
 }
-
-// MemStats reports LLC accesses and misses issued by this core.
-func (c *Core) MemStats() (accesses, misses uint64) { return c.memAccesses, c.llcMisses }
 
 // Complete delivers a finished memory request back to the core. The
 // request object is recycled for a future miss: once the controller has
@@ -306,12 +296,10 @@ func (c *Core) Advance(now timing.PicoSeconds) {
 			cycles = (op.Gap + c.cfg.Width) / c.cfg.Width
 		}
 		c.fetchTime += timing.PicoSeconds(cycles) * c.cfg.CyclePs
-		c.memAccesses++
 		if !op.Uncached && c.llc.Access(op.Addr) {
 			c.fetchTime += c.hitPenalty
 			continue
 		}
-		c.llcMisses++
 		c.nextReqID++
 		var req *mc.Request
 		if n := len(c.freeReqs); n > 0 {
@@ -320,7 +308,7 @@ func (c *Core) Advance(now timing.PicoSeconds) {
 		} else {
 			req = &mc.Request{} //mithril:allow hotpathalloc pool miss; at most MSHRs+1 requests are ever live per core
 		}
-		*req = mc.Request{ID: c.nextReqID, CoreID: c.id, Addr: op.Addr, Write: op.Write, Arrive: c.fetchTime}
+		*req = mc.Request{ID: c.nextReqID, CoreID: c.id, Addr: op.Addr, Write: op.Write}
 		if !c.enqueue(req) {
 			c.pending = req
 			c.pendingIdx = c.instrIssued

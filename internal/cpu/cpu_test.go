@@ -37,8 +37,7 @@ func TestLLCHitMissLRU(t *testing.T) {
 	if !l.Access(0) {
 		t.Fatal("second access should hit")
 	}
-	hits, misses := l.Stats()
-	if hits != 1 || misses != 1 {
+	if hits, misses := l.hits, l.misses; hits != 1 || misses != 1 {
 		t.Fatalf("stats = %d/%d", hits, misses)
 	}
 }
@@ -249,9 +248,8 @@ func TestCoreFinishAndIPCPositive(t *testing.T) {
 	if core.IPC() <= 0 {
 		t.Fatalf("IPC = %v", core.IPC())
 	}
-	acc, miss := core.MemStats()
-	if acc == 0 || miss == 0 || miss > acc {
-		t.Fatalf("mem stats = %d/%d", acc, miss)
+	if len(done) == 0 {
+		t.Fatal("core finished without a memory request reaching the controller")
 	}
 }
 

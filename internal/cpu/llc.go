@@ -165,9 +165,6 @@ func (l *LLC) Access(addr uint64) bool {
 	return false
 }
 
-// Stats reports hit/miss counters.
-func (l *LLC) Stats() (hits, misses uint64) { return l.hits, l.misses }
-
 // HitRate reports the fraction of accesses that hit (0 when idle).
 func (l *LLC) HitRate() float64 {
 	total := l.hits + l.misses

@@ -55,7 +55,7 @@ func TestLLCPackedTagsAtTheLimit(t *testing.T) {
 	if !l.Access(top) || !l.Access(0) {
 		t.Fatal("resident lines must hit")
 	}
-	if hits, misses := l.Stats(); hits != 2 || misses != 2 {
+	if hits, misses := l.hits, l.misses; hits != 2 || misses != 2 {
 		t.Fatalf("stats = %d hits, %d misses, want 2, 2", hits, misses)
 	}
 }
@@ -75,7 +75,7 @@ func TestReleasedLLCSurvivesGC(t *testing.T) {
 	if got != l {
 		t.Fatal("released LLC did not survive two collections")
 	}
-	if hits, misses := got.Stats(); hits != 0 || misses != 0 {
+	if hits, misses := got.hits, got.misses; hits != 0 || misses != 0 {
 		t.Fatalf("recycled LLC keeps counters: %d hits, %d misses", hits, misses)
 	}
 	if got.Access(0) {

@@ -49,21 +49,6 @@ func (b *Bank) Reset() {
 	*b = Bank{p: b.p, openRow: -1}
 }
 
-// NextDeadline reports the earliest instant at or after now at which this
-// bank can accept a new command: now when it is idle, otherwise the end of
-// the maintenance window occupying it. Row-cycle (tRC) and rank-level
-// (tRRD/tFAW) constraints are not folded in — they delay an ACT's start
-// inside Access rather than gating whether a command may be attempted, so
-// they never create an event the calendar must wake for.
-//
-//mithril:hotpath
-func (b *Bank) NextDeadline(now timing.PicoSeconds) timing.PicoSeconds {
-	if b.busyUntil > now {
-		return b.busyUntil
-	}
-	return now
-}
-
 // OpenRow reports the currently open row, or -1 when precharged.
 //
 //mithril:hotpath

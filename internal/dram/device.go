@@ -65,22 +65,6 @@ func (d *Device) reset(flipTH int, weights []float64) {
 	}
 }
 
-// NextDeadline reports the earliest instant at or after now at which any
-// bank leaves a maintenance window, or timing.Never when no bank is in
-// maintenance. Bank availability changes only through maintenance issued
-// by the controller, which tracks those deadlines incrementally — this
-// device-level scan is the contract's reference implementation for
-// diagnostics and tests, not a hot-loop dependency.
-func (d *Device) NextDeadline(now timing.PicoSeconds) timing.PicoSeconds {
-	next := timing.Never
-	for _, b := range d.banks {
-		if bu := b.BusyUntil(); bu > now && bu < next {
-			next = bu
-		}
-	}
-	return next
-}
-
 // Params returns the device timing parameters.
 func (d *Device) Params() timing.Params { return d.p }
 
@@ -93,9 +77,6 @@ func (d *Device) NumBanks() int { return len(d.banks) }
 //
 //mithril:hotpath
 func (d *Device) Bank(global int) *Bank { return d.banks[global] }
-
-// Checker exposes a bank's RowHammer checker.
-func (d *Device) Checker(global int) *rh.Checker { return d.checkers[global] }
 
 // rankOf maps a global bank index to its rank tracker index.
 //

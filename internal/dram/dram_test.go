@@ -106,16 +106,16 @@ func TestAutoRefreshSweepResetsDisturbance(t *testing.T) {
 		d.ActivateOnly(0, 2, timing.PicoSeconds(i)*p.TRC)
 		d.ActivateOnly(0, 4, timing.PicoSeconds(i)*p.TRC)
 	}
-	if got := d.Checker(0).Disturbance(3); got != 1000 {
+	if got := d.checkers[0].Disturbance(3); got != 1000 {
 		t.Fatalf("disturbance = %v, want 1000", got)
 	}
 	d.IssueREF(0, timing.PicoSeconds(1000)*p.TRC)
-	if got := d.Checker(0).Disturbance(3); got != 0 {
+	if got := d.checkers[0].Disturbance(3); got != 0 {
 		t.Fatalf("REF of group 0 should reset row 3, disturbance = %v", got)
 	}
 	// Row 9 (group 1) untouched by the first sweep.
 	d.ActivateOnly(0, 8, timing.PicoSeconds(2000)*p.TRC)
-	if got := d.Checker(0).Disturbance(9); got != 1 {
+	if got := d.checkers[0].Disturbance(9); got != 1 {
 		t.Fatalf("row 9 should retain disturbance, got %v", got)
 	}
 	if st := d.Bank(0).Stats(); st.AutoRefreshes != 1 {
@@ -133,10 +133,10 @@ func TestRefreshGroupPointerWraps(t *testing.T) {
 	now = d.ActivateOnly(0, 20, now) // disturbs rows 19 and 21 (group 2)
 	now = d.ActivateOnly(0, 28, now) // disturbs rows 27 and 29 (group 3)
 	d.IssueREF(0, now)               // after the wrap, REF G+3 restores group 3
-	if got := d.Checker(0).Disturbance(21); got != 1 {
+	if got := d.checkers[0].Disturbance(21); got != 1 {
 		t.Fatalf("group 2 row 21 = %v, want 1 (not swept)", got)
 	}
-	if got := d.Checker(0).Disturbance(29); got != 0 {
+	if got := d.checkers[0].Disturbance(29); got != 0 {
 		t.Fatalf("group 3 row 29 = %v, want 0 (swept after the wrap)", got)
 	}
 }
@@ -173,7 +173,7 @@ func TestRFMWindowAndPreventiveRefresh(t *testing.T) {
 		t.Fatal("RFM window should extend past its start")
 	}
 	d.PreventiveRefresh(2, []uint32{99, 101})
-	if got := d.Checker(2).Disturbance(99); got != 0 {
+	if got := d.checkers[2].Disturbance(99); got != 0 {
 		t.Fatalf("victim 99 not refreshed: %v", got)
 	}
 	st := d.Bank(2).Stats()

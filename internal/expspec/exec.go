@@ -74,7 +74,8 @@ type ExecOptions struct {
 	// row waits on it.
 	Progress func(done, total int)
 	// Baselines, when non-nil, shares unprotected-baseline simulations
-	// across executions (the Engine's WithBaselineCache installs one).
+	// across executions that pass the same cache (nil: each execution
+	// fills a private one).
 	// Entries are keyed by the machine a baseline run simulates — scale
 	// geometry, seed, and the workload's generator identity — not by
 	// FlipTH or scheme, which never change the unprotected run, so sharing

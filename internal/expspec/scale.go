@@ -11,8 +11,8 @@
 // point and aborts in-flight simulations) and row-oriented: RunAtContext
 // collects rows in deterministic grid order, StreamRowsAt yields the same
 // rows (or a subset) in completion order as workers finish them, and
-// ExecOptions adds a per-row progress hook, a baseline cache shareable
-// across executions, and a result store.
+// ExecOptions adds a per-row progress hook, a baseline cache that callers
+// running several specs can share across executions, and a result store.
 // Results render as the CLI's aligned text tables or as machine-readable
 // JSON/CSV rows, and as the raw full-precision "golden" line format the
 // repository's regression goldens (testdata/golden_*.txt) are pinned in.

@@ -192,8 +192,8 @@ type Axes struct {
 	// takes no workloads — its patterns live on the attacks axis.
 	Workloads []string `json:"workloads,omitempty"`
 	// Attacks names attack patterns from the pattern table (attack.Names
-	// lists the set: "single", "double", "multi:<n>", "rowlist",
-	// "decoy:<n>", "blockhammer-adversarial"). Safety requires this axis
+	// lists the set: "single", "double", "multi:<n>", "decoy:<n>",
+	// "blockhammer-adversarial"). Safety requires this axis
 	// (each pattern attacks one bank alongside a benign background core).
 	// Comparison accepts it too: each attack becomes a
 	// benign-mix-plus-attacker workload measured like "multi-sided-rh".
@@ -365,11 +365,6 @@ func validateAttackAxis(attacks []string) error {
 		canon, err := attack.Canonical(a)
 		if err != nil {
 			return err
-		}
-		// A spec has nowhere to carry an explicit row list, so a
-		// rows-only pattern would validate and then fail on every run.
-		if attack.NeedsRows(a) {
-			return fmt.Errorf("attack %q takes an explicit row list and cannot be named in a spec (library use: mithril.NewAttack with AttackParams.Rows)", a)
 		}
 		if prev, dup := seen[canon]; dup {
 			if prev == a {

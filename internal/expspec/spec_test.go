@@ -75,9 +75,11 @@ func TestValidateErrors(t *testing.T) {
 		{"oracle-only attack in comparison", func(s *Spec) {
 			s.Axes.Attacks = []string{"blockhammer-adversarial"}
 		}, "collision oracle"},
+		// The explicit row-list pattern has no spec spelling: it is not in
+		// the pattern table at all.
 		{"rows-only attack in a spec", func(s *Spec) {
 			s.Axes.Attacks = []string{"rowlist"}
-		}, "row list"},
+		}, "unknown attack"},
 		{"safety needs flipths", func(s *Spec) {
 			s.Kind = SafetyKind
 			s.Axes.Workloads = nil

@@ -93,6 +93,9 @@ type CallGraph struct {
 
 	blockingOnce bool
 	blocking     map[string]string // FuncID -> reason the function may block
+
+	pkgs []*Package
+	live map[string]bool // FuncID -> reachable from a root (testonly.go)
 }
 
 // BuildCallGraph constructs the interprocedural layer over every
@@ -104,10 +107,11 @@ func BuildCallGraph(pkgs []*Package) *CallGraph {
 	g := &CallGraph{
 		Nodes:         map[string]*CGNode{},
 		methodsByName: map[string][]methodCand{},
+		pkgs:          pkgs,
 	}
 	// Pass 1: declare nodes and collect dynamic-dispatch candidates.
 	for _, pkg := range pkgs {
-		if pkg.Types == nil {
+		if pkg.Types == nil || pkg.RootsOnly {
 			continue
 		}
 		for _, file := range pkg.Files {
@@ -136,7 +140,7 @@ func BuildCallGraph(pkgs []*Package) *CallGraph {
 	}
 	// Pass 2: resolve every call site.
 	for _, pkg := range pkgs {
-		if pkg.Types == nil {
+		if pkg.Types == nil || pkg.RootsOnly {
 			continue
 		}
 		for _, file := range pkg.Files {

@@ -1,10 +1,15 @@
 package lint
 
 import (
+	"fmt"
 	"go/ast"
+	"go/importer"
 	"go/token"
+	"io"
+	"os"
 	"path/filepath"
 	"regexp"
+	"sort"
 	"strconv"
 	"strings"
 	"testing"
@@ -27,6 +32,7 @@ func TestAnalyzerFixtures(t *testing.T) {
 		{CtxFlow, []string{"ctxflow/bad", "ctxflow/good"}},
 		{GoLeak, []string{"goleak/bad", "goleak/good"}},
 		{LockHeld, []string{"lockheld/bad", "lockheld/good"}},
+		{TestOnly, []string{"testonly/bad", "testonly/good"}},
 	}
 	for _, tc := range cases {
 		for _, dir := range tc.dirs {
@@ -41,7 +47,7 @@ func TestAnalyzerFixtures(t *testing.T) {
 // the findings against the fixture's want comments.
 func runFixture(t *testing.T, a *Analyzer, dir string) {
 	t.Helper()
-	pkg, err := LoadDir(dir)
+	pkg, err := loadDir(dir)
 	if err != nil {
 		t.Fatalf("loading fixture %s: %v", dir, err)
 	}
@@ -136,4 +142,78 @@ func TestRepoCleanUnderAllAnalyzers(t *testing.T) {
 	for _, f := range findings {
 		t.Errorf("%s", f)
 	}
+}
+
+// loadDir loads one package directly from the .go files in dir (test files
+// excluded), resolving its imports from export data listed on demand. The
+// package path is the directory base name prefixed by its parent — e.g.
+// testdata/src/hotpathalloc/bad loads as "hotpathalloc/bad" — which keeps
+// fixture packages outside the "mithril" module namespace. The go tool
+// never resolves the fixture directory itself, so fixtures can live under
+// testdata/, exactly like analysistest's. The fixture is a whole program
+// of its own, so it is marked Whole.
+func loadDir(dir string) (*Package, error) {
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		return nil, fmt.Errorf("lint: %w", err)
+	}
+	var names []string
+	for _, e := range entries {
+		if e.IsDir() || !strings.HasSuffix(e.Name(), ".go") || strings.HasSuffix(e.Name(), "_test.go") {
+			continue
+		}
+		names = append(names, e.Name())
+	}
+	sort.Strings(names)
+	if len(names) == 0 {
+		return nil, fmt.Errorf("lint: no Go files in %s", dir)
+	}
+	fset := token.NewFileSet()
+	files, err := parseFiles(fset, dir, names)
+	if err != nil {
+		return nil, err
+	}
+	imports := map[string]bool{}
+	for _, f := range files {
+		for _, spec := range f.Imports {
+			path, err := strconv.Unquote(spec.Path.Value)
+			if err == nil && path != "" {
+				imports[path] = true
+			}
+		}
+	}
+	exports := map[string]string{}
+	if len(imports) > 0 {
+		var pats []string
+		for p := range imports {
+			pats = append(pats, p)
+		}
+		sort.Strings(pats)
+		listed, err := goList(dir, pats)
+		if err != nil {
+			return nil, err
+		}
+		for _, lp := range listed {
+			if lp.Export != "" {
+				exports[lp.ImportPath] = lp.Export
+			}
+		}
+	}
+	imp := importer.ForCompiler(fset, "gc", func(path string) (io.ReadCloser, error) {
+		exp, ok := exports[path]
+		if !ok {
+			return nil, fmt.Errorf("lint: no export data for %q", path)
+		}
+		return os.Open(exp)
+	})
+	abs, err := filepath.Abs(dir)
+	if err != nil {
+		return nil, fmt.Errorf("lint: %w", err)
+	}
+	pkgPath := filepath.Base(filepath.Dir(abs)) + "/" + filepath.Base(abs)
+	pkg, err := check(fset, pkgPath, files, imp)
+	if err != nil {
+		return nil, err
+	}
+	return &Package{PkgPath: pkgPath, Dir: dir, Fset: fset, Files: files, Types: pkg.Types, Info: pkg.Info, Whole: true}, nil
 }

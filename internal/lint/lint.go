@@ -1,8 +1,9 @@
 // Package lint is mithril's repo-specific static-analysis suite: a small
 // go/analysis-style framework plus the analyzers that turn the repo's
 // load-bearing runtime invariants — the allocation-free steady-state hot
-// path, byte-identical deterministic output, and the scheme victim-slice
-// ownership contract — into compile-time checks. The cmd/mithrilvet
+// path, byte-identical deterministic output, the scheme victim-slice
+// ownership contract, and a production surface of only what production
+// reaches — into compile-time checks. The cmd/mithrilvet
 // multichecker runs every analyzer over the module and fails, go
 // vet-style, on any finding.
 //
@@ -16,8 +17,11 @@
 // graph once (static calls exact; interface calls over-approximated by
 // method-set matching; function-value calls by signature matching) and
 // a may-block fixpoint over it, shared by every analyzer through
-// Pass.Graph — the foundation under ctxflow, goleak, and lockheld, and
-// the call-resolution engine behind hotpathalloc's closure rule.
+// Pass.Graph — the foundation under ctxflow, goleak, lockheld and
+// testonly, and the call-resolution engine behind hotpathalloc's closure
+// rule. testonly needs every caller, so it reports only when Load covers
+// the whole root module; Load then also type-checks the bench/ module as
+// roots that are never analyzed themselves.
 //
 // Two source annotations steer the analyzers:
 //
@@ -29,7 +33,9 @@
 //	    on (or immediately above) a line suppresses that analyzer's
 //	    findings for the line — the whitelist mechanism for deliberate,
 //	    explained exceptions such as lazy one-time initialisation inside
-//	    an otherwise allocation-free method.
+//	    an otherwise allocation-free method. Covering a func line,
+//	    "//mithril:allow testonly <reason>" also makes the function a
+//	    testonly root, so what it calls is live too.
 package lint
 
 import (
@@ -69,6 +75,9 @@ type Pass struct {
 	TypesInfo *types.Info
 	Index     *Index
 	Graph     *CallGraph
+	// Whole is the package's Package.Whole: every package of the root
+	// module is loaded.
+	Whole bool
 
 	diags []Diagnostic
 }
@@ -239,8 +248,8 @@ func RunAnalyzers(pkgs []*Package, analyzers []*Analyzer) ([]Finding, error) {
 	graph := BuildCallGraph(pkgs)
 	var findings []Finding
 	for _, pkg := range pkgs {
-		if pkg.Types == nil {
-			continue // dependency package loaded for annotation scanning only
+		if pkg.Types == nil || pkg.RootsOnly {
+			continue // loaded for annotation scanning or testonly roots only
 		}
 		sup := collectSuppressions(pkg.Fset, pkg.Files)
 		for _, a := range analyzers {
@@ -252,6 +261,7 @@ func RunAnalyzers(pkgs []*Package, analyzers []*Analyzer) ([]Finding, error) {
 				TypesInfo: pkg.Info,
 				Index:     index,
 				Graph:     graph,
+				Whole:     pkg.Whole,
 			}
 			if err := a.Run(pass); err != nil {
 				return nil, fmt.Errorf("lint: %s on %s: %w", a.Name, pkg.PkgPath, err)

@@ -14,8 +14,8 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"slices"
 	"sort"
-	"strconv"
 	"strings"
 )
 
@@ -33,7 +33,25 @@ type Package struct {
 	Info    *types.Info
 
 	IndexOnlyFiles []*ast.File
+
+	// Whole marks a target package loaded together with every other
+	// package of the root module: testonly reports only then, because a
+	// narrower load cannot see every caller.
+	Whole bool
+	// RootsOnly marks a package of the bench module, type-checked so
+	// that testonly counts what it references as roots. No analyzer runs
+	// on it and no finding lands in it.
+	RootsOnly bool
 }
+
+// rootModule is the module whose dead code testonly reports; benchModule
+// is the directory of the module nested in it (bench/ replaces rootModule
+// with ../), whose references are testonly roots. A run from inside
+// bench/ never reports testonly findings.
+const (
+	rootModule  = "mithril"
+	benchModule = "bench"
+)
 
 // listPkg is the subset of `go list -json` output the loader consumes.
 type listPkg struct {
@@ -44,7 +62,14 @@ type listPkg struct {
 	Standard   bool
 	DepOnly    bool
 	GoFiles    []string
+	Module     *listModule
 	Error      *listPkgError
+}
+
+type listModule struct {
+	Path string
+	Dir  string
+	Main bool
 }
 
 type listPkgError struct {
@@ -59,6 +84,8 @@ type listPkgError struct {
 // dependencies. Module packages in the dependency closure that do not
 // match the patterns are still parsed (not type-checked) so their
 // //mithril:hotpath annotations are visible to cross-package call checks.
+// When the patterns cover the whole root module, its packages are marked
+// Whole and the bench module's packages are appended RootsOnly.
 func Load(dir string, patterns ...string) ([]*Package, error) {
 	if len(patterns) == 0 {
 		patterns = []string{"."}
@@ -67,6 +94,32 @@ func Load(dir string, patterns ...string) ([]*Package, error) {
 	if err != nil {
 		return nil, err
 	}
+	pkgs, err := loadListed(listed, false)
+	if err != nil {
+		return nil, err
+	}
+	modDir := wholeRootModule(dir, patterns, listed)
+	if modDir == "" {
+		return pkgs, nil
+	}
+	for _, p := range pkgs {
+		p.Whole = p.Types != nil
+	}
+	bench, err := goList(filepath.Join(modDir, benchModule), []string{"./..."})
+	if err != nil {
+		return nil, err
+	}
+	roots, err := loadListed(bench, true)
+	if err != nil {
+		return nil, err
+	}
+	return append(pkgs, roots...), nil
+}
+
+// loadListed parses and type-checks the packages of one go list run.
+// With rootsOnly, dependency packages are dropped and the targets are
+// marked RootsOnly.
+func loadListed(listed []*listPkg, rootsOnly bool) ([]*Package, error) {
 	exports := map[string]string{}
 	for _, lp := range listed {
 		if lp.Export != "" {
@@ -83,7 +136,7 @@ func Load(dir string, patterns ...string) ([]*Package, error) {
 	})
 	var pkgs []*Package
 	for _, lp := range listed {
-		if lp.Standard {
+		if lp.Standard || (rootsOnly && lp.DepOnly) {
 			continue
 		}
 		if lp.Error != nil {
@@ -108,83 +161,31 @@ func Load(dir string, patterns ...string) ([]*Package, error) {
 			Files:   files,
 			Types:   pkg.Types,
 			Info:    pkg.Info,
+
+			RootsOnly: rootsOnly,
 		})
 	}
 	sort.Slice(pkgs, func(i, j int) bool { return pkgs[i].PkgPath < pkgs[j].PkgPath })
 	return pkgs, nil
 }
 
-// LoadDir loads one package directly from the .go files in dir (test files
-// excluded), resolving its imports from export data listed on demand. The
-// package path is the directory base name prefixed by its parent — e.g.
-// testdata/src/hotpathalloc/bad loads as "hotpathalloc/bad" — which keeps
-// fixture packages outside the "mithril" module namespace. The go tool
-// never resolves the fixture directory itself, so fixtures can live under
-// testdata/, exactly like analysistest's.
-func LoadDir(dir string) (*Package, error) {
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		return nil, fmt.Errorf("lint: %w", err)
-	}
-	var names []string
-	for _, e := range entries {
-		if e.IsDir() || !strings.HasSuffix(e.Name(), ".go") || strings.HasSuffix(e.Name(), "_test.go") {
-			continue
-		}
-		names = append(names, e.Name())
-	}
-	sort.Strings(names)
-	if len(names) == 0 {
-		return nil, fmt.Errorf("lint: no Go files in %s", dir)
-	}
-	fset := token.NewFileSet()
-	files, err := parseFiles(fset, dir, names)
-	if err != nil {
-		return nil, err
-	}
-	imports := map[string]bool{}
-	for _, f := range files {
-		for _, spec := range f.Imports {
-			path, err := strconv.Unquote(spec.Path.Value)
-			if err == nil && path != "" {
-				imports[path] = true
-			}
-		}
-	}
-	exports := map[string]string{}
-	if len(imports) > 0 {
-		var pats []string
-		for p := range imports {
-			pats = append(pats, p)
-		}
-		sort.Strings(pats)
-		listed, err := goList(dir, pats)
-		if err != nil {
-			return nil, err
-		}
-		for _, lp := range listed {
-			if lp.Export != "" {
-				exports[lp.ImportPath] = lp.Export
-			}
-		}
-	}
-	imp := importer.ForCompiler(fset, "gc", func(path string) (io.ReadCloser, error) {
-		exp, ok := exports[path]
-		if !ok {
-			return nil, fmt.Errorf("lint: no export data for %q", path)
-		}
-		return os.Open(exp)
-	})
+// wholeRootModule returns the root module's directory when the patterns
+// cover all of it — "mithril/...", or "./..." run from its directory —
+// and "" otherwise.
+func wholeRootModule(dir string, patterns []string, listed []*listPkg) string {
 	abs, err := filepath.Abs(dir)
 	if err != nil {
-		return nil, fmt.Errorf("lint: %w", err)
+		return ""
 	}
-	pkgPath := filepath.Base(filepath.Dir(abs)) + "/" + filepath.Base(abs)
-	pkg, err := check(fset, pkgPath, files, imp)
-	if err != nil {
-		return nil, err
+	for _, lp := range listed {
+		if m := lp.Module; m != nil && m.Main && m.Path == rootModule {
+			if slices.Contains(patterns, rootModule+"/...") || (slices.Contains(patterns, "./...") && abs == m.Dir) {
+				return m.Dir
+			}
+			return ""
+		}
 	}
-	return &Package{PkgPath: pkgPath, Dir: dir, Fset: fset, Files: files, Types: pkg.Types, Info: pkg.Info}, nil
+	return ""
 }
 
 // goList runs `go list -e -json -deps -export` and decodes its package
@@ -192,7 +193,7 @@ func LoadDir(dir string) (*Package, error) {
 func goList(dir string, patterns []string) ([]*listPkg, error) {
 	args := append([]string{
 		"list", "-e", "-deps", "-export",
-		"-json=Dir,ImportPath,Name,Export,Standard,DepOnly,GoFiles,Error",
+		"-json=Dir,ImportPath,Name,Export,Standard,DepOnly,GoFiles,Module,Error",
 		"--",
 	}, patterns...)
 	cmd := exec.Command("go", args...)

@@ -111,9 +111,6 @@ func (m *AddressMapper) Compose(loc Location) uint64 {
 	return a << uint(m.lineBits)
 }
 
-// RowBytes is the number of bytes covered by one row across one channel.
-func (m *AddressMapper) RowBytes() int { return m.p.ColumnsPerRow * LineSize }
-
 // AddressSpace is the total number of bytes the mapper covers; addresses are
 // taken modulo this size.
 func (m *AddressMapper) AddressSpace() uint64 {

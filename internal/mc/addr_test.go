@@ -60,9 +60,20 @@ func TestMapperRejectsNonPowerOfTwo(t *testing.T) {
 	NewAddressMapper(p)
 }
 
+// One row of one channel holds 128 columns of 64-byte lines: 8 KB, each
+// line at its own address.
 func TestRowBytes(t *testing.T) {
 	m := NewAddressMapper(timing.DDR5())
-	if got := m.RowBytes(); got != 128*64 {
-		t.Fatalf("RowBytes = %d, want 8KB", got)
+	lines := map[uint64]bool{}
+	for col := 0; col < m.Params().ColumnsPerRow; col++ {
+		loc := Location{Row: 5, Column: col}
+		addr := m.Compose(loc)
+		if got := m.Map(addr); got.Row != 5 || got.Column != col || got.Channel != 0 {
+			t.Fatalf("column %d: Map(Compose) = %+v", col, got)
+		}
+		lines[addr] = true
+	}
+	if got := len(lines) * LineSize; got != 128*64 {
+		t.Fatalf("one row covers %d bytes, want 8KB", got)
 	}
 }

@@ -142,8 +142,8 @@ func TestBLISSBlacklistsStreakyCore(t *testing.T) {
 }
 
 // TestBlissStateSparseCoreIDs covers the dense blacklist directly: it must
-// grow on demand for arbitrary core IDs, ignore unowned serves (core -1),
-// and release cores after the clearing interval.
+// grow on demand for arbitrary core IDs and release cores after the
+// clearing interval.
 func TestBlissStateSparseCoreIDs(t *testing.T) {
 	b := newBlissState()
 	now := timing.PicoSeconds(0)
@@ -161,13 +161,6 @@ func TestBlissStateSparseCoreIDs(t *testing.T) {
 	}
 	if b.blacklisted(7, now+blissClearInterval) {
 		t.Fatal("blacklist must clear after the interval")
-	}
-	// Unowned serves (core -1) must neither panic nor blacklist.
-	for i := 0; i < 2*blissStreakLimit; i++ {
-		b.recordServe(-1, now)
-	}
-	if b.blacklisted(-1, now) {
-		t.Fatal("core -1 must never be blacklisted")
 	}
 }
 
@@ -282,8 +275,8 @@ func TestARRInjection(t *testing.T) {
 	if probe.arrs != 1 || st.ARRWindows != 1 || st.ARRVictims != 2 {
 		t.Fatalf("ARR accounting: probe=%d windows=%d victims=%d", probe.arrs, st.ARRWindows, st.ARRVictims)
 	}
-	if dev.Checker(0).Disturbance(99) != 0 {
-		t.Fatal("ARR should refresh victims")
+	if rows := dev.Bank(0).Stats().PreventiveRows; rows != 2 {
+		t.Fatalf("ARR should refresh its 2 victims, refreshed %d rows", rows)
 	}
 }
 

@@ -10,10 +10,9 @@ type Request struct {
 	Write  bool
 	// rejected marks a request a full queue has already turned away, so
 	// Stats.Rejected counts it once however often its core retries. It
-	// sits in Write's padding, so a request takes 96 bytes.
+	// sits in Write's padding, so it takes no space of its own.
 	rejected bool
 	Loc      Location
-	Arrive   timing.PicoSeconds
 	blocked  timing.PicoSeconds // earliest serve time (throttling)
 }
 
@@ -70,7 +69,7 @@ func newBlissState() *blissState {
 
 //mithril:hotpath
 func (b *blissState) blacklisted(core int, now timing.PicoSeconds) bool {
-	return core >= 0 && core < len(b.blackTill) && b.blackTill[core] > now
+	return core < len(b.blackTill) && b.blackTill[core] > now
 }
 
 //mithril:hotpath
@@ -78,14 +77,12 @@ func (b *blissState) recordServe(core int, now timing.PicoSeconds) {
 	if core == b.lastCore {
 		b.streak++
 		if b.streak >= blissStreakLimit {
-			if core >= 0 {
-				if core >= len(b.blackTill) {
-					grown := make([]timing.PicoSeconds, core+1) //mithril:allow hotpathalloc grows only past the highest core blacklisted so far, so at most once per core per run
-					copy(grown, b.blackTill)
-					b.blackTill = grown
-				}
-				b.blackTill[core] = now + blissClearInterval
+			if core >= len(b.blackTill) {
+				grown := make([]timing.PicoSeconds, core+1) //mithril:allow hotpathalloc grows only past the highest core blacklisted so far, so at most once per core per run
+				copy(grown, b.blackTill)
+				b.blackTill = grown
 			}
+			b.blackTill[core] = now + blissClearInterval
 			b.streak = 0
 		}
 		return

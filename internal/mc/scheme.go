@@ -24,8 +24,8 @@ type Scheme interface {
 	// RFMTH is the RAA threshold when RFMCompatible; ignored otherwise.
 	RFMTH() int
 
-	// OnActivate observes one real ACT command (coreID is negative for an
-	// activation no core owns). ARR-based schemes return victim rows that
+	// OnActivate observes one real ACT command. coreID is the index of
+	// the core whose request issued it, never negative. ARR-based schemes return victim rows that
 	// must be refreshed immediately (the controller opens an ARR
 	// maintenance window for them); RFM-based schemes return nil.
 	//
@@ -37,7 +37,8 @@ type Scheme interface {
 
 	// PreACTDelay lets throttling schemes (BlockHammer) postpone an ACT:
 	// the returned time is the earliest the activation may start (zero
-	// means no restriction). coreID enables thread-level throttling.
+	// means no restriction). coreID, the issuing core's index (never
+	// negative), enables thread-level throttling.
 	PreACTDelay(globalBank int, row uint32, coreID int, now timing.PicoSeconds) timing.PicoSeconds
 
 	// OnRFM is invoked when the controller issues an RFM command to a

@@ -63,9 +63,9 @@ func TestSchemesSteadyStateAllocFree(t *testing.T) {
 func tableEntries(s mc.Scheme) int {
 	switch s := s.(type) {
 	case *MithrilScheme:
-		return s.ModuleConfig().NEntry
+		return s.cfg.NEntry
 	case *Graphene:
-		return s.NEntry()
+		return s.nEntry
 	}
 	return 0
 }

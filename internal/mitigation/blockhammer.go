@@ -39,8 +39,6 @@ type BlockHammer struct {
 
 	cbfCounters int
 	cbfHashes   int
-
-	blacklisted uint64 // blacklist events (stats)
 }
 
 var _ mc.Scheme = (*BlockHammer)(nil)
@@ -83,9 +81,6 @@ func NewBlockHammer(opt Options) *BlockHammer {
 	}
 }
 
-// NBL exposes the blacklist threshold.
-func (s *BlockHammer) NBL() uint64 { return s.nbl }
-
 // Name implements mc.Scheme.
 func (s *BlockHammer) Name() string { return "blockhammer" }
 
@@ -110,22 +105,19 @@ func (s *BlockHammer) filter(bank int) *streaming.DualCBF {
 //mithril:hotpath
 func (s *BlockHammer) OnActivate(bank int, row uint32, core int, now timing.PicoSeconds) []uint32 {
 	if s.filter(bank).ObserveEstimate(row) >= s.nbl {
-		s.blacklisted++
 		na := s.nextACT[bank]
 		if na == nil {
 			na = make([]timing.PicoSeconds, s.opt.Timing.Rows) //mithril:allow hotpathalloc one-time per-bank array on the first blacklist event
 			s.nextACT[bank] = na
 		}
 		na[row] = now + s.tDelay
-		if core >= 0 {
-			for core >= len(s.coreBad) {
-				s.coreBad = append(s.coreBad, 0)
-				s.coreTill = append(s.coreTill, 0)
-			}
-			s.coreBad[core]++
-			if s.coreBad[core] >= blockHammerThreadThreshold {
-				s.coreTill[core] = now + s.tDelay
-			}
+		for core >= len(s.coreBad) {
+			s.coreBad = append(s.coreBad, 0)
+			s.coreTill = append(s.coreTill, 0)
+		}
+		s.coreBad[core]++
+		if s.coreBad[core] >= blockHammerThreadThreshold {
+			s.coreTill[core] = now + s.tDelay
 		}
 	}
 	return nil
@@ -140,7 +132,7 @@ func (s *BlockHammer) PreACTDelay(bank int, row uint32, core int, now timing.Pic
 	if na := s.nextACT[bank]; na != nil {
 		until = na[row]
 	}
-	if core >= 0 && core < len(s.coreTill) {
+	if core < len(s.coreTill) {
 		if t := s.coreTill[core]; t > until {
 			until = t
 		}

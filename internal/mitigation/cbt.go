@@ -23,8 +23,6 @@ type CBT struct {
 	splitTH   uint64
 	banks     [][]cbtNode // per global bank, seeded with one full-range node on first ACT
 	vbuf      []uint32    // reusable victim buffer (mc.Scheme contract)
-	groupRefs uint64      // group refreshes executed
-	rowsRefd  uint64      // total rows refreshed
 }
 
 type cbtNode struct {
@@ -102,8 +100,6 @@ func (s *CBT) OnActivate(bank int, row uint32, core int, now timing.PicoSeconds)
 		}
 		s.vbuf = victimRows
 		nodes[idx].count = 0
-		s.groupRefs++
-		s.rowsRefd += uint64(len(victimRows))
 	}
 	s.banks[bank] = nodes
 	return victimRows

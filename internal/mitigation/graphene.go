@@ -21,7 +21,6 @@ type Graphene struct {
 	nextLevel []map[uint32]uint64      // per global bank: row -> next trigger level
 	vbuf      []uint32                 // reusable victim buffer (mc.Scheme contract)
 	lastReset timing.PicoSeconds
-	resets    uint64
 }
 
 var _ mc.Scheme = (*Graphene)(nil)
@@ -48,12 +47,6 @@ func NewGraphene(opt Options) *Graphene {
 	}
 }
 
-// Threshold exposes T (tests).
-func (s *Graphene) Threshold() uint64 { return s.threshold }
-
-// NEntry exposes the per-bank table size (tests, area model cross-check).
-func (s *Graphene) NEntry() int { return s.nEntry }
-
 // Name implements mc.Scheme.
 func (s *Graphene) Name() string { return "graphene" }
 
@@ -70,7 +63,6 @@ func (s *Graphene) OnActivate(bank int, row uint32, core int, now timing.PicoSec
 			}
 		}
 		s.lastReset = now
-		s.resets++
 	}
 	t := s.tables[bank]
 	if t == nil {

@@ -16,7 +16,6 @@ import (
 // RFM command entirely (Section V-B).
 type MithrilScheme struct {
 	mc.NoProtection
-	opt     Options
 	cfg     core.Config
 	plus    bool
 	modules []*core.Mithril // per global bank, built on first use
@@ -45,7 +44,6 @@ func buildMithril(opt Options, plus bool) (*MithrilScheme, error) {
 		return nil, err
 	}
 	return &MithrilScheme{
-		opt: opt,
 		cfg: core.Config{
 			NEntry:      ac.NEntry,
 			RFMTH:       rfmTH,
@@ -84,35 +82,6 @@ func configureMithril(opt Options) (rfmTH int, ac analysis.Config, err error) {
 			opt.FlipTH, rfmTH, opt.AdTH)
 	}
 	return rfmTH, ac, nil
-}
-
-// ModuleConfig exposes the per-bank module configuration.
-func (s *MithrilScheme) ModuleConfig() core.Config { return s.cfg }
-
-// TableKB reports the per-bank table size from the area model.
-func (s *MithrilScheme) TableKB() float64 {
-	kb, _ := analysis.MithrilTableKB(s.opt.Timing, s.opt.FlipTH, s.cfg.RFMTH, s.cfg.AdTH)
-	return kb
-}
-
-// ModuleStats aggregates the module counters across banks.
-func (s *MithrilScheme) ModuleStats() core.Stats {
-	var total core.Stats
-	for _, m := range s.modules {
-		if m == nil {
-			continue
-		}
-		st := m.Stats()
-		total.ACTs += st.ACTs
-		total.RFMs += st.RFMs
-		total.PreventiveRefreshes += st.PreventiveRefreshes
-		total.AdaptiveSkips += st.AdaptiveSkips
-		total.VictimRowsRefreshed += st.VictimRowsRefreshed
-		if st.MaxSpreadSeen > total.MaxSpreadSeen {
-			total.MaxSpreadSeen = st.MaxSpreadSeen
-		}
-	}
-	return total
 }
 
 //mithril:hotpath

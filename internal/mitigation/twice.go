@@ -49,9 +49,6 @@ func NewTWiCe(opt Options) *TWiCe {
 	}
 }
 
-// Threshold exposes the ARR trigger level.
-func (s *TWiCe) Threshold() uint64 { return s.threshold }
-
 // Name implements mc.Scheme.
 func (s *TWiCe) Name() string { return "twice" }
 

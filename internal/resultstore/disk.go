@@ -158,9 +158,6 @@ func (d *Disk) insert(rec Record) {
 	d.recs = append(d.recs, rec)
 }
 
-// Dir returns the store directory.
-func (d *Disk) Dir() string { return d.dir }
-
 // Get returns the record stored under k (index-only; no disk access).
 func (d *Disk) Get(k Key) (Record, bool) {
 	d.mu.Lock()
@@ -172,33 +169,11 @@ func (d *Disk) Get(k Key) (Record, bool) {
 	return d.recs[i], true
 }
 
-// Has reports whether k is stored.
-func (d *Disk) Has(k Key) bool {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	_, ok := d.idx[k]
-	return ok
-}
-
 // Len reports the number of live (deduplicated) records.
 func (d *Disk) Len() int {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	return len(d.recs)
-}
-
-// Scan visits every live record in insertion order until fn returns
-// false; records are copied out under the lock first, so fn may call
-// back into the store.
-func (d *Disk) Scan(fn func(rec Record) bool) {
-	d.mu.Lock()
-	recs := append([]Record(nil), d.recs...)
-	d.mu.Unlock()
-	for _, rec := range recs {
-		if !fn(rec) {
-			return
-		}
-	}
 }
 
 // Put appends rec to the active segment and indexes it. A Put identical
@@ -257,21 +232,6 @@ func marshalLine(rec Record) ([]byte, error) {
 		return nil, fmt.Errorf("resultstore: %w", err)
 	}
 	return append(line, '\n'), nil
-}
-
-// Flush fsyncs the active segment (Put already wrote through to the OS;
-// Flush additionally survives power loss).
-func (d *Disk) Flush() error {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if d.active == nil {
-		return nil
-	}
-	//mithril:allow lockheld explicit durability point; no simulation work contends here
-	if err := d.active.Sync(); err != nil {
-		return fmt.Errorf("resultstore: %w", err)
-	}
-	return nil
 }
 
 // Close finalizes the active segment: sync, close, and atomic rename

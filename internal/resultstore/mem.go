@@ -2,71 +2,31 @@ package resultstore
 
 import "sync"
 
-// Mem is the in-memory Store: a mutex-guarded index over an
-// insertion-ordered record slice. It backs tests and acts as a
-// process-lifetime cache when no directory is configured; it is also the
-// reference semantics the Disk implementation must match.
+// Mem is the in-memory Store: a mutex-guarded map. It backs tests and
+// acts as a process-lifetime cache when no directory is configured; it
+// is also the reference semantics the Disk implementation must match.
 type Mem struct {
 	mu   sync.Mutex
-	idx  map[Key]int
-	recs []Record
+	recs map[Key]Record
 }
 
 // NewMem returns an empty in-memory store.
 func NewMem() *Mem {
-	return &Mem{idx: map[Key]int{}}
+	return &Mem{recs: map[Key]Record{}}
 }
 
 // Get returns the record stored under k.
 func (m *Mem) Get(k Key) (Record, bool) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	i, ok := m.idx[k]
-	if !ok {
-		return Record{}, false
-	}
-	return m.recs[i], true
+	rec, ok := m.recs[k]
+	return rec, ok
 }
 
-// Has reports whether k is stored.
-func (m *Mem) Has(k Key) bool {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	_, ok := m.idx[k]
-	return ok
-}
-
-// Put stores rec, replacing any record under the same key in place (the
-// record keeps its original insertion position).
+// Put stores rec, replacing any record under the same key.
 func (m *Mem) Put(rec Record) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if i, ok := m.idx[rec.Key]; ok {
-		m.recs[i] = rec
-		return nil
-	}
-	m.idx[rec.Key] = len(m.recs)
-	m.recs = append(m.recs, rec)
+	m.recs[rec.Key] = rec
 	return nil
-}
-
-// Len reports the number of stored records.
-func (m *Mem) Len() int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return len(m.recs)
-}
-
-// Scan visits every record in insertion order until fn returns false.
-// The records are copied out under the lock first, so fn may call back
-// into the store.
-func (m *Mem) Scan(fn func(rec Record) bool) {
-	m.mu.Lock()
-	recs := append([]Record(nil), m.recs...)
-	m.mu.Unlock()
-	for _, rec := range recs {
-		if !fn(rec) {
-			return
-		}
-	}
 }

@@ -101,14 +101,11 @@ type Record struct {
 }
 
 // Store is the result-store contract executors program against. All
-// methods are safe for concurrent use. Get/Has are exact key lookups;
-// Put is last-write-wins and must persist the record before returning
+// methods are safe for concurrent use. Get is an exact key lookup; Put
+// is last-write-wins and must persist the record before returning
 // (durability beyond the process is the implementation's contract: Disk
-// appends before returning, Mem keeps it in memory); Scan visits every
-// live record in insertion order until the callback returns false.
+// appends before returning, Mem keeps it in memory).
 type Store interface {
 	Get(k Key) (Record, bool)
 	Put(rec Record) error
-	Has(k Key) bool
-	Scan(fn func(rec Record) bool)
 }

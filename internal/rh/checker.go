@@ -83,20 +83,6 @@ func DoubleSidedWeights() []float64 { return []float64{1} }
 // so a Reset on every pooled acquisition allocates nothing.
 var doubleSided = DoubleSidedWeights()
 
-// NonAdjacentWeights models the range-3 effect of Section V-C: per-side
-// weights 1, 0.5, 0.25 aggregate to 3.5 as reported by BlockHammer.
-func NonAdjacentWeights() []float64 { return []float64{1, 0.5, 0.25} }
-
-// AggregatedEffect sums the disturbance a victim suffers when every row
-// within the blast radius is an aggressor (both sides).
-func AggregatedEffect(weights []float64) float64 {
-	total := 0.0
-	for _, w := range weights {
-		total += 2 * w
-	}
-	return total
-}
-
 // NewChecker builds a checker for a bank with rows rows whose auto-refresh
 // sweeps refreshGroups groups round-robin, with flip threshold flipTH and
 // the given per-distance weights (nil means double-sided).
@@ -116,8 +102,7 @@ func NewChecker(rows, refreshGroups, flipTH int, weights []float64) *Checker {
 // Reset returns the checker to the state NewChecker would build for the
 // same bank geometry and the given fault model, in O(1): a new epoch
 // empties every slot lazily, and the counters and flip log are cleared.
-// The slot table keeps its grown capacity. Slices previously returned by
-// Flips are invalidated (their backing array is reused).
+// The slot table and the flip log keep their grown capacity.
 func (c *Checker) Reset(flipTH int, weights []float64) {
 	if flipTH <= 0 {
 		panic(fmt.Sprintf("rh: FlipTH must be positive, got %d", flipTH))
@@ -287,6 +272,8 @@ func (c *Checker) OnRefresh(row int) {
 }
 
 // Disturbance reports the current accumulated disturbance of row.
+//
+//mithril:allow testonly the dram tests read one row's disturbance to check that REF, RFM and preventive refreshes reset it
 func (c *Checker) Disturbance(row int) float64 {
 	if row < 0 || row >= c.rows {
 		return 0
@@ -297,18 +284,6 @@ func (c *Checker) Disturbance(row int) float64 {
 	}
 	return s.disturb
 }
-
-// Flips returns all detected bit flips in detection order.
-func (c *Checker) Flips() []Flip { return c.flips }
-
-// MaxDisturbance reports the high-water mark of disturbance ever observed
-// and the row where it occurred — the safety margin is
-// FlipTH − MaxDisturbance even when no flip fired.
-func (c *Checker) MaxDisturbance() (float64, int) { return c.maxSeen, c.maxRow }
-
-// Counts reports the total ACTs and row refreshes observed: every
-// preventive refresh plus every row the auto-refresh sweep restored.
-func (c *Checker) Counts() (acts, refreshes uint64) { return c.acts, c.refreshes() }
 
 // refreshes adds the rows restored by the REFs so far to the preventive
 // refreshes. A full sweep of all groups restores the covered rows once;

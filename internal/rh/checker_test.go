@@ -32,7 +32,7 @@ func TestDoubleSidedAttackFlipsAtHalfFlipTH(t *testing.T) {
 		c.OnActivate(4, timing.PicoSeconds(i))
 		c.OnActivate(6, timing.PicoSeconds(i))
 	}
-	flips := c.Flips()
+	flips := c.flips
 	if len(flips) != 1 {
 		t.Fatalf("got %d flips, want exactly 1 (the shared victim)", len(flips))
 	}
@@ -50,12 +50,12 @@ func TestSingleSidedNeedsFullFlipTH(t *testing.T) {
 	for i := 0; i < flipTH-1; i++ {
 		c.OnActivate(4, 0)
 	}
-	if len(c.Flips()) != 0 {
+	if len(c.flips) != 0 {
 		t.Fatal("one-sided attack below FlipTH must not flip")
 	}
 	c.OnActivate(4, 0)
-	if len(c.Flips()) != 2 {
-		t.Fatalf("at FlipTH both neighbours flip, got %d", len(c.Flips()))
+	if len(c.flips) != 2 {
+		t.Fatalf("at FlipTH both neighbours flip, got %d", len(c.flips))
 	}
 }
 
@@ -70,7 +70,7 @@ func TestRefreshResetsDisturbance(t *testing.T) {
 	for i := 0; i < flipTH-1; i++ {
 		c.OnActivate(4, 0)
 	}
-	if len(c.Flips()) != 0 {
+	if len(c.flips) != 0 {
 		t.Fatal("refresh between bursts should prevent flips")
 	}
 	if got := c.Disturbance(3); got != flipTH-1 {
@@ -83,26 +83,35 @@ func TestFlipLatchedUntilRefresh(t *testing.T) {
 	for i := 0; i < 30; i++ {
 		c.OnActivate(4, 0)
 	}
-	if len(c.Flips()) != 2 {
-		t.Fatalf("flips should be latched once per epoch, got %d", len(c.Flips()))
+	if len(c.flips) != 2 {
+		t.Fatalf("flips should be latched once per epoch, got %d", len(c.flips))
 	}
 	c.OnRefresh(3)
 	for i := 0; i < 10; i++ {
 		c.OnActivate(4, 0)
 	}
-	if len(c.Flips()) != 3 {
-		t.Fatalf("after refresh a new epoch can flip again, got %d", len(c.Flips()))
+	if len(c.flips) != 3 {
+		t.Fatalf("after refresh a new epoch can flip again, got %d", len(c.flips))
 	}
 }
 
 func TestNonAdjacentWeights(t *testing.T) {
-	if got := AggregatedEffect(NonAdjacentWeights()); got != 3.5 {
-		t.Fatalf("aggregated effect = %v, want 3.5 (Section V-C)", got)
+	// A victim with every row of the blast radius hammered once sums the
+	// aggregated effect: 3.5 for range 3 (Section V-C), 2 double-sided.
+	for _, tc := range []struct {
+		weights []float64
+		want    float64
+	}{{nonAdjacentWeights, 3.5}, {DoubleSidedWeights(), 2}} {
+		c := NewChecker(100, 1, 1000, tc.weights)
+		for d := 1; d <= len(tc.weights); d++ {
+			c.OnActivate(50-d, 0)
+			c.OnActivate(50+d, 0)
+		}
+		if got := c.Disturbance(50); got != tc.want {
+			t.Fatalf("aggregated effect = %v, want %v", got, tc.want)
+		}
 	}
-	if got := AggregatedEffect(DoubleSidedWeights()); got != 2 {
-		t.Fatalf("double-sided aggregated effect = %v, want 2", got)
-	}
-	c := NewChecker(100, 1, 1000, NonAdjacentWeights())
+	c := NewChecker(100, 1, 1000, nonAdjacentWeights)
 	c.OnActivate(50, 0)
 	for _, tc := range []struct {
 		row  int
@@ -115,7 +124,7 @@ func TestNonAdjacentWeights(t *testing.T) {
 }
 
 func TestEdgeRowsHaveFewerNeighbours(t *testing.T) {
-	c := NewChecker(4, 1, 100, NonAdjacentWeights())
+	c := NewChecker(4, 1, 100, nonAdjacentWeights)
 	c.OnActivate(0, 0) // neighbours only on the right
 	if got := c.Disturbance(1); got != 1 {
 		t.Errorf("row 1 = %v, want 1", got)
@@ -132,7 +141,7 @@ func TestMaxDisturbanceTracksHighWaterMark(t *testing.T) {
 	}
 	c.OnRefresh(3)
 	c.OnRefresh(5)
-	max, row := c.MaxDisturbance()
+	max, row := c.maxSeen, c.maxRow
 	if max != 42 || (row != 3 && row != 5) {
 		t.Fatalf("MaxDisturbance = (%v, %d), want (42, 3 or 5)", max, row)
 	}
@@ -219,8 +228,8 @@ func TestResetRestoresFreshBehaviour(t *testing.T) {
 		for i := 0; i < 30; i++ {
 			c.OnActivate(8, timing.PicoSeconds(i))
 		}
-		max, _ := c.MaxDisturbance()
-		return len(c.Flips()), max
+		r := c.Report()
+		return r.Flips, r.MaxDisturbance
 	}
 	c := NewChecker(64, 1, 10, nil)
 	fresh := NewChecker(64, 1, 10, nil)
@@ -236,11 +245,11 @@ func TestResetRestoresFreshBehaviour(t *testing.T) {
 			t.Fatalf("row %d keeps disturbance %g after Reset", row, d)
 		}
 	}
-	if acts, refs := c.Counts(); acts != 0 || refs != 0 {
-		t.Fatalf("counters survive Reset: %d ACTs, %d refreshes", acts, refs)
+	if r := c.Report(); r.ACTs != 0 || r.Refreshes != 0 {
+		t.Fatalf("counters survive Reset: %d ACTs, %d refreshes", r.ACTs, r.Refreshes)
 	}
-	if len(c.Flips()) != 0 {
-		t.Fatalf("flip log survives Reset: %v", c.Flips())
+	if len(c.flips) != 0 {
+		t.Fatalf("flip log survives Reset: %v", c.flips)
 	}
 	// The next epoch must latch flips again exactly like a fresh checker.
 	if flips, max := hammer(c); flips != wantFlips || max != wantMax {
@@ -257,7 +266,11 @@ func TestRefreshOfUntouchedRowStillCounts(t *testing.T) {
 	if d := c.Disturbance(9); d != 0 {
 		t.Fatalf("refreshed row keeps disturbance %g", d)
 	}
-	if _, refs := c.Counts(); refs != 2 {
+	if refs := c.Report().Refreshes; refs != 2 {
 		t.Fatalf("refresh count = %d, want 2 (untouched rows still count)", refs)
 	}
 }
+
+// nonAdjacentWeights models the range-3 effect of Section V-C: per-side
+// weights 1, 0.5, 0.25 aggregate to 3.5 as reported by BlockHammer.
+var nonAdjacentWeights = []float64{1, 0.5, 0.25}

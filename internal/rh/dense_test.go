@@ -104,7 +104,7 @@ func TestSparseCheckerMatchesDense(t *testing.T) {
 		{1, 1},   // a bank with no neighbours at all
 		{300, 300},
 	}
-	models := map[string][]float64{"double": DoubleSidedWeights(), "nonadjacent": NonAdjacentWeights()}
+	models := map[string][]float64{"double": DoubleSidedWeights(), "nonadjacent": nonAdjacentWeights}
 	for _, g := range geometries {
 		for name, weights := range models {
 			for seed := uint64(1); seed <= 4; seed++ {
@@ -149,7 +149,7 @@ func diffStream(t *testing.T, rows, groups int, model string, weights []float64,
 			flipTH = 4 + rng.IntN(12)
 			w := weights
 			if rng.IntN(2) == 0 {
-				w = NonAdjacentWeights()
+				w = nonAdjacentWeights
 			}
 			sparse.Reset(flipTH, w)
 			dense.reset(flipTH, w)
@@ -163,10 +163,10 @@ func diffStream(t *testing.T, rows, groups int, model string, weights []float64,
 		if s, d := sparse.Report(), dense.report(); s != d {
 			t.Fatalf("%d rows/%d groups %s seed %d op %d: report\nsparse %+v\ndense  %+v", rows, groups, model, seed, op, s, d)
 		}
-		if !slices.Equal(sparse.Flips(), dense.flips) {
-			t.Fatalf("%d rows/%d groups %s seed %d op %d: flips\nsparse %v\ndense  %v", rows, groups, model, seed, op, sparse.Flips(), dense.flips)
+		if !slices.Equal(sparse.flips, dense.flips) {
+			t.Fatalf("%d rows/%d groups %s seed %d op %d: flips\nsparse %v\ndense  %v", rows, groups, model, seed, op, sparse.flips, dense.flips)
 		}
-		if m, r := sparse.MaxDisturbance(); m != dense.maxSeen || r != dense.maxRow {
+		if m, r := sparse.maxSeen, sparse.maxRow; m != dense.maxSeen || r != dense.maxRow {
 			t.Fatalf("%d rows/%d groups %s seed %d op %d: max (%g, %d), dense (%g, %d)",
 				rows, groups, model, seed, op, m, r, dense.maxSeen, dense.maxRow)
 		}

@@ -14,18 +14,6 @@ import (
 	"strings"
 )
 
-// Mean returns the arithmetic mean (0 for an empty slice).
-func Mean(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	sum := 0.0
-	for _, x := range xs {
-		sum += x
-	}
-	return sum / float64(len(xs))
-}
-
 // Geomean returns the geometric mean; it panics on non-positive inputs
 // (normalized IPCs are positive by construction).
 func Geomean(xs []float64) float64 {

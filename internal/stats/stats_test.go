@@ -9,15 +9,6 @@ import (
 	"testing"
 )
 
-func TestMean(t *testing.T) {
-	if got := Mean([]float64{1, 2, 3}); got != 2 {
-		t.Errorf("Mean = %v", got)
-	}
-	if got := Mean(nil); got != 0 {
-		t.Errorf("Mean(nil) = %v", got)
-	}
-}
-
 func TestGeomean(t *testing.T) {
 	if got := Geomean([]float64{4, 9}); math.Abs(got-6) > 1e-12 {
 		t.Errorf("Geomean(4,9) = %v, want 6", got)

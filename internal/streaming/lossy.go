@@ -18,7 +18,6 @@ type LossyCounting struct {
 	current int // current bucket id
 	seen    int // items observed in the current bucket
 	table   map[uint32]*lossyEntry
-	maxLive int // high-water mark of table occupancy
 }
 
 type lossyEntry struct {
@@ -42,9 +41,6 @@ func (l *LossyCounting) Observe(key uint32) {
 		e.f++
 	} else {
 		l.table[key] = &lossyEntry{f: 1, delta: uint64(l.current - 1)} //mithril:allow hotpathalloc heap-backed table is TWiCe's modeled inefficiency, not a simulator defect
-		if len(l.table) > l.maxLive {
-			l.maxLive = len(l.table)
-		}
 	}
 	l.seen++
 	if l.seen == l.width {
@@ -75,47 +71,6 @@ func (l *LossyCounting) Estimate(key uint32) uint64 {
 	return uint64(l.current - 1)
 }
 
-// ObservedFrequency reports the exact observed-since-insertion frequency f
-// (0 for untracked keys); true count is in [f, f+Δ].
-func (l *LossyCounting) ObservedFrequency(key uint32) uint64 {
-	if e, ok := l.table[key]; ok {
-		return e.f
-	}
-	return 0
-}
-
-// Contains reports whether key is currently tracked.
-func (l *LossyCounting) Contains(key uint32) bool {
-	_, ok := l.table[key]
-	return ok
-}
-
-// Len is the current number of tracked entries.
-func (l *LossyCounting) Len() int { return len(l.table) }
-
-// MaxLive is the high-water mark of tracked entries — the size the hardware
-// table must provision, which is the area-relevant number for TWiCe.
-func (l *LossyCounting) MaxLive() int { return l.maxLive }
-
-// Width reports the bucket width (1/ε).
-func (l *LossyCounting) Width() int { return l.width }
-
-// Max returns the key with the largest conservative estimate, for greedy
-// selection experiments. ok is false when nothing is tracked.
-func (l *LossyCounting) Max() (uint32, uint64, bool) {
-	var (
-		bestKey uint32
-		bestEst uint64
-		found   bool
-	)
-	for key, e := range l.table {
-		if est := e.f + e.delta; !found || est > bestEst || (est == bestEst && key < bestKey) {
-			bestKey, bestEst, found = key, est, true
-		}
-	}
-	return bestKey, bestEst, found
-}
-
 // Drop removes a key (TWiCe prunes a row after its victims are refreshed).
 //
 //mithril:hotpath
@@ -126,5 +81,4 @@ func (l *LossyCounting) Reset() {
 	l.table = make(map[uint32]*lossyEntry)
 	l.current = 1
 	l.seen = 0
-	l.maxLive = 0
 }

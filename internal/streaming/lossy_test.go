@@ -20,8 +20,8 @@ func TestLossyCountingBounds(t *testing.T) {
 		}
 		l.Observe(k)
 		actual[k]++
-		if l.Contains(k) {
-			f := l.ObservedFrequency(k)
+		if e, tracked := l.table[k]; tracked {
+			f := e.f // observed since insertion; the true count is in [f, f+Δ]
 			if f > actual[k] {
 				t.Fatalf("step %d: observed frequency %d exceeds true count %d", i, f, actual[k])
 			}
@@ -48,11 +48,12 @@ func TestLossyCountingHeavyHitterNeverPruned(t *testing.T) {
 			l.Observe(uint32(r.Intn(100000)) + 100)
 		}
 	}
-	if !l.Contains(7) {
+	e, tracked := l.table[7]
+	if !tracked {
 		t.Fatal("heavy hitter was pruned")
 	}
-	if f := l.ObservedFrequency(7); f < 4000 {
-		t.Fatalf("heavy hitter frequency %d unexpectedly low", f)
+	if e.f < 4000 {
+		t.Fatalf("heavy hitter frequency %d unexpectedly low", e.f)
 	}
 }
 
@@ -61,11 +62,8 @@ func TestLossyCountingPrunesColdKeys(t *testing.T) {
 	for i := 0; i < 1000; i++ {
 		l.Observe(uint32(i)) // every key unique: all prunable
 	}
-	if l.Len() > 20 {
-		t.Fatalf("cold keys not pruned: %d live entries", l.Len())
-	}
-	if l.MaxLive() < l.Len() {
-		t.Fatal("MaxLive below current occupancy")
+	if n := len(l.table); n > 20 {
+		t.Fatalf("cold keys not pruned: %d live entries", n)
 	}
 }
 
@@ -77,13 +75,15 @@ func TestLossyCountingTableLargerThanCbSForSameGuarantee(t *testing.T) {
 	l := NewLossyCounting(n)
 	c := NewCbS(n)
 	r := NewRand(11)
+	maxLive := 0 // the size the hardware table must provision
 	for i := 0; i < 50000; i++ {
 		k := uint32(r.Intn(2000))
 		l.Observe(k)
 		c.Observe(k)
+		maxLive = max(maxLive, len(l.table))
 	}
-	if l.MaxLive() <= n {
-		t.Fatalf("lossy counting high-water mark %d should exceed N=%d on a dispersed stream", l.MaxLive(), n)
+	if maxLive <= n {
+		t.Fatalf("lossy counting high-water mark %d should exceed N=%d on a dispersed stream", maxLive, n)
 	}
 	if c.Len() > n {
 		t.Fatalf("CbS exceeded its capacity: %d > %d", c.Len(), n)
@@ -98,17 +98,19 @@ func TestLossyCountingMaxAndDrop(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		l.Observe(4)
 	}
-	key, est, ok := l.Max()
-	if !ok || key != 3 || est < 30 {
-		t.Fatalf("Max() = (%d, %d, %v), want key 3 with est ≥ 30", key, est, ok)
+	if est := l.Estimate(3); est < 30 {
+		t.Fatalf("Estimate(3) = %d, want ≥ 30", est)
 	}
 	l.Drop(3)
-	if l.Contains(3) {
+	if _, tracked := l.table[3]; tracked {
 		t.Fatal("Drop did not remove the key")
 	}
-	key, _, ok = l.Max()
-	if !ok || key != 4 {
-		t.Fatalf("after Drop, Max = %d, want 4", key)
+	// A dropped key reads as untracked: the bucket undercount, here 0.
+	if est := l.Estimate(3); est != 0 {
+		t.Fatalf("after Drop, Estimate(3) = %d, want 0", est)
+	}
+	if est := l.Estimate(4); est < 10 {
+		t.Fatalf("Drop disturbed key 4: Estimate(4) = %d, want ≥ 10", est)
 	}
 }
 
@@ -118,7 +120,7 @@ func TestLossyCountingReset(t *testing.T) {
 		l.Observe(1)
 	}
 	l.Reset()
-	if l.Len() != 0 || l.MaxLive() != 0 || l.Contains(1) {
+	if len(l.table) != 0 || l.Estimate(1) != 0 {
 		t.Fatal("Reset did not clear state")
 	}
 }
@@ -141,7 +143,7 @@ func TestLossyCountingFrequencyLowerBoundProperty(t *testing.T) {
 			k := uint32(r.Intn(50))
 			l.Observe(k)
 			actual[k]++
-			if l.ObservedFrequency(k) > actual[k] {
+			if e := l.table[k]; e != nil && e.f > actual[k] {
 				return false
 			}
 		}

@@ -127,20 +127,3 @@ func (d *DualCBF) rotate() {
 	clear(d.active)
 	d.active, d.standby = d.standby, d.active
 }
-
-// Estimate reports key's minimum counter across the hash rows of the active
-// filter (never an underestimate of the ACTs it has observed).
-func (d *DualCBF) Estimate(key uint32) uint64 {
-	est := uint16(CBFMaxCount)
-	for i, seed := range d.seeds {
-		est = min(est, d.active[i*d.width+d.slot(key, seed)])
-	}
-	return uint64(est)
-}
-
-// Reset clears both filters and restarts the half epoch.
-func (d *DualCBF) Reset() {
-	clear(d.active)
-	clear(d.standby)
-	d.observed = 0
-}

@@ -28,6 +28,8 @@ const leakRetryWindow = 5 * time.Second
 // after the retry window and runs module code (its stack mentions
 // "mithril") — the targeted form that ignores runtime, testing, and
 // net/http service goroutines a test has no control over.
+//
+//mithril:allow testonly the runtime leak checker the module's tests (and bench/'s) defer; it lives outside _test.go files so every package can import it
 func CheckGoroutines(t testing.TB) func() {
 	t.Helper()
 	before := goroutineStacks()

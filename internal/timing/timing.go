@@ -45,9 +45,6 @@ func (p PicoSeconds) String() string {
 	}
 }
 
-// Nanoseconds reports the duration as a float in nanoseconds.
-func (p PicoSeconds) Nanoseconds() float64 { return float64(p) / float64(Nanosecond) }
-
 // Params holds every DRAM timing and organization parameter the simulator
 // enforces. Fields follow JEDEC naming.
 type Params struct {

@@ -135,23 +135,6 @@ func ParseTraceFile(path string) ([]Record, error) {
 	return recs, nil
 }
 
-// WriteTrace emits recs in the canonical trace-file text form: parsing
-// WriteTrace's output yields recs back exactly (the round-trip a testdata
-// fixture pins). Callers wanting the gzip variant wrap w in a gzip.Writer.
-func WriteTrace(w io.Writer, recs []Record) error {
-	bw := bufio.NewWriter(w)
-	for _, r := range recs {
-		op := "R"
-		if r.Write {
-			op = "W"
-		}
-		if _, err := fmt.Fprintf(bw, "%d %s %#x\n", r.Gap, op, r.Addr); err != nil {
-			return err
-		}
-	}
-	return bw.Flush()
-}
-
 // Replay is a Generator that cycles through a recorded access stream,
 // offsetting every address by a fixed base (FileWorkload picks per-core
 // bases that keep replays of the same trace disjoint, like the

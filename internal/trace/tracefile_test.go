@@ -1,9 +1,12 @@
 package trace
 
 import (
+	"bufio"
 	"bytes"
 	"compress/gzip"
 	"errors"
+	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -196,4 +199,21 @@ func TestBuildWorkloadTraceForm(t *testing.T) {
 	if _, err := BuildWorkload("spec2017", 1, 1); !errors.Is(err, ErrUnknownWorkload) {
 		t.Errorf("unknown name: err = %v, want ErrUnknownWorkload", err)
 	}
+}
+
+// WriteTrace emits recs in the canonical trace-file text form: parsing
+// WriteTrace's output yields recs back exactly (the round-trip a testdata
+// fixture pins). The tests build trace files with it.
+func WriteTrace(w io.Writer, recs []Record) error {
+	bw := bufio.NewWriter(w)
+	for _, r := range recs {
+		op := "R"
+		if r.Write {
+			op = "W"
+		}
+		if _, err := fmt.Fprintf(bw, "%d %s %#x\n", r.Gap, op, r.Addr); err != nil {
+			return err
+		}
+	}
+	return bw.Flush()
 }

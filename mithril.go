@@ -29,9 +29,10 @@
 //
 // Schemes, workloads and attack patterns come from fixed tables: the
 // paper's Table I schemes, its five benign workloads, and its attack
-// patterns (see NewScheme, NewWorkload and NewAttack).
+// patterns (see NewScheme, NewWorkload and AttackNames; specs name
+// attacks on their Attacks axis).
 //
-// Every simulation entry point takes a context: Engine.Run, Engine.Compare,
+// Every simulation entry point takes a context: Engine.Compare,
 // Engine.RunSpec/RunSpecAt, Engine.Stream/StreamAt, and RunParallelContext.
 package mithril
 
@@ -58,14 +59,10 @@ type (
 	Scheme = mc.Scheme
 	// SimConfig describes one simulation run.
 	SimConfig = sim.Config
-	// SimResult carries a run's metrics.
-	SimResult = sim.Result
 	// Comparison is a protected run normalized against its baseline.
 	Comparison = sim.Comparison
 	// Workload is a named, replayable set of per-core generators.
 	Workload = trace.Workload
-	// Generator produces a core's access stream.
-	Generator = trace.Generator
 	// MithrilConfig is a feasible (Nentry, RFMTH) operating point.
 	MithrilConfig = analysis.Config
 	// SchedulerKind selects the MC scheduling policy.
@@ -120,11 +117,6 @@ func BoundM(p TimingParams, nEntry, rfmTH int) float64 {
 	return analysis.BoundM(p, nEntry, rfmTH)
 }
 
-// BoundMPrime evaluates the Theorem 2 bound (adaptive refresh).
-func BoundMPrime(p TimingParams, nEntry, rfmTH, adTH int) float64 {
-	return analysis.BoundMPrime(p, nEntry, rfmTH, adTH)
-}
-
 // ExperimentSpec is a declarative experiment description: a named grid
 // over scheme × FlipTH × workload × attack × seed (× adversarial flag)
 // at a scale, the JSON format the shipped specs/*.json figures use.
@@ -151,21 +143,15 @@ const (
 // it with Engine.RunSpec (the spec's own scale) or Engine.RunSpecAt.
 func ParseSpec(data []byte) (*ExperimentSpec, error) { return expspec.Parse(data) }
 
-// LoadSpec reads and validates a spec file from disk.
-func LoadSpec(path string) (*ExperimentSpec, error) { return expspec.Load(path) }
-
 // LoadShippedSpec loads one embedded spec by name (e.g. "figure10.quick";
 // see SpecsFS for the inventory).
 func LoadShippedSpec(name string) (*ExperimentSpec, error) {
 	return expspec.LoadFS(specsFS, "specs/"+name+".json")
 }
 
-// MixHigh and friends re-export the paper's workloads.
-func MixHigh(cores int, seed uint64) Workload    { return trace.MixHigh(cores, seed) }
-func MixBlend(cores int, seed uint64) Workload   { return trace.MixBlend(cores, seed) }
-func FFT(threads int, seed uint64) Workload      { return trace.FFT(threads, seed) }
-func Radix(threads int, seed uint64) Workload    { return trace.Radix(threads, seed) }
-func PageRank(threads int, seed uint64) Workload { return trace.PageRank(threads, seed) }
+// MixHigh re-exports the paper's mix-high workload; NewWorkload builds
+// the others by name.
+func MixHigh(cores int, seed uint64) Workload { return trace.MixHigh(cores, seed) }
 
 // ------------------------------------------------- workload/attack tables
 
@@ -201,35 +187,9 @@ func NewWorkload(name string, cores int, seed uint64) (Workload, error) {
 // validation) for an unknown workload name; match with errors.Is.
 var ErrUnknownWorkload = trace.ErrUnknownWorkload
 
-// AddressMapper translates between physical byte addresses and DRAM
-// coordinates; attack patterns use it to aim at specific rows.
-type AddressMapper = mc.AddressMapper
-
-// NewAddressMapper builds the mapper for a parameter set.
-func NewAddressMapper(p TimingParams) *AddressMapper { return mc.NewAddressMapper(p) }
-
-// AttackParams configures an attack-pattern build for NewAttack: the
-// required Mapper plus optional bank/row coordinates (each pattern has
-// paper defaults), an explicit Rows list for "rowlist", and the deployed
-// scheme's collision oracle for oracle-driven patterns.
-type AttackParams = attack.Params
-
-// CollisionOracle is the collision interface oracle-driven attack
-// patterns probe (BlockHammer exposes one); extract it from a Scheme
-// with a checked type assertion.
-type CollisionOracle = attack.Throttler
-
-// NewAttack builds a table attack pattern by (possibly
-// parameterized) name — "multi:8", "decoy", "rowlist", ... — as a
-// Generator to place in a Workload. Generators are stateful: build one
-// per simulation. An unknown name yields an error wrapping
-// ErrUnknownAttack that lists the valid patterns.
-func NewAttack(name string, p AttackParams) (Generator, error) { return attack.Build(name, p) }
-
 // AttackNames lists the table attack patterns' display spellings
 // ("blockhammer-adversarial", "decoy:<n>", "double", "multi:<n>",
-// "rowlist", "single"). The sorted order is a
-// documented, tested guarantee.
+// "single"). The sorted order is a documented, tested guarantee.
 func AttackNames() []string { return attack.Names() }
 
 // AttackCatalog lists the table attack patterns with descriptions,

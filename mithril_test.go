@@ -6,7 +6,9 @@ import (
 	"reflect"
 	"testing"
 
+	"mithril/internal/analysis"
 	"mithril/internal/expspec"
+	"mithril/internal/trace"
 )
 
 // tinyScale keeps the API-level tests fast.
@@ -115,7 +117,7 @@ func TestConfigureAPI(t *testing.T) {
 	if BoundM(DDR5(), c.NEntry, 128) >= 6250/2 {
 		t.Fatal("returned config violates Theorem 1")
 	}
-	if BoundMPrime(DDR5(), c.NEntry, 128, 200) < BoundM(DDR5(), c.NEntry, 128) {
+	if analysis.BoundMPrime(DDR5(), c.NEntry, 128, 200) < BoundM(DDR5(), c.NEntry, 128) {
 		t.Fatal("M' should not be below M")
 	}
 	if _, ok := Configure(DDR5(), 1500, 256, 0); ok {
@@ -141,7 +143,7 @@ func TestNewSchemeAndRunEndToEnd(t *testing.T) {
 	}
 	sc := tinyScale()
 	cfg := expspec.BaseSimConfig(6250, sc)
-	cmp, err := NewEngine(DDR5()).Compare(context.Background(), cfg, MixBlend(sc.Cores, 1), s)
+	cmp, err := NewEngine(DDR5()).Compare(context.Background(), cfg, trace.MixBlend(sc.Cores, 1), s)
 	if err != nil {
 		t.Fatal(err)
 	}

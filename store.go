@@ -6,10 +6,9 @@ import (
 )
 
 // ResultStore is the content-addressed row store an Engine consults
-// before simulating a grid cell (see WithResultStore): Get/Has are exact
-// lookups by content key, Put persists a completed row, Scan walks the
-// live records. Implementations must be safe for concurrent use; the
-// shipped ones are NewMemResultStore (per-process) and OpenResultStore
+// before simulating a grid cell (see WithResultStore): Get is an exact
+// lookup by content key, Put persists a completed row. Implementations
+// must be safe for concurrent use; the shipped one is OpenResultStore
 // (durable, resumable across runs).
 type ResultStore = resultstore.Store
 
@@ -30,13 +29,6 @@ type ResultStoreStats = resultstore.Stats
 // segment.
 func OpenResultStore(dir string) (*DiskResultStore, error) {
 	return resultstore.Open(dir)
-}
-
-// NewMemResultStore returns an in-memory ResultStore: rows persist for
-// the process lifetime only. Useful in tests and as a request-level
-// cache when no store directory is configured.
-func NewMemResultStore() ResultStore {
-	return resultstore.NewMem()
 }
 
 // ResultStoreSchemaVersion is the stored-row schema generation embedded

@@ -15,6 +15,7 @@ import (
 	"io/fs"
 	"path"
 	"strings"
+	"sync"
 	"testing"
 
 	"mithril/internal/expspec"
@@ -57,10 +58,11 @@ func TestStoreEquivalence(t *testing.T) {
 
 			// Cold disk store: every row simulates, every row is written.
 			dir := t.TempDir()
-			st, err := OpenResultStore(dir)
+			disk, err := OpenResultStore(dir)
 			if err != nil {
 				t.Fatal(err)
 			}
+			st := &recordingStore{Store: disk}
 			coldRes, err := NewEngine(DDR5(), WithResultStore(st)).RunSpecAt(ctx, sp, sc)
 			if err != nil {
 				t.Fatalf("cold store: %v", err)
@@ -73,7 +75,7 @@ func TestStoreEquivalence(t *testing.T) {
 				t.Errorf("cold store: cached=%d simulated=%d, want 0/%d",
 					coldRes.RowsCached, coldRes.RowsSimulated, total)
 			}
-			if err := st.Close(); err != nil {
+			if err := disk.Close(); err != nil {
 				t.Fatal(err)
 			}
 
@@ -107,17 +109,14 @@ func TestStoreEquivalence(t *testing.T) {
 			// Half-warm: copy alternate records into a fresh memory store —
 			// the interrupted-sweep shape, where cached hits and live
 			// simulation interleave within a single dispatch.
-			half := NewMemResultStore()
-			i := 0
-			st2.Scan(func(rec resultstore.Record) bool {
+			half := resultstore.NewMem()
+			for i, rec := range st.recs {
 				if i%2 == 0 {
 					if err := half.Put(rec); err != nil {
 						t.Fatal(err)
 					}
 				}
-				i++
-				return true
-			})
+			}
 			halfRes, err := NewEngine(DDR5(), WithResultStore(half)).RunSpecAt(ctx, sp, sc)
 			if err != nil {
 				t.Fatalf("half-warm store: %v", err)
@@ -133,4 +132,18 @@ func TestStoreEquivalence(t *testing.T) {
 			}
 		})
 	}
+}
+
+// recordingStore keeps every record Put through it, in Put order.
+type recordingStore struct {
+	resultstore.Store
+	mu   sync.Mutex
+	recs []resultstore.Record
+}
+
+func (r *recordingStore) Put(rec resultstore.Record) error {
+	r.mu.Lock()
+	r.recs = append(r.recs, rec)
+	r.mu.Unlock()
+	return r.Store.Put(rec)
 }
