@@ -3,10 +3,14 @@ package expspec
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"reflect"
 	"testing"
 
+	"mithril/internal/energy"
 	"mithril/internal/mc"
+	"mithril/internal/mitigation"
+	"mithril/internal/rh"
 	"mithril/internal/sim"
 	"mithril/internal/sweep"
 	"mithril/internal/trace"
@@ -61,6 +65,145 @@ func TestUnprotectedRunIndependentOfFlipTH(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestAdTHLeavesTimingUnchanged is the proof the adth kind's lanes rest
+// on: plain Mithril's AdTH picks only what is refreshed inside RFM windows
+// the controller grants anyway, so independent runs at every AdTH level
+// agree on everything but the preventive rows, the energy they cost, and
+// the fault checker's view of them.
+func TestAdTHLeavesTimingUnchanged(t *testing.T) {
+	sc := QuickScale()
+	const seed = 1
+	for _, cfg := range []ConfigPoint{{FlipTH: 3125, RFMTH: 16}, {FlipTH: 6250, RFMTH: 64}} {
+		for _, w := range []trace.Workload{trace.MixHigh(sc.Cores, seed), trace.FFT(sc.Cores, seed)} {
+			t.Run(fmt.Sprintf("%s/%d-%d", w.Name, cfg.FlipTH, cfg.RFMTH), func(t *testing.T) {
+				var ref sim.Result
+				preventive := map[uint64]bool{}
+				for i, ad := range []int{0, 50, 100, 150, 200} {
+					scheme, err := mitigation.Build("mithril", mitigation.Options{
+						Timing: sc.Params(), FlipTH: cfg.FlipTH, RFMTH: cfg.RFMTH, AdTH: adthOption(ad), Seed: seed})
+					if err != nil {
+						t.Fatal(err)
+					}
+					run := sc.cfgFor(cfg.FlipTH, w)
+					run.Scheme = scheme
+					res, err := sim.RunContext(context.Background(), run)
+					if err != nil {
+						t.Fatal(err)
+					}
+					preventive[res.Device.PreventiveRows] = true
+					res.Device.PreventiveRows, res.Energy, res.Safety = 0, energy.Breakdown{}, rh.Report{}
+					if i == 0 {
+						ref = res
+					} else if !reflect.DeepEqual(res, ref) {
+						t.Errorf("AdTH %d moved the run:\n%+v\nAdTH 0:\n%+v", ad, res, ref)
+					}
+				}
+				if len(preventive) < 2 {
+					t.Errorf("every AdTH level refreshed the same rows: the levels are never told apart")
+				}
+			})
+		}
+	}
+}
+
+// TestAdTHLanesMatchIndependentRuns checks laned adth rows against rows
+// simulated one AdTH level at a time, at a point no golden pins: a
+// non-default seed, an unsorted AdTH axis, and a shard that covers only
+// some of the rows. A laned run is also the lane-0 run exactly, down to
+// the fault checker, since lane 0 alone refreshes the device's rows.
+func TestAdTHLanesMatchIndependentRuns(t *testing.T) {
+	s := &Spec{
+		Name:  "lanes",
+		Title: "AdTH lanes",
+		Kind:  AdTHSweep,
+		Scale: ScaleSpec{Preset: "quick"},
+		Axes: Axes{
+			Configs:   []ConfigPoint{{FlipTH: 6250, RFMTH: 64}},
+			AdTHs:     []int{150, 0, 200, 50, 100},
+			Workloads: []string{"multi-threaded", "multi-programmed"},
+			Seeds:     []uint64{7},
+		},
+	}
+	sc, err := s.Scale.Resolve()
+	if err != nil {
+		t.Fatal(err)
+	}
+	sc.Jobs = 2
+	ctx := context.Background()
+	shard := []int{3, 0, 2} // AdTH 50, 150 and 200
+	seq, err := s.StreamRowsAt(ctx, sc, shard, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	x, err := s.NewExecution(sc, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	energies := map[float64]bool{}
+	rows := 0
+	for row, err := range seq {
+		if err != nil {
+			t.Fatal(err)
+		}
+		rows++
+		c := row.Cell
+		for _, wName := range s.Axes.Workloads {
+			w := adthWorkloads[wName].build(sc.Cores, c.Seed)
+			opt, _ := adthKind{}.mithrilPoint(sc, c)
+			opt.Seed = c.Seed
+			scheme, err := mitigation.Build("mithril", opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			alone, err := x.measure(ctx, scheme, c.Seed, c.FlipTH, w, w.Name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := row.AdTH.EnergyOverheadPct[wName]
+			if got != alone.EnergyOverheadPct {
+				t.Errorf("row %d (AdTH %d) %s: laned energy %v%%, alone %v%%", row.Index, c.AdTH, wName, got, alone.EnergyOverheadPct)
+			}
+			energies[got] = true
+		}
+	}
+	if rows != len(shard) {
+		t.Fatalf("shard yielded %d rows, want %d", rows, len(shard))
+	}
+	if len(energies) < 2 {
+		t.Fatal("every laned row priced the same energy: the lanes are never told apart")
+	}
+
+	// The laned run itself is the lane-0 run.
+	levels := []int{adthOption(50), adthOption(0), adthOption(200)}
+	opt := mitigation.Options{Timing: sc.Params(), FlipTH: 6250, RFMTH: 64, Seed: 7}
+	w := trace.MixHigh(sc.Cores, 7)
+	lanes, err := mitigation.BuildLanes("mithril", opt, levels)
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := sc.cfgFor(opt.FlipTH, w)
+	run.Scheme = lanes
+	laned, err := sim.RunContext(ctx, run)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opt.AdTH = levels[0]
+	if run.Scheme, err = mitigation.Build("mithril", opt); err != nil {
+		t.Fatal(err)
+	}
+	run.Workload = w.Fresh()
+	alone, err := sim.RunContext(ctx, run)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(laned, alone) {
+		t.Errorf("laned run differs from its lane-0 run:\n%+v\n%+v", laned, alone)
+	}
+	if p := lanes.PreventiveRows(); p[0] != alone.Device.PreventiveRows || p[0] == p[1] && p[1] == p[2] {
+		t.Errorf("lane preventive rows %v, lane-0 run %d: want lane 0 to match and the lanes to differ", p, alone.Device.PreventiveRows)
 	}
 }
 

@@ -203,19 +203,17 @@ func BenignIPC(ipcs []float64, attackers int) float64 {
 	return total
 }
 
-// measure runs scheme on workload and produces the normalized point;
-// trailing attacker cores (w.Attackers) are excluded from IPC aggregation.
-// id is the workload's generator identity, which keys its baseline: w.Name
-// for every workload but the adversarial cell's.
+// simulate runs scheme on w and returns the protected run with the shared
+// unprotected baseline it is normalized against. id is the workload's
+// generator identity, which keys its baseline: w.Name for every workload
+// but the adversarial cell's.
 //
-// It runs two simulations: the shared unprotected baseline and the
-// protected run. When the baseline is unclaimed or already filled, the
-// baseline comes first. When another worker is filling it, the protected
-// run goes first and measure joins the baseline after, instead of idling
-// on the fill. Both runs are deterministic, so the order never changes the
-// point; a serial execution never finds a fill in flight.
-func (x *Execution) measure(ctx context.Context, scheme mc.Scheme, seed uint64, flipTH int, w trace.Workload, id string) (PerfPoint, error) {
-	attackers := w.Attackers
+// When the baseline is unclaimed or already filled, the baseline comes
+// first. When another worker is filling it, the protected run goes first
+// and simulate joins the baseline after, instead of idling on the fill.
+// Both runs are deterministic, so the order never changes the result; a
+// serial execution never finds a fill in flight.
+func (x *Execution) simulate(ctx context.Context, scheme mc.Scheme, seed uint64, flipTH int, w trace.Workload, id string) (sim.Result, baseline, error) {
 	var (
 		res    sim.Result
 		runErr error
@@ -232,11 +230,19 @@ func (x *Execution) measure(ctx context.Context, scheme mc.Scheme, seed uint64, 
 	}
 	base, err := x.baseline(ctx, seed, flipTH, w, id, protected)
 	if err != nil {
-		return PerfPoint{}, err
+		return sim.Result{}, baseline{}, err
 	}
 	protected()
-	if runErr != nil {
-		return PerfPoint{}, runErr
+	return res, base, runErr
+}
+
+// measure runs scheme on workload and produces the normalized point;
+// trailing attacker cores (w.Attackers) are excluded from IPC aggregation.
+// id is as for simulate.
+func (x *Execution) measure(ctx context.Context, scheme mc.Scheme, seed uint64, flipTH int, w trace.Workload, id string) (PerfPoint, error) {
+	res, base, err := x.simulate(ctx, scheme, seed, flipTH, w, id)
+	if err != nil {
+		return PerfPoint{}, err
 	}
 	pt := PerfPoint{
 		Scheme:   scheme.Name(),
@@ -245,8 +251,8 @@ func (x *Execution) measure(ctx context.Context, scheme mc.Scheme, seed uint64, 
 		Seed:     seed,
 		Safe:     res.Safety.Safe(),
 	}
-	if b := BenignIPC(base.ipcs, attackers); b > 0 {
-		pt.RelativePerformance = 100 * BenignIPC(res.IPCs, attackers) / b
+	if b := BenignIPC(base.ipcs, w.Attackers); b > 0 {
+		pt.RelativePerformance = 100 * BenignIPC(res.IPCs, w.Attackers) / b
 	}
 	pt.EnergyOverheadPct = energy.OverheadPercent(res.Energy, base.energy)
 	return pt, nil

@@ -106,6 +106,59 @@ func TestStreamCancelMidSweep(t *testing.T) {
 	}
 }
 
+// TestCancelCutsInFlightSimulations cancels two executions while every
+// kind of simulation they run is in flight: the shared baseline fill, a
+// comparison row's protected run (the other row's baseline is in flight,
+// so it runs first) and an adth row's laned run (its baseline is the
+// comparison's, in flight). Each would run for tens of seconds — a
+// 16-core machine with no instruction limit runs to its 400 ms simulated
+// MaxTime — so both executions end promptly only if every one of those
+// simulations honours the caller's ctx.
+func TestCancelCutsInFlightSimulations(t *testing.T) {
+	sc := QuickScale()
+	sc.Cores, sc.InstrPerCore, sc.Jobs = 16, 1<<40, 2
+	comparison := &Spec{
+		Name: "cancel-comparison", Title: "cancel", Kind: Comparison, Scale: ScaleSpec{Preset: "quick"},
+		Axes: Axes{Schemes: []string{"mithril", "graphene"}, FlipTHs: []int{6250}, Workloads: []string{"mix-high"}},
+	}
+	adth := &Spec{
+		Name: "cancel-adth", Title: "cancel", Kind: AdTHSweep, Scale: ScaleSpec{Preset: "quick"},
+		Axes: Axes{Configs: []ConfigPoint{{FlipTH: 6250, RFMTH: 64}}, AdTHs: []int{0, 200}, Workloads: []string{"multi-programmed"}},
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	opts := &ExecOptions{Baselines: NewBaselineCache()}
+	errs := make(chan error, 2)
+	start := func(s *Spec) {
+		go func() {
+			_, err := s.RunAtContext(ctx, sc, opts)
+			errs <- err
+		}()
+	}
+	start(comparison)
+	for claimed := time.Now().Add(10 * time.Second); opts.Baselines.Len() == 0; time.Sleep(time.Millisecond) {
+		if time.Now().After(claimed) {
+			t.Fatal("the comparison execution never claimed its baseline")
+		}
+	}
+	start(adth)
+	// No hook reports a simulation's start, so give them time to start: a
+	// sleep too short cannot fail the test, only leave a run unexercised.
+	time.Sleep(500 * time.Millisecond)
+	cancel()
+	deadline := time.After(5 * time.Second)
+	for range 2 {
+		select {
+		case err := <-errs:
+			if !errors.Is(err, context.Canceled) {
+				t.Fatalf("err = %v, want context.Canceled", err)
+			}
+		case <-deadline:
+			t.Fatal("an execution ran on for 5 s after cancellation: an in-flight simulation ignores the caller's ctx")
+		}
+	}
+}
+
 func TestRunAtContextCancelled(t *testing.T) {
 	s := tiny()
 	sc := streamScale(t, 1)

@@ -19,3 +19,22 @@ func captureLit(s scheme) holder {
 }
 
 var stored = scheme{}.OnRFM(0) // want "package variable retains a scheme-owned victim slice"
+
+// captureLocal stores the result through the local that holds it.
+func (h *holder) captureLocal(s scheme) {
+	v := s.OnRFM(0)
+	w := v
+	h.victims = w // want "retains a scheme-owned victim slice"
+}
+
+// job is a queued refresh, like the controller's pending-ARR entries.
+type job struct {
+	bank    int
+	victims []uint32
+}
+
+// enqueue queues a local's victims without copying them.
+func enqueue(s scheme, jobs []job) []job {
+	var victims = s.OnActivate(0, 1)
+	return append(jobs, job{bank: 0, victims: victims}) // want "composite literal retains a scheme-owned victim slice"
+}

@@ -7,8 +7,9 @@ import (
 )
 
 // VictimRetain enforces the mc.Scheme ownership contract: the result of a
-// Scheme's OnActivate/OnRFM must not be stored into a struct field or
-// package variable. The returned victim slice is owned by the scheme and
+// Scheme's OnActivate/OnRFM must not be stored into a struct field,
+// package variable or composite literal, directly or through a local that
+// holds it. The returned victim slice is owned by the scheme and
 // only valid until its next call; retaining callers must copy, e.g. via
 // append(dst[:0], victims...) or the controller's victim pool.
 var VictimRetain = &Analyzer{
@@ -46,15 +47,25 @@ func runVictimRetain(pass *Pass) error {
 	return nil
 }
 
-// checkVictimRetention flags direct stores of OnActivate/OnRFM results
-// into fields, package variables, or composite literals. Local bindings
-// and element-copying uses (append(dst, victims...)) are fine.
+// checkVictimRetention flags stores of OnActivate/OnRFM results into
+// fields, package variables, or composite literals, whether the call is
+// stored directly or through the locals it was bound to. Local bindings,
+// returning them, and element-copying uses (append(dst, victims...)) are
+// fine.
 func checkVictimRetention(pass *Pass, body *ast.BlockStmt) {
+	held := victimLocals(pass, body)
+	victim := func(e ast.Expr) bool {
+		if isSchemeVictimCall(pass, e) {
+			return true
+		}
+		id, ok := ast.Unparen(e).(*ast.Ident)
+		return ok && held[pass.TypesInfo.Uses[id]]
+	}
 	ast.Inspect(body, func(n ast.Node) bool {
 		switch node := n.(type) {
 		case *ast.AssignStmt:
 			for i, rhs := range node.Rhs {
-				if i >= len(node.Lhs) || !isSchemeVictimCall(pass, rhs) {
+				if i >= len(node.Lhs) || !victim(rhs) {
 					continue
 				}
 				if retainingLHS(pass, node.Lhs[i]) {
@@ -67,13 +78,60 @@ func checkVictimRetention(pass *Pass, body *ast.BlockStmt) {
 				if kv, ok := elt.(*ast.KeyValueExpr); ok {
 					v = kv.Value
 				}
-				if isSchemeVictimCall(pass, v) {
+				if victim(v) {
 					pass.Reportf(v.Pos(), "composite literal retains a scheme-owned victim slice (copy it; see mc.Scheme)")
 				}
 			}
 		}
 		return true
 	})
+}
+
+// victimLocals returns the function's local variables that may hold a
+// scheme-owned victim slice: those bound to an OnActivate/OnRFM result
+// (by assignment or var declaration), and, to a fixed point, those bound
+// to another such local.
+func victimLocals(pass *Pass, body *ast.BlockStmt) map[types.Object]bool {
+	held := map[types.Object]bool{}
+	grew := true
+	bind := func(lhs, rhs ast.Expr) {
+		src, isIdent := ast.Unparen(rhs).(*ast.Ident)
+		if !isSchemeVictimCall(pass, rhs) && !(isIdent && held[pass.TypesInfo.Uses[src]]) {
+			return
+		}
+		id, ok := lhs.(*ast.Ident)
+		if !ok {
+			return
+		}
+		obj := pass.TypesInfo.Defs[id]
+		if obj == nil {
+			obj = pass.TypesInfo.Uses[id]
+		}
+		if v, ok := obj.(*types.Var); ok && v.Parent() != v.Pkg().Scope() && !held[v] {
+			held[v], grew = true, true
+		}
+	}
+	for grew {
+		grew = false
+		ast.Inspect(body, func(n ast.Node) bool {
+			switch node := n.(type) {
+			case *ast.AssignStmt:
+				if len(node.Lhs) == len(node.Rhs) {
+					for i := range node.Rhs {
+						bind(node.Lhs[i], node.Rhs[i])
+					}
+				}
+			case *ast.ValueSpec:
+				if len(node.Names) == len(node.Values) {
+					for i := range node.Values {
+						bind(node.Names[i], node.Values[i])
+					}
+				}
+			}
+			return true
+		})
+	}
+	return held
 }
 
 // retainingLHS reports whether an assignment target outlives the statement

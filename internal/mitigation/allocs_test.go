@@ -22,20 +22,26 @@ var allocExceptions = map[string]string{
 // structure exists, a scheme's ACT and RFM handling allocates nothing: not
 // per ACT, and not at the periodic table resets and filter swaps, which
 // the measured stretch crosses at the quick scale's compressed refresh
-// window.
+// window. The Mithril lane scheme the AdTH sweep runs is checked too.
 func TestSchemesSteadyStateAllocFree(t *testing.T) {
 	p := timing.DDR5()
 	p.TREFW /= 8 // the quick scale's time compression
 	p.RefreshGroups /= 8
 	opt := Options{Timing: p, FlipTH: 2000, Seed: 7}
 	acts := 2 * p.ACTsPerREFW() // per measured stretch: four Graphene resets
+	builders := map[string]func() (mc.Scheme, error){
+		"mithril lanes": func() (mc.Scheme, error) { return BuildLanes("mithril", opt, []int{-1, 50, 0}) },
+	}
 	for _, name := range Names() {
+		builders[name] = func() (mc.Scheme, error) { return Build(name, opt) }
+	}
+	for name, b := range builders {
 		if why, ok := allocExceptions[name]; ok {
 			t.Logf("%s: skipped: %s", name, why)
 			continue
 		}
 		build := func() mc.Scheme {
-			s, err := Build(name, opt)
+			s, err := b()
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -64,6 +70,8 @@ func tableEntries(s mc.Scheme) int {
 	switch s := s.(type) {
 	case *MithrilScheme:
 		return s.cfg.NEntry
+	case *MithrilLanes:
+		return s.lanes[0].cfg.NEntry
 	case *Graphene:
 		return s.nEntry
 	}

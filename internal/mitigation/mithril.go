@@ -136,3 +136,86 @@ func (s *MithrilScheme) SkipRFM(bank int) bool {
 	}
 	return s.module(bank).SkipFlag()
 }
+
+// MithrilLanes drives one plain-Mithril tracker (a lane) per AdTH level
+// from a single ACT/RFM stream, so one simulation stands for a whole AdTH
+// sweep. That is exact because AdTH never reaches the controller: the MC
+// issues every RFM and holds the bank for tRFM whatever the DRAM refreshes
+// inside the window, so runs that differ only in AdTH issue the same
+// commands at the same times. Mithril+ cannot be laned: its skip flag
+// drops RFMs, so its AdTH moves timing.
+//
+// Lane 0's victims go to the controller; every lane counts the victims it
+// would have refreshed, clamped to the bank as dram.Device counts them.
+type MithrilLanes struct {
+	mc.NoProtection
+	lanes      []*MithrilScheme
+	rows       int
+	preventive []uint64
+}
+
+// BuildLanes builds one lane of scheme name at opt per level in adths
+// (in Options.AdTH's encoding). Any name but "mithril" is an error, as is
+// an empty level list or a level Build rejects.
+func BuildLanes(name string, opt Options, adths []int) (*MithrilLanes, error) {
+	if len(adths) == 0 {
+		return nil, fmt.Errorf("mitigation: %s lanes need at least one AdTH level", name)
+	}
+	l := &MithrilLanes{rows: opt.Timing.Rows, preventive: make([]uint64, len(adths))}
+	for _, ad := range adths {
+		opt.AdTH = ad
+		s, err := Build(name, opt)
+		if err != nil {
+			return nil, err
+		}
+		m, ok := s.(*MithrilScheme)
+		if !ok || m.plus {
+			return nil, fmt.Errorf("mitigation: %s cannot be laned: only plain Mithril's AdTH leaves the RFM stream unchanged", name)
+		}
+		l.lanes = append(l.lanes, m)
+	}
+	return l, nil
+}
+
+// PreventiveRows reports, per lane, the in-range victim rows the lane has
+// refreshed. The slice is the scheme's own.
+func (l *MithrilLanes) PreventiveRows() []uint64 { return l.preventive }
+
+// Name implements mc.Scheme.
+func (l *MithrilLanes) Name() string { return "mithril" }
+
+// RFMCompatible implements mc.Scheme.
+func (l *MithrilLanes) RFMCompatible() bool { return true }
+
+// RFMTH implements mc.Scheme: every lane shares it.
+func (l *MithrilLanes) RFMTH() int { return l.lanes[0].RFMTH() }
+
+// OnActivate implements mc.Scheme: every lane sees the ACT.
+//
+//mithril:hotpath
+func (l *MithrilLanes) OnActivate(bank int, row uint32, coreID int, now timing.PicoSeconds) []uint32 {
+	for _, m := range l.lanes {
+		m.OnActivate(bank, row, coreID, now)
+	}
+	return nil
+}
+
+// OnRFM implements mc.Scheme: every lane selects inside the window, and
+// lane 0's victims are refreshed.
+//
+//mithril:hotpath
+func (l *MithrilLanes) OnRFM(bank int, now timing.PicoSeconds) []uint32 {
+	var refreshed []uint32
+	for k, m := range l.lanes {
+		v := m.OnRFM(bank, now)
+		for _, r := range v {
+			if int(r) < l.rows {
+				l.preventive[k]++
+			}
+		}
+		if k == 0 {
+			refreshed = v
+		}
+	}
+	return refreshed
+}

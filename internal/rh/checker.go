@@ -57,7 +57,6 @@ type Checker struct {
 	preventive uint64 // preventive (RFM/ARR) row refreshes since Reset
 	flips      []Flip
 	maxSeen    float64
-	maxRow     int
 	acts       uint64
 }
 
@@ -126,7 +125,6 @@ func (c *Checker) Reset(flipTH int, weights []float64) {
 	c.preventive = 0
 	c.flips = c.flips[:0]
 	c.maxSeen = 0
-	c.maxRow = 0
 	c.acts = 0
 }
 
@@ -238,7 +236,6 @@ func (c *Checker) OnActivate(row int, now timing.PicoSeconds) {
 			s.disturb += w
 			if s.disturb > c.maxSeen {
 				c.maxSeen = s.disturb
-				c.maxRow = v
 			}
 			if s.disturb >= c.flipTH && !s.flipped {
 				s.flipped = true

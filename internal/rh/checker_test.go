@@ -1,6 +1,7 @@
 package rh
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -139,11 +140,20 @@ func TestMaxDisturbanceTracksHighWaterMark(t *testing.T) {
 	for i := 0; i < 42; i++ {
 		c.OnActivate(4, 0)
 	}
+	var at []int
+	for _, s := range c.slots {
+		if s.stamp == c.epoch && s.disturb == c.maxSeen {
+			at = append(at, int(s.row))
+		}
+	}
+	slices.Sort(at)
+	if c.maxSeen != 42 || !slices.Equal(at, []int{3, 5}) {
+		t.Fatalf("high-water mark %v on rows %v, want 42 on rows [3 5]", c.maxSeen, at)
+	}
 	c.OnRefresh(3)
 	c.OnRefresh(5)
-	max, row := c.maxSeen, c.maxRow
-	if max != 42 || (row != 3 && row != 5) {
-		t.Fatalf("MaxDisturbance = (%v, %d), want (42, 3 or 5)", max, row)
+	if c.maxSeen != 42 {
+		t.Fatalf("high-water mark %v after the refreshes, want 42 kept", c.maxSeen)
 	}
 }
 
